@@ -13,9 +13,7 @@ from .core import (
     StratumRecord,
     Weights,
     coordinate_point_types,
-    gcd_list,
     singular_strata,
-    smallest_residue,
     stratum_quotient_type,
     well_formed,
 )
@@ -38,12 +36,10 @@ from .families import (
     volume_witness,
 )
 from .hilbert import (
-    MonomialCountTable,
     monomial_count,
     monomial_count_enum,
     plurigenera_table,
     plurigenus,
-    vanishing_threshold,
     variables_present,
 )
 from .hypersurface import (
@@ -60,7 +56,6 @@ from .singularity import (
     ambient_canonical,
     ambient_canonical_bruteforce,
     classify_quotient,
-    has_quasi_reflection,
     parse_quotient,
     quotient_report,
     reid_tai_min,
@@ -75,7 +70,6 @@ __all__ = [
     "CyclicQuotientSingularity",
     "EmptySearchError",
     "FamilyReport",
-    "MonomialCountTable",
     "NotSingularError",
     "NotWellFormedError",
     "ParameterError",
@@ -97,8 +91,6 @@ __all__ = [
     "degree_bound_witness",
     "enumerate_candidates",
     "find_min_volume",
-    "gcd_list",
-    "has_quasi_reflection",
     "monomial_count",
     "monomial_count_enum",
     "parse_quotient",
@@ -110,9 +102,7 @@ __all__ = [
     "search_records",
     "singular_strata",
     "singularity_report",
-    "smallest_residue",
     "stratum_quotient_type",
-    "vanishing_threshold",
     "vanishing_witness",
     "variables_present",
     "verify_all",

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze, plurigenera, reid-tai, verify, construct-volume, search.
-Exit status: 0 success / all checks passed; 1 some check failed; 2 usage or
-parameter error; 3 resource budget exceeded.  All numbers print exactly;
---decimal adds a truncated approximation, clearly labelled.
+Exit status: 0 success / all checks passed; 1 some check failed or a search
+found nothing; 2 usage or parameter error; 3 resource budget exceeded.  All
+numbers print exactly; --decimal adds a truncated approximation, clearly
+labelled.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from . import __version__, config
 from .core import Weights, singular_strata, well_formed
 from .errors import BudgetError, EmptySearchError, ParameterError
 from .families import (
-    DEFAULT_VOLUME_TARGETS,
+    FAMILIES,
+    FAMILY_IDS,
     FamilyReport,
-    ample_witness,
-    consecutive_family,
-    degree_bound_witness,
-    vanishing_witness,
     verify_all,
+    verify_family,
     volume_witness,
 )
 from .hilbert import plurigenera_table
@@ -106,9 +105,9 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return int(text), 1
 
 
-def _check_dicts(report: FamilyReport) -> list[dict]:
+def _check_dicts(report: FamilyReport, prefix: str = "") -> list[dict]:
     return [
-        {"name": c.name, "passed": c.passed, "detail": c.detail}
+        {"name": prefix + c.name, "passed": c.passed, "detail": c.detail}
         for c in report.checks
     ]
 
@@ -217,27 +216,14 @@ def _family_reports(args) -> list[FamilyReport]:
         return list(verify_all().reports)
     if not args.family:
         raise ParameterError("choose --family or --all")
-    if args.family == "prop":
-        ks = _parse_range(args.k) if args.k else [2]
-        ls = _parse_range(args.l) if args.l else [0]
-        return [consecutive_family(k, l) for k in ks for l in ls]
-    if args.family == "thm3":
-        ns = _parse_range(args.n) if args.n else list(range(5, 31))
-        return [vanishing_witness(n) for n in ns]
-    if args.family == "thm4":
-        ns = _parse_range(args.n) if args.n else list(range(7, 31))
-        return [degree_bound_witness(n) for n in ns]
-    if args.family == "ample":
-        ns = _parse_range(args.n) if args.n else list(range(1, 21))
-        return [ample_witness(n) for n in ns]
-    if args.family == "volume":
-        targets = (
-            [_parse_ratio(q) for q in args.q.split(",")]
-            if args.q
-            else list(DEFAULT_VOLUME_TARGETS)
-        )
-        return [volume_witness(r, s) for r, s in targets]
-    raise ParameterError(f"unknown family {args.family!r}")
+    values = {}
+    for name in FAMILIES[args.family][1]:  # the family's parameter names
+        text = getattr(args, name)
+        if text and name == "q":
+            values[name] = [_parse_ratio(q) for q in text.split(",")]
+        elif text:
+            values[name] = _parse_range(text)
+    return verify_family(args.family, **values)
 
 
 def _cmd_verify(args) -> tuple[OutputDocument, int]:
@@ -250,13 +236,9 @@ def _cmd_verify(args) -> tuple[OutputDocument, int]:
         "passed": all(r.passed for r in reports),
     }
     checks = [
-        {
-            "name": f"{r.family} {r.parameters}: {c.name}",
-            "passed": c.passed,
-            "detail": c.detail,
-        }
+        check
         for r in reports
-        for c in r.checks
+        for check in _check_dicts(r, f"{r.family} {r.parameters}: ")
     ]
     inputs = {"family": args.family or "all"}
     doc = OutputDocument("verify", inputs, results, checks)
@@ -304,6 +286,7 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
         vanishing=args.vanishing,
         jobs=jobs,
     )
+    status = STATUS_OK if records else STATUS_FAILED_CHECK
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -319,7 +302,7 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
                 + list(rec.plurigenera)
                 + ["true", "true", "true"]
             )
-        return buf.getvalue().rstrip("\n"), STATUS_OK
+        return buf.getvalue().rstrip("\n"), status
     doc = OutputDocument(
         "search",
         {
@@ -334,7 +317,7 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
             "note": f"bound: weight sum <= {args.max_sum}; no global-minimality claim",
         },
     )
-    return doc, STATUS_OK
+    return doc, status
 
 
 # ------------------------------------------------------------------ driver
@@ -375,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reid_tai)
 
     p = sub.add_parser("verify", help="run family verifiers", parents=[common])
-    p.add_argument("--family", choices=["prop", "thm3", "thm4", "ample", "volume"])
+    p.add_argument("--family", choices=FAMILY_IDS)
     p.add_argument("--all", action="store_true", help="default ranges of every family")
     p.add_argument("--k", help="prop: k value or range like 2..6")
     p.add_argument("--l", help="prop: l value or range")

@@ -156,23 +156,6 @@ class StratumRecord:
             raise ValueError("stratum common factor must exceed 1")
 
 
-def gcd_list(values: Sequence[int]) -> int:
-    """Greatest common divisor of a nonempty collection of positive integers."""
-    vals = tuple(values)
-    if not vals:
-        raise ValueError("gcd of empty collection is undefined")
-    if any(v < 1 for v in vals):
-        raise ValueError("gcd_list expects positive integers")
-    return math.gcd(*vals)
-
-
-def smallest_residue(x: int, r: int) -> int:
-    """Smallest nonnegative residue of x modulo r."""
-    if r < 1:
-        raise ValueError("modulus must be >= 1")
-    return x % r
-
-
 def well_formed(w: Weights | Iterable[int]) -> bool:
     """True when no n of the n+1 weights share a common factor.
 

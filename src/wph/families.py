@@ -25,15 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 from .core import CyclicQuotientSingularity, Weights, well_formed
 from .errors import ParameterError
-from .hilbert import plurigenus, variables_present
+from .hilbert import plurigenus, variables_present_below
 from .hypersurface import WeightedHypersurface
 from .singularity import SingularityClass, classify_quotient, ambient_canonical
-
-FAMILY_IDS = ("prop", "thm3", "thm4", "ample", "volume")
 
 
 @dataclass(frozen=True)
@@ -58,20 +57,6 @@ class FamilyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameters": dict(self.parameters),
-            "weights": str(self.hypersurface.weights),
-            "degree": self.hypersurface.degree,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "notes": list(self.notes),
-            "passed": self.passed,
-        }
 
     def __str__(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.parameters.items())
@@ -106,6 +91,21 @@ def _consecutive_weights(k: int, l: int) -> tuple[tuple[int, ...], int]:
     return weights, degree
 
 
+def _consecutive_member(
+    n: int, k: int, l: int
+) -> tuple[WeightedHypersurface, tuple[Check, ...]]:
+    """The (k, l) member as a dimension-n witness, with the four checks that
+    `thm3` and `thm4` share."""
+    weights, degree = _consecutive_weights(k, l)
+    x = WeightedHypersurface(Weights(weights), degree)
+    return x, (
+        Check("weights are well-formed", well_formed(x.weights)),
+        Check("ambient space is canonical", ambient_canonical(x.weights)),
+        Check("amplitude is 1", x.amplitude == 1),
+        Check("member dimension is n", x.dimension == n, f"dimension={x.dimension}"),
+    )
+
+
 def consecutive_family(k: int, l: int) -> FamilyReport:
     """Family on consecutive weights k, k+1 (and their product); id "prop"."""
     weights, degree = _consecutive_weights(k, l)
@@ -138,17 +138,12 @@ def vanishing_witness(n: int) -> FamilyReport:
         raise ParameterError("n must be >= 5")
     k = (n + 1) // 3
     l = n + 1 - 3 * k
-    weights, degree = _consecutive_weights(k, l)
-    x = WeightedHypersurface(Weights(weights), degree)
+    x, checks = _consecutive_member(n, k, l)
 
     genera = [plurigenus(x, m) for m in range(1, k)]
     bound = Fraction(3 ** (n + 1), (n - 1) ** n)
     vol = x.volume()
-    checks = (
-        Check("weights are well-formed", well_formed(x.weights)),
-        Check("ambient space is canonical", ambient_canonical(x.weights)),
-        Check("amplitude is 1", x.amplitude == 1),
-        Check("member dimension is n", x.dimension == n, f"dimension={x.dimension}"),
+    checks += (
         Check(
             f"plurigenera P_1..P_{k - 1} vanish",
             all(p == 0 for p in genera),
@@ -161,7 +156,7 @@ def vanishing_witness(n: int) -> FamilyReport:
         ),
     )
     notes = (f"observed P_{k} = {plurigenus(x, k)} (reported, not asserted)",)
-    return FamilyReport("thm3", {"n": n, "k": k, "l": l, "d": degree}, x, checks, notes)
+    return FamilyReport("thm3", {"n": n, "k": k, "l": l, "d": x.degree}, x, checks, notes)
 
 
 def degree_bound_witness(n: int) -> FamilyReport:
@@ -171,20 +166,16 @@ def degree_bound_witness(n: int) -> FamilyReport:
     k = (n - 1) // 3
     l = n + 1 - 3 * k
     assert 2 <= l <= 4
-    weights, degree = _consecutive_weights(k, l)
-    x = WeightedHypersurface(Weights(weights), degree)
+    x, checks = _consecutive_member(n, k, l)
 
     obstruction = k * (k + 1)
     top = {i for i, a in enumerate(x.weights) if a == obstruction}
     absent = all(
-        top.isdisjoint(variables_present(x.weights, t)) for t in range(obstruction)
+        top.isdisjoint(present)
+        for present in variables_present_below(x.weights, obstruction)
     )
     bound = Fraction(n * (n - 3), 9)
-    checks = (
-        Check("weights are well-formed", well_formed(x.weights)),
-        Check("ambient space is canonical", ambient_canonical(x.weights)),
-        Check("amplitude is 1", x.amplitude == 1),
-        Check("member dimension is n", x.dimension == n, f"dimension={x.dimension}"),
+    checks += (
         Check(
             f"weight-{obstruction} variables absent below degree {obstruction}",
             absent,
@@ -198,7 +189,7 @@ def degree_bound_witness(n: int) -> FamilyReport:
     )
     return FamilyReport(
         "thm4",
-        {"n": n, "k": k, "l": l, "d": degree, "obstruction_degree": obstruction},
+        {"n": n, "k": k, "l": l, "d": x.degree, "obstruction_degree": obstruction},
         x,
         checks,
     )
@@ -225,7 +216,7 @@ def ample_witness(n: int) -> FamilyReport:
     singular = [i for i, a in enumerate(x.weights) if a > 1]
     all_missed = len(missed) == len(singular)
     top_absent = all(
-        top_index not in variables_present(x.weights, t) for t in range(d)
+        top_index not in present for present in variables_present_below(x.weights, d)
     )
     checks = (
         Check("amplitude is 1", x.amplitude == 1),
@@ -257,21 +248,15 @@ def ample_witness(n: int) -> FamilyReport:
     )
 
 
-def _choose_volume_parameters(r: int, s: int) -> tuple[int, int, int, int]:
-    """Deterministic (a, b, t, m): smallest b with b*r = 1 mod s admitting a
-    valid a, then smallest a coprime to s and b giving at least max(s, 1)
-    unit weights."""
-    b = next(b for b in range(1, s + 1) if (b * r) % s == 1 % s)
-    while r * b <= 1:
-        # unit-weight count m = a(rb-1) - s - b - 1 cannot reach 1 for any a
-        b += s
-    t = (r * b - 1) // s
+def _smallest_a(r: int, s: int, b: int) -> int:
+    """Smallest a coprime to s and b giving at least max(s, 1) unit weights."""
+    if r * b <= 1:
+        raise ParameterError(f"b={b} gives r*b <= 1, so no a yields a unit weight")
     a = 1
     while True:
         if math.gcd(a, s) == 1 and math.gcd(a, b) == 1:
-            m = r * a * b + 1 - a - s - b - 2
-            if m >= max(s, 1):
-                return a, b, t, m
+            if r * a * b + 1 - a - s - b - 2 >= max(s, 1):
+                return a
         a += 1
 
 
@@ -289,30 +274,21 @@ def volume_witness(
     if math.gcd(r, s) != 1:
         raise ParameterError(f"r and s must be coprime, got gcd={math.gcd(r, s)}")
 
-    if b is None and a is None:
-        a, b, t, m = _choose_volume_parameters(r, s)
-    else:
-        if b is None:
-            _, b, _, _ = _choose_volume_parameters(r, s)
-        if (b * r) % s != 1 % s:
-            raise ParameterError(f"b={b} violates b*r = 1 mod s")
-        t = (r * b - 1) // s
-        if a is None:
-            candidate = 1
-            while True:
-                if math.gcd(candidate, s) == 1 and math.gcd(candidate, b) == 1:
-                    m = r * candidate * b + 1 - candidate - s - b - 2
-                    if m >= max(s, 1):
-                        a = candidate
-                        break
-                candidate += 1
-        if math.gcd(a, s) != 1 or math.gcd(a, b) != 1:
-            raise ParameterError(f"a={a} must be coprime to s={s} and b={b}")
-        m = r * a * b + 1 - a - s - b - 2
-        if m < 1:
-            raise ParameterError(
-                f"parameters give {m} unit weights; need at least one"
-            )
+    if b is None:
+        b = next(b for b in range(1, s + 1) if (b * r) % s == 1 % s)
+        while r * b <= 1:
+            # unit-weight count m = a(rb-1) - s - b - 1 cannot reach 1 for any a
+            b += s
+    elif (b * r) % s != 1 % s:
+        raise ParameterError(f"b={b} violates b*r = 1 mod s")
+    if a is None:
+        a = _smallest_a(r, s, b)
+    elif math.gcd(a, s) != 1 or math.gcd(a, b) != 1:
+        raise ParameterError(f"a={a} must be coprime to s={s} and b={b}")
+    t = (r * b - 1) // s
+    m = r * a * b + 1 - a - s - b - 2
+    if m < 1:
+        raise ParameterError(f"parameters give {m} unit weights; need at least one")
 
     weights = (1,) * m + (a, s, b)
     degree = r * a * b
@@ -389,40 +365,44 @@ DEFAULT_VOLUME_TARGETS: tuple[tuple[int, int], ...] = (
 )
 
 
-def verify_all(
-    consecutive_ks: Iterable[int] = range(2, 7),
-    consecutive_ls: Iterable[int] = range(0, 5),
-    vanishing_ns: Iterable[int] = range(5, 31),
-    bound_ns: Iterable[int] = range(7, 31),
-    ample_ns: Iterable[int] = range(1, 21),
-    volume_targets: Sequence[tuple[int, int]] = DEFAULT_VOLUME_TARGETS,
-) -> AggregateReport:
-    """Run every family verifier over the given ranges, in parameter order."""
-    reports: list[FamilyReport] = []
-    for k in consecutive_ks:
-        for l in consecutive_ls:
-            reports.append(consecutive_family(k, l))
-    reports.extend(vanishing_witness(n) for n in vanishing_ns)
-    reports.extend(degree_bound_witness(n) for n in bound_ns)
-    reports.extend(ample_witness(n) for n in ample_ns)
-    reports.extend(volume_witness(r, s) for r, s in volume_targets)
-    return AggregateReport(tuple(reports))
-
-
-_CONSTRUCTORS = {
-    "prop": consecutive_family,
-    "thm3": vanishing_witness,
-    "thm4": degree_bound_witness,
-    "ample": ample_witness,
-    "volume": volume_witness,
+# id -> (constructor, default values of each parameter), read by `verify_all`
+# and the CLI.  Each lambda resolves its constructor by module name at call
+# time, so a wrapper set on the module attribute sees every call.
+FAMILIES: dict[str, tuple[Callable[..., FamilyReport], dict[str, Sequence]]] = {
+    "prop": (lambda k, l: consecutive_family(k, l), {"k": range(2, 7), "l": range(0, 5)}),
+    "thm3": (lambda n: vanishing_witness(n), {"n": range(5, 31)}),
+    "thm4": (lambda n: degree_bound_witness(n), {"n": range(7, 31)}),
+    "ample": (lambda n: ample_witness(n), {"n": range(1, 21)}),
+    "volume": (lambda q: volume_witness(*q), {"q": DEFAULT_VOLUME_TARGETS}),
 }
+FAMILY_IDS = tuple(FAMILIES)
 
 
-def family_constructor(family_id: str):
-    """Look up a constructor by its stable report id."""
-    try:
-        return _CONSTRUCTORS[family_id]
-    except KeyError:
+def verify_family(family_id: str, **values: Iterable | None) -> list[FamilyReport]:
+    """Reports of one family over every combination of its parameter values,
+    in parameter order; a parameter left out or None takes its defaults."""
+    if family_id not in FAMILIES:
         raise ParameterError(
             f"unknown family {family_id!r}; choose from {', '.join(FAMILY_IDS)}"
-        ) from None
+        )
+    constructor, defaults = FAMILIES[family_id]
+    grids = [defaults[k] if values.get(k) is None else values[k] for k in defaults]
+    return [constructor(*args) for args in product(*grids)]
+
+
+def verify_all(
+    consecutive_ks: Iterable[int] | None = None,
+    consecutive_ls: Iterable[int] | None = None,
+    vanishing_ns: Iterable[int] | None = None,
+    bound_ns: Iterable[int] | None = None,
+    ample_ns: Iterable[int] | None = None,
+    volume_targets: Iterable[tuple[int, int]] | None = None,
+) -> AggregateReport:
+    """Run every family verifier over the given ranges, in family and
+    parameter order; a range left as None takes the family's defaults."""
+    reports = verify_family("prop", k=consecutive_ks, l=consecutive_ls)
+    reports += verify_family("thm3", n=vanishing_ns)
+    reports += verify_family("thm4", n=bound_ns)
+    reports += verify_family("ample", n=ample_ns)
+    reports += verify_family("volume", q=volume_targets)
+    return AggregateReport(tuple(reports))

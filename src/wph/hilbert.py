@@ -8,8 +8,7 @@ alpha >= 1, the m-th plurigenus is N(m*alpha) - N(m*alpha - d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from . import config
 from .core import Weights
@@ -42,32 +41,6 @@ def _raw_table(entries: tuple[int, ...], up_to: int) -> list[int]:
         for m in range(a, up_to + 1):
             counts[m] += counts[m - a]
     return counts
-
-
-@dataclass(frozen=True)
-class MonomialCountTable:
-    """Counts N(0), ..., N(max_degree) for one weight tuple, built once."""
-
-    weights: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    @classmethod
-    def build(cls, w: "Weights | Iterable[int]", max_degree: int) -> "MonomialCountTable":
-        entries = _entries(w)
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        return cls(entries, tuple(_raw_table(entries, max_degree)))
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.counts) - 1
-
-    def count(self, m: int) -> int:
-        if m < 0:
-            return 0
-        if m > self.max_degree:
-            raise ValueError(f"table built to degree {self.max_degree}, asked for {m}")
-        return self.counts[m]
 
 
 def monomial_count(w: "Weights | Iterable[int]", m: int) -> int:
@@ -114,6 +87,16 @@ def variables_present(w: "Weights | Iterable[int]", t: int) -> set[int]:
     return {i for i, a in enumerate(entries) if t >= a and table[t - a] > 0}
 
 
+def variables_present_below(w: "Weights | Iterable[int]", top: int) -> list[set[int]]:
+    """[variables_present(w, t) for t in range(top)], read from one count table."""
+    entries = _entries(w)
+    table = _raw_table(entries, max(top - 1, 0))
+    return [
+        {i for i, a in enumerate(entries) if t >= a and table[t - a] > 0}
+        for t in range(top)
+    ]
+
+
 def plurigenus(x: "WeightedHypersurface", m: int) -> int:
     """Dimension of the degree-(m*alpha) graded piece minus the degree-shifted one.
 
@@ -148,23 +131,3 @@ def plurigenera_table(x: "WeightedHypersurface", up_to: int) -> tuple[int, ...]:
         low = top - x.degree
         out.append(table[top] - (table[low] if low >= 0 else 0))
     return tuple(out)
-
-
-def vanishing_threshold(x: "WeightedHypersurface", max_total_degree: int | None = None) -> int:
-    """Largest m with P_1 = ... = P_m = 0 (0 when P_1 already nonzero).
-
-    Scans m upward while m*alpha stays within the cap (ten times the degree
-    by default) and raises if every scanned plurigenus vanishes.
-    """
-    alpha = x.amplitude
-    if alpha < 1:
-        raise ValueError(f"amplitude {alpha} < 1: plurigenus formula not applicable")
-    cap = 10 * x.degree if max_total_degree is None else max_total_degree
-    m = 1
-    while m * alpha <= cap:
-        if plurigenus(x, m) != 0:
-            return m - 1
-        m += 1
-    raise BudgetError(
-        f"no nonzero plurigenus with m*alpha <= {cap}; raise the cap to scan further"
-    )

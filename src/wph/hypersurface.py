@@ -29,7 +29,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 from . import config, hilbert
 from .core import (
@@ -37,6 +36,7 @@ from .core import (
     Weights,
     coordinate_point_types,
     singular_strata,
+    stratum_quotient_type,
     well_formed,
 )
 from .errors import BudgetError, NotWellFormedError
@@ -65,7 +65,8 @@ class WeightedHypersurface:
     (by index) lying on the member, the index of the variable whose partial
     derivative is nonvanishing there.  Removing that variable's weight from
     the ambient quotient type gives the member's local type; without a
-    witness the report leaves the member type unknown rather than guessing.
+    witness `member_type_at` removes the first variable whose weight matches
+    the degree residue.
     """
 
     weights: Weights
@@ -283,17 +284,17 @@ def singularity_report(x: WeightedHypersurface) -> SingularityReport:
 
     Coordinate points are met iff their weight fails to divide the degree;
     positive-dimensional singular strata are always met (the member is ample).
-    Member types at met points come from supplied witnesses only.
+    Member types at met points come from `member_type_at`: a supplied witness
+    where there is one, otherwise the first variable whose weight matches the
+    degree residue.
     """
     w = x.weights
     if not well_formed(w):
         raise NotWellFormedError(f"weights {w} are not well-formed")
 
     points = []
-    all_canonical = True
     for index, ambient in coordinate_point_types(w):
         ambient_class = classify_quotient(ambient)
-        all_canonical = all_canonical and ambient_class.is_canonical
         meets = x.contains_coordinate_point(index)
         member_type = x.member_type_at(index) if meets else None
         member_class = classify_quotient(member_type) if member_type is not None else None
@@ -305,10 +306,7 @@ def singularity_report(x: WeightedHypersurface) -> SingularityReport:
     for stratum in singular_strata(w):
         if len(stratum.indices) < 2:
             continue  # singletons are the coordinate points above
-        q = CyclicQuotientSingularity(
-            stratum.order,
-            tuple(a for i, a in enumerate(w) if i != min(stratum.indices)),
-        )
+        q = stratum_quotient_type(w, stratum.indices, min(stratum.indices))
         strata.append(
             StratumEntry(stratum.indices, stratum.order, classify_quotient(q), True)
         )
@@ -317,7 +315,7 @@ def singularity_report(x: WeightedHypersurface) -> SingularityReport:
     return SingularityReport(
         points=tuple(points),
         strata=tuple(strata),
-        ambient_canonical=all_canonical,
+        ambient_canonical=all(p.ambient_class.is_canonical for p in points),
         quasi_smooth=qs,
         member_asserted=qs,
     )

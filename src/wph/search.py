@@ -13,6 +13,7 @@ claims global minimality.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,7 +127,8 @@ def search_records(
 ) -> list[SearchRecord]:
     """All surviving records sorted by (volume, weights); optionally those whose
     first `vanishing` plurigenera are zero.  The result is independent of the
-    worker count: partitions by leading weight merge into one sorted list."""
+    worker count: partitions by leading weight merge into one sorted list.
+    At most min(jobs, usable CPUs, leading weights) worker processes run."""
     up_to = max(plurigenera_up_to, vanishing)
     if jobs <= 1:
         records = list(enumerate_candidates(member_dim, max_weight_sum, amplitude, up_to))
@@ -137,8 +139,12 @@ def search_records(
             (lead, length, max_weight_sum, amplitude, up_to)
             for lead in range(1, max_weight_sum // length + 1)
         ]
+        # the pool may start every worker up front, so ask for no more than
+        # the CPUs this process may run on and the batches there are
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = max(1, min(jobs, cpus or 1, len(batches)))
         records = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(_leading_batch, batches):
                 records.extend(batch)
     if vanishing:

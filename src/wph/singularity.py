@@ -47,7 +47,6 @@ __all__ = [
     "reid_tai_min",
     "classify_quotient",
     "quotient_report",
-    "has_quasi_reflection",
     "ambient_canonical",
     "ambient_canonical_bruteforce",
     "parse_quotient",
@@ -82,15 +81,39 @@ _CLASS_NAMES = {
 }
 
 
-def _residue_counts(s: CyclicQuotientSingularity) -> Counter[int]:
-    # grouping by residue keeps the j-loop O(r * distinct residues)
-    return Counter(b % s.order for b in s.weights)
+def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, int, bool]:
+    """One pass over the multipliers j in [1, r-1] of 1/r(b).
 
-
-def _check_order(r: int) -> None:
+    Returns the least total sum_i ((j * b_i) mod r), the first j attaining it,
+    and whether some j moves at most one coordinate.  With `stop_below` the
+    pass ends at the first total below r, where the verdict is already known.
+    """
+    r = s.order
     cap = config.order_cap()
     if r > cap:
         raise BudgetError(f"group order {r} exceeds cap {cap}")
+    # grouping by residue keeps the pass O(r * distinct residues)
+    counts = Counter(b % r for b in s.weights).items()
+    best, best_j, reflection = r * len(s.weights), 0, False
+    for j in range(1, r):
+        total = sum(cnt * ((j * rho) % r) for rho, cnt in counts)
+        if total < best:
+            best, best_j = total, j
+        # moving at most one coordinate forces a total below r
+        if total < r:
+            if stop_below:
+                break
+            if not reflection:
+                reflection = sum(cnt for rho, cnt in counts if (j * rho) % r) <= 1
+    return best, best_j, reflection
+
+
+def _class_of(total: int, r: int) -> SingularityClass:
+    if total > r:
+        return SingularityClass.TERMINAL
+    if total == r:
+        return SingularityClass.CANONICAL_NOT_TERMINAL
+    return SingularityClass.NOT_CANONICAL
 
 
 def reid_tai_sum(s: CyclicQuotientSingularity, j: int) -> Fraction:
@@ -98,30 +121,14 @@ def reid_tai_sum(s: CyclicQuotientSingularity, j: int) -> Fraction:
     r = s.order
     if not 1 <= j <= r - 1:
         raise ValueError(f"multiplier must lie in [1, {r - 1}], got {j}")
-    counts = _residue_counts(s)
-    total = sum(cnt * ((j * rho) % r) for rho, cnt in counts.items())
-    return Fraction(total, r)
+    return Fraction(sum((j * b) % r for b in s.weights), r)
 
 
 def reid_tai_min(s: CyclicQuotientSingularity) -> Fraction:
     """Minimum of reid_tai_sum over every multiplier j in [1, r-1]."""
-    return _min_sum(s)[0]
-
-
-def _min_sum(s: CyclicQuotientSingularity) -> tuple[Fraction, int]:
-    r = s.order
-    if r < 2:
+    if s.order < 2:
         raise ValueError("order-1 quotients are smooth; no multipliers to scan")
-    _check_order(r)
-    counts = _residue_counts(s)
-    best_total: int | None = None
-    best_j = 0
-    for j in range(1, r):
-        total = sum(cnt * ((j * rho) % r) for rho, cnt in counts.items())
-        if best_total is None or total < best_total:
-            best_total, best_j = total, j
-    assert best_total is not None
-    return Fraction(best_total, r), best_j
+    return Fraction(_scan(s)[0], s.order)
 
 
 def classify_quotient(s: CyclicQuotientSingularity) -> SingularityClass:
@@ -130,45 +137,19 @@ def classify_quotient(s: CyclicQuotientSingularity) -> SingularityClass:
     Returns early once a multiplier drops below 1; the exact minimum is only
     needed when all multipliers pass, to separate terminal from canonical.
     """
-    r = s.order
-    if r == 1:
+    if s.order == 1:
         return SingularityClass.SMOOTH
-    _check_order(r)
-    counts = _residue_counts(s)
-    saw_exactly_one = False
-    for j in range(1, r):
-        total = sum(cnt * ((j * rho) % r) for rho, cnt in counts.items())
-        if total < r:
-            return SingularityClass.NOT_CANONICAL
-        if total == r:
-            saw_exactly_one = True
-    if saw_exactly_one:
-        return SingularityClass.CANONICAL_NOT_TERMINAL
-    return SingularityClass.TERMINAL
-
-
-def has_quasi_reflection(s: CyclicQuotientSingularity) -> bool:
-    """True when some multiplier moves at most one coordinate.
-
-    Such group elements are quasi-reflections; the classification rule is
-    stated for actions without them, so reports carry this flag.  The verdict
-    itself is not altered.
-    """
-    r = s.order
-    if r < 2:
-        return False
-    _check_order(r)
-    counts = _residue_counts(s)
-    for j in range(1, r):
-        moved = sum(cnt for rho, cnt in counts.items() if (j * rho) % r != 0)
-        if moved <= 1:
-            return True
-    return False
+    return _class_of(_scan(s, stop_below=True)[0], s.order)
 
 
 @dataclass(frozen=True)
 class QuotientReport:
-    """Classification of one quotient plus the attained minimum for display."""
+    """Classification of one quotient plus the attained minimum for display.
+
+    `quasi_reflection` flags a multiplier that moves at most one coordinate:
+    the rule is stated for actions without quasi-reflections, so reports carry
+    the flag, but the verdict is not altered.
+    """
 
     singularity: CyclicQuotientSingularity
     sclass: SingularityClass
@@ -189,14 +170,10 @@ def quotient_report(s: CyclicQuotientSingularity) -> QuotientReport:
     """Full (non-short-circuiting) classification with diagnostics."""
     if s.order == 1:
         return QuotientReport(s, SingularityClass.SMOOTH, None, None, False)
-    minimum, at_j = _min_sum(s)
-    if minimum > 1:
-        sclass = SingularityClass.TERMINAL
-    elif minimum == 1:
-        sclass = SingularityClass.CANONICAL_NOT_TERMINAL
-    else:
-        sclass = SingularityClass.NOT_CANONICAL
-    return QuotientReport(s, sclass, minimum, at_j, has_quasi_reflection(s))
+    total, at_j, reflection = _scan(s)
+    return QuotientReport(
+        s, _class_of(total, s.order), Fraction(total, s.order), at_j, reflection
+    )
 
 
 def _require_well_formed(w: Weights) -> None:

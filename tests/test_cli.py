@@ -142,6 +142,15 @@ class TestSearch:
         assert lines[0] == "weights,d,volume,P_1,well_formed,member_canonical,quasi_smooth"
         assert lines[1] == '"1,1,1,2",6,3,3,true,true,true'
 
+    def test_empty_search_exits_one(self, capsys):
+        # five positive weights cannot sum to 4
+        status, out = invoke(capsys, "search", "--dim", "3", "--max-sum", "4")
+        assert status == 1
+        assert "record_count: 0" in out
+        status, out = invoke(capsys, "search", "--dim", "3", "--max-sum", "4", "--csv")
+        assert status == 1
+        assert out.startswith("weights,d,volume,")
+
     def test_plurigenera_must_cover_vanishing(self, capsys):
         assert run(
             ["search", "--dim", "2", "--max-sum", "5", "--vanishing", "2",

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,10 +10,8 @@ from wph.core import (
     Weights,
     coordinate_point_types,
     format_entries,
-    gcd_list,
     parse_entries,
     singular_strata,
-    smallest_residue,
     stratum_quotient_type,
     well_formed,
 )
@@ -51,26 +51,6 @@ class TestWeights:
         assert parse_entries(format_entries((1,) * 37410 + (113, 106))) == (1,) * 37410 + (113, 106)
 
 
-class TestGcdAndResidue:
-    def test_gcd_examples(self):
-        assert gcd_list((4, 6)) == 2
-        assert gcd_list((4, 5, 6, 7, 23)) == 1
-        assert gcd_list((6, 10, 15)) == 1
-
-    def test_gcd_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            gcd_list(())
-        with pytest.raises(ValueError):
-            gcd_list((0, 4))
-
-    def test_smallest_residue(self):
-        assert smallest_residue(7, 3) == 1
-        assert smallest_residue(0, 5) == 0
-        assert smallest_residue(2 * 6, 5) == 2
-        with pytest.raises(ValueError):
-            smallest_residue(3, 0)
-
-
 class TestWellFormed:
     def test_examples(self):
         assert well_formed(Weights((1, 1, 1)))
@@ -86,7 +66,7 @@ class TestWellFormed:
     @given(weight_tuples)
     def test_matches_naive_definition(self, entries):
         naive = all(
-            gcd_list(entries[:i] + entries[i + 1 :]) == 1 for i in range(len(entries))
+            math.gcd(*entries[:i], *entries[i + 1 :]) == 1 for i in range(len(entries))
         )
         assert well_formed(Weights(entries)) == naive
 
@@ -106,11 +86,11 @@ class TestSingularStrata:
         w = Weights(entries)
         for stratum in singular_strata(w):
             assert all(w[i] % stratum.order == 0 for i in stratum.indices)
-            assert gcd_list(tuple(w[i] for i in stratum.indices)) == stratum.order
+            assert math.gcd(*(w[i] for i in stratum.indices)) == stratum.order
             # adding an index whose weight the factor does not divide shrinks the gcd
             for j in range(len(w)):
                 if j not in stratum.indices and w[j] % stratum.order != 0:
-                    grown = gcd_list(tuple(w[i] for i in stratum.indices) + (w[j],))
+                    grown = math.gcd(*(w[i] for i in stratum.indices), w[j])
                     assert grown < stratum.order
 
     @given(weight_tuples)
@@ -121,7 +101,7 @@ class TestSingularStrata:
         expected = []
         for size in range(1, len(entries) + 1):
             for subset in combinations(range(len(entries)), size):
-                h = gcd_list(tuple(entries[i] for i in subset))
+                h = math.gcd(*(entries[i] for i in subset))
                 if h > 1:
                     expected.append((subset, h))
         assert [(s.indices, s.order) for s in singular_strata(w)] == expected

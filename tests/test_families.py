@@ -6,15 +6,16 @@ from wph.core import CyclicQuotientSingularity
 from wph.errors import ParameterError
 from wph.families import (
     DEFAULT_VOLUME_TARGETS,
+    FAMILY_IDS,
     ample_witness,
     consecutive_family,
     degree_bound_witness,
-    family_constructor,
     vanishing_witness,
     verify_all,
+    verify_family,
     volume_witness,
 )
-from wph.hilbert import vanishing_threshold
+from wph.hilbert import plurigenera_table
 from wph.singularity import SingularityClass, classify_quotient
 
 
@@ -65,7 +66,7 @@ class TestVanishingWitness:
         rep = vanishing_witness(5)
         assert rep.parameters["k"] == 2 and rep.parameters["l"] == 0
         assert rep.hypersurface.degree == 18
-        assert vanishing_threshold(rep.hypersurface) == 1
+        assert plurigenera_table(rep.hypersurface, 2) == (0, 4)
         assert rep.hypersurface.volume() == Fraction(1, 24)
         assert Fraction(1, 24) < Fraction(729, 1024)
         assert rep.passed
@@ -94,7 +95,7 @@ class TestVanishingWitness:
         rep = vanishing_witness(n)
         assert rep.passed, str(rep)
         k = rep.parameters["k"]
-        assert vanishing_threshold(rep.hypersurface) >= k - 1
+        assert plurigenera_table(rep.hypersurface, k - 1) == (0,) * (k - 1)
 
 
 class TestDegreeBoundWitness:
@@ -229,6 +230,11 @@ class TestVolumeWitness:
         with pytest.raises(ParameterError):
             volume_witness(1, 2, a=3, b=3)  # gcd(a, b) = 3
 
+    def test_rejects_b_that_admits_no_a(self):
+        # r*b = 1 leaves m = -s - 2 unit weights for every a
+        with pytest.raises(ParameterError):
+            volume_witness(1, 5, b=1)
+
     def test_override_reproduces_other_choices(self):
         rep = volume_witness(1, 2, a=7, b=3)
         assert rep.hypersurface.volume() == Fraction(1, 2)
@@ -282,6 +288,14 @@ class TestVerifyAll:
         assert a == b
 
     def test_constructor_lookup(self):
-        assert family_constructor("prop") is consecutive_family
+        assert verify_family("prop", k=[3], l=[1]) == [consecutive_family(3, 1)]
+        assert verify_family("volume", q=[(5, 7)]) == [volume_witness(5, 7)]
         with pytest.raises(ParameterError):
-            family_constructor("nonsense")
+            verify_family("nonsense")
+
+    def test_family_defaults_are_the_verify_all_ranges(self):
+        everything = verify_all().reports
+        by_family = [r for fid in FAMILY_IDS for r in verify_family(fid)]
+        assert list(everything) == by_family
+        assert [r.parameters["n"] for r in verify_family("thm4")] == list(range(7, 31))
+        assert len(verify_family("prop")) == 25

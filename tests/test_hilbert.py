@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from wph.core import Weights
 from wph.errors import BudgetError
+from wph.families import ample_witness, degree_bound_witness
 from wph.hilbert import (
-    MonomialCountTable,
     monomial_count,
     monomial_count_enum,
     plurigenera_table,
     plurigenus,
-    vanishing_threshold,
     variables_present,
+    variables_present_below,
 )
 from wph.hypersurface import WeightedHypersurface
 
@@ -80,24 +80,32 @@ class TestOracleEquivalence:
 
 
 class TestCountTable:
+    def test_table_matches_per_degree_for_family_weights(self):
+        # the weights and degree ranges that the thm4 and ample witnesses check
+        for n in range(7, 41):
+            bound, ample = degree_bound_witness(n), ample_witness(n)
+            for rep, top in (
+                (bound, bound.parameters["obstruction_degree"]),
+                (ample, ample.parameters["d"]),
+            ):
+                weights = rep.hypersurface.weights
+                expected = [variables_present(weights, t) for t in range(top)]
+                assert variables_present_below(weights, top) == expected
+
     def test_invariants(self):
-        table = MonomialCountTable.build((2, 3), 10)
-        assert table.count(0) == 1
-        assert table.count(1) == 0
-        assert table.count(-5) == 0
-        assert table.max_degree == 10
-        with pytest.raises(ValueError):
-            table.count(11)
+        # one table serves every degree below `top`, and degree 0 has no variable
+        assert variables_present_below((2, 3), 0) == []
+        assert variables_present_below((2, 3), 1) == [set()]
+        assert len(variables_present_below((2, 3), 10)) == 10
 
     def test_monotone_under_adding_weights(self):
-        base = MonomialCountTable.build((2, 5), 30)
-        grown = MonomialCountTable.build((2, 5, 3), 30)
-        assert all(g >= b for b, g in zip(base.counts, grown.counts))
+        base = [monomial_count((2, 5), m) for m in range(31)]
+        grown = [monomial_count((2, 5, 3), m) for m in range(31)]
+        assert all(g >= b for b, g in zip(base, grown))
 
     def test_binomial_check_on_unit_weights(self):
-        table = MonomialCountTable.build((1, 1, 1, 1), 12)
         for m in range(13):
-            assert table.count(m) == math.comb(m + 3, 3)
+            assert monomial_count((1, 1, 1, 1), m) == math.comb(m + 3, 3)
 
 
 class TestVariablesPresent:
@@ -163,19 +171,14 @@ class TestPlurigenus:
 class TestVanishingThreshold:
     def test_examples(self):
         x18 = WeightedHypersurface(Weights((2, 2, 2, 2, 3, 3, 3)), 18)
-        assert vanishing_threshold(x18) == 1
+        assert plurigenera_table(x18, 2) == (0, 4)
         x46 = WeightedHypersurface(Weights((4, 5, 6, 7, 23)), 46)
-        assert vanishing_threshold(x46) == 3
+        assert plurigenera_table(x46, 4) == (0, 0, 0, 1)
 
     def test_unit_weight_gives_zero(self):
         x = WeightedHypersurface(Weights((1, 2, 3, 5)), 12)
         assert x.amplitude == 1
-        assert vanishing_threshold(x) == 0
-
-    def test_cap_error(self):
-        x = WeightedHypersurface(Weights((4, 5, 6, 7, 23)), 46)
-        with pytest.raises(BudgetError):
-            vanishing_threshold(x, max_total_degree=2)
+        assert plurigenera_table(x, 1)[0] != 0
 
 
 def _tuples_up_to(length, max_entry):

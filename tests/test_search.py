@@ -1,7 +1,9 @@
+import os
 from fractions import Fraction
 
 import pytest
 
+import wph.search
 from wph.core import Weights, well_formed
 from wph.errors import BudgetError, EmptySearchError
 from wph.hilbert import plurigenera_table
@@ -68,6 +70,53 @@ class TestDeterminismAndParallelism:
 
     def test_repeat_runs_identical(self):
         assert search_records(2, 9) == search_records(2, 9)
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(wph.search, "ProcessPoolExecutor", InlinePool)
+        records = search_records(2, 10, plurigenera_up_to=1, jobs=10_000)
+        assert records == search_records(2, 10, plurigenera_up_to=1)
+        # two leading weights (1 and 2) can start at most two workers
+        cpus = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        )
+        assert requested == [min(2, cpus)]
+
+
+class TestLiteratureAnchors:
+    @pytest.mark.parametrize("max_sum", [9, 20, 40])
+    def test_canonical_surfaces_with_trivial_amplitude(self, max_sum):
+        # X_5 in P^3, X_6 in P(1,1,1,2), X_8 in P(1,1,1,4), X_10 in P(1,1,2,5)
+        found = [(r.weights, r.degree) for r in search_records(2, max_sum)]
+        assert sorted(found) == [
+            ((1, 1, 1, 1), 5),
+            ((1, 1, 1, 2), 6),
+            ((1, 1, 1, 4), 8),
+            ((1, 1, 2, 5), 10),
+        ]
+
+    @pytest.mark.parametrize("max_sum", [45, 60])
+    def test_iano_fletcher_23_threefolds(self, max_sum):
+        # Iano-Fletcher's list: 23 quasi-smooth canonical 3-folds with K = O(1)
+        records = search_records(3, max_sum)
+        assert len(records) == 23
+        assert records[0].weights == (4, 5, 6, 7, 23)
 
 
 class TestFindMinVolume:

@@ -12,7 +12,6 @@ from wph.singularity import (
     ambient_canonical,
     ambient_canonical_bruteforce,
     classify_quotient,
-    has_quasi_reflection,
     parse_quotient,
     quotient_report,
     reid_tai_min,
@@ -140,13 +139,27 @@ class TestClassify:
 
 def test_quasi_reflection_flag():
     # order 2 acting on one coordinate only
-    assert has_quasi_reflection(CyclicQuotientSingularity(2, (0, 1)))
-    assert not has_quasi_reflection(CyclicQuotientSingularity(2, (1, 1)))
+    assert quotient_report(CyclicQuotientSingularity(2, (0, 1))).quasi_reflection
+    assert not quotient_report(CyclicQuotientSingularity(2, (1, 1))).quasi_reflection
     # verdict is unchanged by the flag
     assert (
         classify_quotient(CyclicQuotientSingularity(2, (0, 1)))
         == SingularityClass.NOT_CANONICAL
     )
+
+
+@given(quotients)
+def test_quotient_report_matches_plain_scan(q):
+    residues = [[(j * b) % q.order for b in q.weights] for j in range(1, q.order)]
+    totals = [sum(row) for row in residues]
+    least = min(totals)
+    rep = quotient_report(q)
+    assert rep.minimum == Fraction(least, q.order)
+    assert rep.at_multiplier == totals.index(least) + 1
+    assert rep.quasi_reflection == any(
+        sum(1 for x in row if x) <= 1 for row in residues
+    )
+    assert rep.sclass == classify_quotient(q)
 
 
 def test_quotient_report_contents():
