@@ -15,7 +15,8 @@ def _env_int(name: str, default: int) -> int:
 
 
 def table_cap() -> int:
-    """Maximum number of cells in a monomial-count table."""
+    """Maximum number of cells in a monomial-count table, and of unit weights
+    in a `volume` family member."""
     return _env_int("WPH_TABLE_CAP", 10_000_000)
 
 

@@ -28,8 +28,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
+from . import config
 from .core import CyclicQuotientSingularity, Weights, well_formed
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
 from .hilbert import plurigenus, variables_present_below
 from .hypersurface import WeightedHypersurface
 from .singularity import SingularityClass, classify_quotient, ambient_canonical
@@ -267,7 +268,8 @@ def volume_witness(
 
     The defaults pick the smallest valid parameters; overrides must keep
     b*r = 1 mod s and a coprime to both s and b.  Reports are deterministic:
-    the same (r, s) always yields the same construction.
+    the same (r, s) always yields the same construction.  An m above
+    `config.table_cap()` raises BudgetError before the tuple is built.
     """
     if r < 1 or s < 1:
         raise ParameterError("volume must be a ratio of positive integers")
@@ -289,6 +291,13 @@ def volume_witness(
     m = r * a * b + 1 - a - s - b - 2
     if m < 1:
         raise ParameterError(f"parameters give {m} unit weights; need at least one")
+    cap = config.table_cap()
+    if m > cap:
+        # checked before the tuple is built: m grows like r*a*b
+        raise BudgetError(
+            f"volume {r}/{s} needs m={m} unit weights, above the cap {cap} "
+            f"(set WPH_TABLE_CAP to at least {m} to allow it)"
+        )
 
     weights = (1,) * m + (a, s, b)
     degree = r * a * b

@@ -111,6 +111,14 @@ class TestVerify:
         assert run(["frobnicate"]) == 2
 
 
+    def test_volume_beyond_table_cap_is_a_budget_error(self, capsys):
+        # a convergent of pi: (1^m, 1, 33215, 33102) with m = 3,454,061,177
+        assert run(["verify", "--family", "volume", "--q", "104348/33215"]) == 3
+        err = capsys.readouterr().err
+        assert "WPH_TABLE_CAP" in err and "3454061177" in err
+        assert "Traceback" not in err
+
+
 class TestConstructVolume:
     def test_five_sevenths(self, capsys):
         status, out = invoke(capsys, "construct-volume", "5/7")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wph.core import CyclicQuotientSingularity
-from wph.errors import ParameterError
+from wph.errors import BudgetError, ParameterError
 from wph.families import (
     DEFAULT_VOLUME_TARGETS,
     FAMILY_IDS,
@@ -234,6 +234,14 @@ class TestVolumeWitness:
         # r*b = 1 leaves m = -s - 2 unit weights for every a
         with pytest.raises(ParameterError):
             volume_witness(1, 5, b=1)
+
+    def test_unit_weight_count_is_capped_before_building(self, monkeypatch):
+        # 1/2 needs m = 4 unit weights (test_half); a cap of 3 refuses it
+        monkeypatch.setenv("WPH_TABLE_CAP", "3")
+        with pytest.raises(BudgetError, match=r"m=4 .*WPH_TABLE_CAP"):
+            volume_witness(1, 2)
+        monkeypatch.setenv("WPH_TABLE_CAP", "4")
+        assert volume_witness(1, 2).passed
 
     def test_override_reproduces_other_choices(self):
         rep = volume_witness(1, 2, a=7, b=3)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,33 @@ from wph.singularity import SingularityClass
 
 def make(weights, degree, **kw):
     return WeightedHypersurface(Weights(weights), degree, **kw)
+
+
+def quasi_smooth_bruteforce(weights, degree):
+    """The monomial-existence criterion read literally, over every *index*
+    subset I and every index e (no value-set reduction, no bitsets)."""
+    if degree in weights:
+        return True  # linear cone
+
+    def realisable(target, values):
+        hit = [True] + [False] * target
+        for m in range(1, target + 1):
+            hit[m] = any(v <= m and hit[m - v] for v in values)
+        return hit[target]
+
+    n = len(weights)
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            values = [weights[i] for i in subset]
+            if realisable(degree, values):
+                continue  # (a): a monomial in I has degree d
+            partners = [
+                e for e in range(n)
+                if weights[e] <= degree and realisable(degree - weights[e], values)
+            ]
+            if len(partners) < size:
+                return False  # (b) fails: fewer than |I| distinct z_e
+    return True
 
 
 class TestBasics:
@@ -90,6 +119,30 @@ class TestQuasiSmooth:
     def test_huge_unit_block_is_cheap(self):
         weights = (1,) * 37409 + (1, 113, 106)
         assert make(weights, 37630).quasi_smooth()
+
+
+class TestQuasiSmoothOracle:
+    def test_value_set_reduction_matches_index_subsets(self):
+        # exhaustive over multisets: length 3-5, weights <= 7, d in sum+1..sum+3
+        checked = 0
+        for length in (3, 4, 5):
+            for entries in combinations_with_replacement(range(1, 8), length):
+                for degree in range(sum(entries) + 1, sum(entries) + 4):
+                    assert make(entries, degree).quasi_smooth() == quasi_smooth_bruteforce(
+                        entries, degree
+                    ), (entries, degree)
+                    checked += 1
+        assert checked == 3 * (84 + 210 + 462)
+
+    def test_unsorted_and_small_degrees(self):
+        # coordinate order and degrees at or below a weight (linear cones)
+        rng = random.Random(53)
+        for _ in range(300):
+            entries = tuple(rng.randint(1, 9) for _ in range(rng.randint(3, 6)))
+            degree = rng.randint(1, sum(entries) + 5)
+            assert make(entries, degree).quasi_smooth() == quasi_smooth_bruteforce(
+                entries, degree
+            ), (entries, degree)
 
 
 class TestMemberTypes:

@@ -1,7 +1,11 @@
+import math
 import os
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wph.search
 from wph.core import Weights, well_formed
@@ -10,10 +14,41 @@ from wph.hilbert import plurigenera_table
 from wph.hypersurface import WeightedHypersurface
 from wph.search import (
     SearchRecord,
+    _degree_tuples,
+    _nondecreasing_tuples,
+    _singleton_condition,
     enumerate_candidates,
     find_min_volume,
     search_records,
 )
+
+
+def oracle_records(member_dim, max_sum, amplitude, up_to=0):
+    """Every nondecreasing tuple through the full checks, with no generator
+    cut and no prefilter: the search as it was defined before either."""
+    out = []
+    for weights in _nondecreasing_tuples(member_dim + 2, max_sum, 1):
+        w = Weights(weights)
+        if not well_formed(w):
+            continue
+        x = WeightedHypersurface(w, w.total() + amplitude)
+        if x.quasi_smooth() and x.member_canonical():
+            genera = plurigenera_table(x, up_to)
+            out.append(SearchRecord(weights, x.degree, amplitude, x.volume(), genera))
+    return out
+
+
+def well_formed_hypersurface(weights, degree):
+    """Iano-Fletcher Thm 6.10: the ambient is well-formed and the gcd of any
+    n - 1 of the n + 1 weights divides the degree."""
+    n = len(weights)
+    return well_formed(weights) and all(
+        degree % math.gcd(*(a for k, a in enumerate(weights) if k not in pair)) == 0
+        for pair in combinations(range(n), 2)
+    )
+
+
+SMALL_BOUNDS = {2: 30, 3: 32, 4: 26}
 
 
 class TestEnumeration:
@@ -42,6 +77,76 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetError):
             list(enumerate_candidates(2, 10_000))
+
+
+class TestDegreeDrivenGenerator:
+    @pytest.mark.parametrize("member_dim", [2, 3, 4])
+    @pytest.mark.parametrize("amplitude", [1, 2, 3])
+    def test_records_match_the_unfiltered_enumeration(self, member_dim, amplitude):
+        max_sum = SMALL_BOUNDS[member_dim]
+        assert list(enumerate_candidates(member_dim, max_sum, amplitude, 2)) == (
+            oracle_records(member_dim, max_sum, amplitude, 2)
+        )
+
+    def test_huge_amplitude(self):
+        records = list(enumerate_candidates(2, 12, 10**6))
+        assert records == oracle_records(2, 12, 10**6)
+        assert len(records) == 8
+
+    @pytest.mark.parametrize("length,max_sum,amplitude", [(4, 30, 1), (5, 28, 2), (6, 24, 7)])
+    def test_generator_keeps_exactly_the_tuples_whose_top_weight_can_pass(
+        self, length, max_sum, amplitude
+    ):
+        generated = [
+            t
+            for lead in range(1, max_sum // length + 1)
+            for t in _degree_tuples(lead, length, max_sum, amplitude)
+        ]
+        expected = []
+        for t in _nondecreasing_tuples(length, max_sum, 1):
+            d, v = sum(t) + amplitude, t[-1]
+            if d % v == 0 or any((d - b) % v == 0 for b in t):
+                expected.append(t)
+        assert generated == expected  # same tuples, same lexicographic order
+
+    def test_spare_room(self):
+        for spare in (0, 1, 2):
+            got = list(_nondecreasing_tuples(3, 20, 2, spare))
+            assert got == [
+                t
+                for t in _nondecreasing_tuples(3, 20, 2)
+                if sum(t) + spare * t[-1] <= 20
+            ]
+
+    @given(
+        st.lists(st.integers(1, 30), min_size=3, max_size=6),
+        st.integers(1, 12),
+    )
+    def test_prefilter_rejects_only_non_quasi_smooth(self, weights, amplitude):
+        degree = sum(weights) + amplitude
+        if not _singleton_condition(tuple(weights), degree):
+            assert not WeightedHypersurface(Weights(weights), degree).quasi_smooth()
+
+    def test_prefilter_rejects_only_non_quasi_smooth_exhaustive(self):
+        # every multiset of length 3-5 with weights <= 9, amplitudes 1-3
+        rejected = 0
+        for length in (3, 4, 5):
+            for weights in combinations_with_replacement(range(1, 10), length):
+                for amplitude in (1, 2, 3):
+                    degree = sum(weights) + amplitude
+                    if not _singleton_condition(weights, degree):
+                        rejected += 1
+                        x = WeightedHypersurface(Weights(weights), degree)
+                        assert not x.quasi_smooth(), (weights, degree)
+        assert rejected > 1000
+
+    @pytest.mark.parametrize("member_dim", [2, 3, 4])
+    @pytest.mark.parametrize("amplitude", [1, 2, 3])
+    def test_records_are_well_formed_hypersurfaces(self, member_dim, amplitude):
+        records = search_records(member_dim, SMALL_BOUNDS[member_dim], amplitude)
+        assert records
+        for record in records:
+            assert well_formed_hypersurface(record.weights, record.degree), record
 
 
 class TestReverification:
@@ -111,12 +216,13 @@ class TestLiteratureAnchors:
             ((1, 1, 2, 5), 10),
         ]
 
-    @pytest.mark.parametrize("max_sum", [45, 60])
+    @pytest.mark.parametrize("max_sum", [45, 60, 80])
     def test_iano_fletcher_23_threefolds(self, max_sum):
         # Iano-Fletcher's list: 23 quasi-smooth canonical 3-folds with K = O(1)
         records = search_records(3, max_sum)
         assert len(records) == 23
         assert records[0].weights == (4, 5, 6, 7, 23)
+        assert str(records[0]) == "(4,5,6,7,23) d=46 vol=1/420"
 
 
 class TestFindMinVolume:
