@@ -15,8 +15,8 @@ def _env_int(name: str, default: int) -> int:
 
 
 def table_cap() -> int:
-    """Maximum number of cells in a monomial-count table, and of unit weights
-    in a `volume` family member."""
+    """Maximum number of cells in a monomial-count table, of unit weights in a
+    `volume` family member, and of entries in a parsed weight list."""
     return _env_int("WPH_TABLE_CAP", 10_000_000)
 
 

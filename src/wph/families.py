@@ -269,7 +269,9 @@ def volume_witness(
     The defaults pick the smallest valid parameters; overrides must keep
     b*r = 1 mod s and a coprime to both s and b.  Reports are deterministic:
     the same (r, s) always yields the same construction.  An m above
-    `config.table_cap()` raises BudgetError before the tuple is built.
+    `config.table_cap()` raises BudgetError before the member is built.  The
+    member is built, checked and printed from its runs; no m-length tuple
+    is made.
     """
     if r < 1 or s < 1:
         raise ParameterError("volume must be a ratio of positive integers")
@@ -299,11 +301,12 @@ def volume_witness(
             f"(set WPH_TABLE_CAP to at least {m} to allow it)"
         )
 
-    weights = (1,) * m + (a, s, b)
+    # built as runs, so no m-length tuple exists on this path
+    weights = Weights(runs=((1, m), (a, 1), (s, 1), (b, 1)))
     degree = r * a * b
     a_index, s_index, b_index = m, m + 1, m + 2
     witnesses = ((s_index, a_index),) if s > 1 else ()
-    x = WeightedHypersurface(Weights(weights), degree, point_witnesses=witnesses)
+    x = WeightedHypersurface(weights, degree, point_witnesses=witnesses)
 
     checks = [
         Check("amplitude is 1", x.amplitude == 1, f"amplitude={x.amplitude}"),
@@ -320,12 +323,15 @@ def volume_witness(
             f"volume={x.volume()}",
         ),
     ]
+    # the first m coordinates have weight 1, so only the last three can be singular
     contained = [
-        i for i, w in enumerate(x.weights) if w > 1 and x.contains_coordinate_point(i)
+        i
+        for i in (a_index, s_index, b_index)
+        if x.weights[i] > 1 and x.contains_coordinate_point(i)
     ]
     if s > 1:
         member_type = x.member_type_at(s_index)
-        expected = CyclicQuotientSingularity(s, (1,) * m + (b,))
+        expected = CyclicQuotientSingularity(s, runs=((1, m), (b, 1)))
         checks += [
             Check(
                 "member meets exactly the order-s coordinate point",

@@ -20,12 +20,14 @@ if d - a_e is realisable over I's values for some e whose value lies in I,
 then (a) already holds, so when (a) fails the usable e's all carry values
 outside I and their count does not depend on which indices of each value I
 contains.  The subset loop therefore runs over distinct value sets, with the
-largest index set of each value set as the binding case.
+largest index set of each value set as the binding case.  The multiplicity
+of each value comes from the runs of `Weights` (`Weights.multiplicities`),
+and member types drop coordinates from the runs, so neither cost grows with
+the number of coordinates carrying one value.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -115,11 +117,10 @@ class WeightedHypersurface:
     def quasi_smooth(self) -> bool:
         """Monomial-existence criterion for the general member; see module docstring."""
         d = self.degree
-        entries = self.weights.entries
-        if d in entries:
+        counts = self.weights.multiplicities()
+        if d in counts:
             return True  # linear cone
-        value_counts = Counter(entries)
-        values = sorted(value_counts)
+        values = sorted(counts)
         cap = config.subset_cap()
         if len(values) > cap:
             raise BudgetError(
@@ -130,9 +131,9 @@ class WeightedHypersurface:
                 bits = _reachable(value_set, d)
                 if (bits >> d) & 1:
                     continue  # clause (a)
-                binding = sum(value_counts[v] for v in value_set)
+                binding = sum(counts[v] for v in value_set)
                 usable = sum(
-                    value_counts[u]
+                    counts[u]
                     for u in values
                     if u not in value_set and u <= d and (bits >> (d - u)) & 1
                 )
@@ -149,25 +150,28 @@ class WeightedHypersurface:
         such variable removed.  A family-supplied witness names the removed
         variable; otherwise the smallest index carrying an actual monomial
         z_point^c * z_e of degree d is used.  Returns None when no direction
-        matches (the member is then not quasi-smooth at the point).
+        matches (the member is then not quasi-smooth at the point).  Both
+        coordinates are removed from the runs, so the cost is O(runs).
         """
         a = self.weights[point]
         d = self.degree
         witness = dict(self.point_witnesses).get(point)
         if witness is None:
             target = d % a
+            # the first index of a matching run, or its second if the first is the point
             witness = next(
                 (
                     e
-                    for e, w in enumerate(self.weights)
-                    if e != point and w % a == target and d - w >= 0
+                    for start, w, count in self.weights.spans()
+                    if w % a == target and d - w >= 0
+                    for e in range(start, start + min(count, 2))
+                    if e != point
                 ),
                 None,
             )
             if witness is None:
                 return None
-        keep = [w for i, w in enumerate(self.weights) if i not in (point, witness)]
-        return CyclicQuotientSingularity(a, tuple(keep))
+        return CyclicQuotientSingularity(a, runs=self.weights.runs_without(point, witness))
 
     def induced_singularities(
         self,
@@ -198,24 +202,27 @@ class WeightedHypersurface:
                     )
                 out.append((indices, member))
                 continue
-            inside = set(indices)
-            transverse = [w for i, w in enumerate(self.weights) if i not in inside]
-            values = tuple(sorted({self.weights[i] for i in inside}))
+            transverse = self.weights.runs_without(*indices)
+            values = tuple(sorted({self.weights[i] for i in indices}))
             divisor_cut = bool((_reachable(values, d) >> d) & 1)
             if not divisor_cut:
                 # member contains the stratum; drop one residue-d direction
                 target = d % h
                 pick = next(
-                    (j for j, w in enumerate(transverse) if w % h == target), None
+                    (k for k, (w, _) in enumerate(transverse) if w % h == target), None
                 )
                 if pick is None:
                     raise ValueError(
                         f"no transverse direction matches degree {d} mod {h} along "
                         f"stratum {list(indices)}; member is not quasi-smooth there"
                     )
-                transverse = transverse[:pick] + transverse[pick + 1 :]
-            germ = (0,) * (len(indices) - 1) + tuple(transverse)
-            out.append((indices, CyclicQuotientSingularity(h, germ)))
+                w, count = transverse[pick]
+                if count > 1:
+                    transverse[pick] = (w, count - 1)
+                else:
+                    del transverse[pick]
+            germ = [(0, len(indices) - 1), *transverse]
+            out.append((indices, CyclicQuotientSingularity(h, runs=germ)))
         return out
 
     def member_canonical(self) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -31,8 +30,7 @@ from . import config
 from .core import (
     CyclicQuotientSingularity,
     Weights,
-    coordinate_point_types,
-    parse_entries,
+    parse_runs,
     singular_strata,
     stratum_quotient_type,
     well_formed,
@@ -92,9 +90,12 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
     cap = config.order_cap()
     if r > cap:
         raise BudgetError(f"group order {r} exceeds cap {cap}")
-    # grouping by residue keeps the pass O(r * distinct residues)
-    counts = Counter(b % r for b in s.weights).items()
-    best, best_j, reflection = r * len(s.weights), 0, False
+    # grouping the runs by residue keeps the pass O(r * distinct residues)
+    residues: dict[int, int] = {}
+    for b, count in s.runs:
+        residues[b % r] = residues.get(b % r, 0) + count
+    counts = residues.items()
+    best, best_j, reflection = r * sum(residues.values()), 0, False
     for j in range(1, r):
         total = sum(cnt * ((j * rho) % r) for rho, cnt in counts)
         if total < best:
@@ -121,7 +122,7 @@ def reid_tai_sum(s: CyclicQuotientSingularity, j: int) -> Fraction:
     r = s.order
     if not 1 <= j <= r - 1:
         raise ValueError(f"multiplier must lie in [1, {r - 1}], got {j}")
-    return Fraction(sum((j * b) % r for b in s.weights), r)
+    return Fraction(sum(count * ((j * b) % r) for b, count in s.runs), r)
 
 
 def reid_tai_min(s: CyclicQuotientSingularity) -> Fraction:
@@ -185,13 +186,20 @@ def ambient_canonical(w: Weights | Iterable[int]) -> bool:
     """True when every coordinate point of the (well-formed) space is canonical.
 
     Checking coordinate points suffices for the full space; see the module
-    docstring.  Non-well-formed input is rejected, not rescaled.
+    docstring.  Points of equal weight have the same type up to the order of
+    its weights, so one point per distinct value is classified.
+    Non-well-formed input is rejected, not rescaled.
     """
     weights = Weights.coerce(w)
     _require_well_formed(weights)
-    return all(
-        classify_quotient(q).is_canonical for _, q in coordinate_point_types(weights)
-    )
+    seen: set[int] = set()
+    for start, a, _ in weights.spans():
+        if a > 1 and a not in seen:
+            seen.add(a)
+            q = CyclicQuotientSingularity(a, runs=weights.runs_without(start))
+            if not classify_quotient(q).is_canonical:
+                return False
+    return True
 
 
 def ambient_canonical_bruteforce(w: Weights | Iterable[int]) -> bool:
@@ -217,4 +225,4 @@ def parse_quotient(text: str) -> CyclicQuotientSingularity:
     body = m.group(2)
     if not body:
         raise ValueError(f"quotient {text!r} lists no weights")
-    return CyclicQuotientSingularity(order, parse_entries(body))
+    return CyclicQuotientSingularity(order, runs=parse_runs(body))

@@ -119,6 +119,22 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+class TestWeightLists:
+    def test_run_count_below_one_is_a_usage_error(self, capsys):
+        assert run(["analyze", "--weights", "1^-3,2,3,5", "--degree", "30"]) == 2
+        assert "run counts" in capsys.readouterr().err
+        assert run(["reid-tai", "1/5(1^0,2)"]) == 2
+        assert "run counts" in capsys.readouterr().err
+
+    def test_runs_beyond_table_cap_are_a_budget_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WPH_TABLE_CAP", "50")
+        assert run(["analyze", "--weights", "1^51,2,3", "--degree", "60"]) == 3
+        err = capsys.readouterr().err
+        assert "WPH_TABLE_CAP" in err and "53" in err
+        assert run(["reid-tai", "1/5(1^51,2)"]) == 3
+        assert "WPH_TABLE_CAP" in capsys.readouterr().err
+
+
 class TestConstructVolume:
     def test_five_sevenths(self, capsys):
         status, out = invoke(capsys, "construct-volume", "5/7")

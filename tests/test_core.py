@@ -15,10 +15,31 @@ from wph.core import (
     stratum_quotient_type,
     well_formed,
 )
-from wph.errors import NotSingularError
+from wph.errors import BudgetError, NotSingularError
 from wph.singularity import reid_tai_min
 
 weight_tuples = st.lists(st.integers(1, 12), min_size=2, max_size=7).map(tuple)
+# few distinct values, each repeated up to 9 times in a row
+repeated_tuples = (
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 9)), min_size=1, max_size=6)
+    .map(lambda runs: tuple(a for a, count in runs for _ in range(count)))
+    .filter(lambda entries: len(entries) >= 2)
+)
+
+
+def format_naive(entries):
+    """Per-coordinate renderer: runs of 4+ equal entries print as value^count."""
+    parts, i = [], 0
+    while i < len(entries):
+        j = i
+        while j < len(entries) and entries[j] == entries[i]:
+            j += 1
+        if j - i >= 4:
+            parts.append(f"{entries[i]}^{j - i}")
+        else:
+            parts.extend(str(entries[i]) for _ in range(j - i))
+        i = j
+    return ",".join(parts)
 
 
 class TestWeights:
@@ -49,6 +70,34 @@ class TestWeights:
         assert w.entries == (1, 1, 1, 1, 5, 2, 3)
         assert str(Weights((1,) * 6 + (2,))) == "1^6,2"
         assert parse_entries(format_entries((1,) * 37410 + (113, 106))) == (1,) * 37410 + (113, 106)
+
+    def test_parse_rejects_run_counts_below_one(self):
+        for text in ("7^0,2,3", "1^-3,2,3,5"):
+            with pytest.raises(ValueError, match="run counts"):
+                parse_entries(text)
+            with pytest.raises(ValueError, match="cannot parse weights"):
+                Weights.parse(text)
+        with pytest.raises(ValueError):
+            Weights(runs=((1, 2), (3, 0)))
+
+    def test_parse_caps_listed_entries_before_expanding(self, monkeypatch):
+        monkeypatch.setenv("WPH_TABLE_CAP", "50")
+        with pytest.raises(BudgetError, match=r"53 .*WPH_TABLE_CAP to at least 53"):
+            Weights.parse("1^51,2,3")
+        with pytest.raises(BudgetError, match="WPH_TABLE_CAP"):
+            parse_entries("1^51,2,3")
+        assert len(Weights.parse("1^48,2,3")) == 50
+
+    def test_long_runs_are_never_expanded(self):
+        # a billion unit weights: every accessor below reads the runs only
+        w = Weights(runs=((1, 10**9), (1, 1), (7, 1), (5, 1)))
+        assert w.runs == ((1, 10**9 + 1), (7, 1), (5, 1))
+        assert len(w) == 10**9 + 3
+        assert w[10**9 + 1] == 7 and w[-1] == 5 and w[0] == 1
+        assert str(w) == "1^1000000001,7,5"
+        assert w.total() == 10**9 + 13 and w.product() == 35
+        assert well_formed(w)
+        assert [k for k, _ in coordinate_point_types(w)] == [10**9 + 1, 10**9 + 2]
 
 
 class TestWellFormed:
@@ -161,3 +210,54 @@ class TestCoordinatePointTypes:
             if len(s.indices) == 1
         ]
         assert coordinate_point_types(w) == singles
+
+
+class TestRunsMatchEntries:
+    """Each run-based kernel against its per-coordinate definition."""
+
+    @given(repeated_tuples)
+    def test_storage_and_access(self, entries):
+        w = Weights(entries)
+        n = len(entries)
+        assert w.entries == entries and tuple(w) == entries and len(w) == n
+        assert [w[i] for i in range(-n, n)] == list(entries) * 2
+        assert all(a != b for (a, _), (b, _) in zip(w.runs, w.runs[1:]))
+        assert Weights(runs=((a, 1) for a in entries)) == w  # split runs merge back
+        assert all(w.without(i) == entries[:i] + entries[i + 1 :] for i in range(n))
+        assert w.multiplicities() == {a: entries.count(a) for a in entries}
+
+    @given(repeated_tuples)
+    def test_well_formed_matches_naive_definition(self, entries):
+        naive = all(
+            math.gcd(*entries[:i], *entries[i + 1 :]) == 1 for i in range(len(entries))
+        )
+        assert well_formed(Weights(entries)) == naive
+
+    @given(repeated_tuples)
+    def test_total_and_product(self, entries):
+        w = Weights(entries)
+        assert w.total() == sum(entries)
+        assert w.product() == math.prod(entries)
+
+    @given(repeated_tuples)
+    def test_format_parse_round_trip(self, entries):
+        text = format_entries(entries)
+        assert text == format_naive(entries) == str(Weights(entries))
+        assert parse_entries(text) == entries
+        assert Weights.parse(text) == Weights(entries)
+
+    @given(repeated_tuples)
+    def test_coordinate_point_types_match_index_removal(self, entries):
+        expected = [
+            (k, CyclicQuotientSingularity(a, entries[:k] + entries[k + 1 :]))
+            for k, a in enumerate(entries)
+            if a > 1
+        ]
+        assert coordinate_point_types(Weights(entries)) == expected
+
+    @given(repeated_tuples.map(lambda e: tuple(a - 1 for a in e)), st.integers(1, 13))
+    def test_quotient_runs_match_entries(self, entries, order):
+        q = CyclicQuotientSingularity(order, entries)
+        assert q.weights == entries
+        assert str(q) == f"1/{order}({format_naive(entries)})"
+        assert q.reduced() == CyclicQuotientSingularity(order, (b % order for b in entries))

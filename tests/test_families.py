@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,24 @@ class TestVolumeWitness:
             volume_witness(1, 2)
         monkeypatch.setenv("WPH_TABLE_CAP", "4")
         assert volume_witness(1, 2).passed
+
+    def test_large_member_never_holds_an_m_length_tuple(self):
+        # m = 997,565 unit weights; a tuple of them alone would take 8 MB
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rep = volume_witness(2989, 425)
+            text = str(rep)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert rep.parameters["unit_weights"] == 997_565 and rep.passed
+        assert "P(1^997566,425,334)" in text
+        assert peak < 2_000_000, peak
 
     def test_override_reproduces_other_choices(self):
         rep = volume_witness(1, 2, a=7, b=3)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wph.core import CyclicQuotientSingularity, Weights
+from wph.core import CyclicQuotientSingularity, Weights, singular_strata
 from wph.errors import NotWellFormedError
+from wph.families import volume_witness
 from wph.hypersurface import WeightedHypersurface, singularity_report
 from wph.singularity import SingularityClass
 
@@ -190,6 +191,110 @@ class TestMemberTypes:
         # the weight-5 stratum is cut in a divisor: transverse type unchanged
         assert induced[(2, 3)].order == 5
         assert sorted(b % 5 for b in induced[(2, 3)].weights) == [0, 2, 2]
+
+
+def member_type_by_index(weights, degree, point, witness=None):
+    """`member_type_at` read per coordinate: drop the point and the witness,
+    by default the first other index e with a_e = d mod a_point and a_e <= d."""
+    a = weights[point]
+    if witness is None:
+        witness = next(
+            (
+                e
+                for e, w in enumerate(weights)
+                if e != point and w % a == degree % a and w <= degree
+            ),
+            None,
+        )
+        if witness is None:
+            return None
+    rest = tuple(w for i, w in enumerate(weights) if i not in (point, witness))
+    return CyclicQuotientSingularity(a, rest)
+
+
+def induced_by_index(weights, degree):
+    """`induced_singularities` read per coordinate; None where it raises."""
+    out = []
+    for stratum in singular_strata(Weights(weights)):
+        indices, h = stratum.indices, stratum.order
+        if len(indices) == 1:
+            if degree % h == 0:
+                continue  # the point is missed
+            member = member_type_by_index(weights, degree, indices[0])
+            if member is None:
+                return None
+            out.append((indices, member))
+            continue
+        transverse = [w for i, w in enumerate(weights) if i not in indices]
+        hit = [True] + [False] * degree  # degrees realisable over the stratum
+        for m in range(1, degree + 1):
+            hit[m] = any(weights[i] <= m and hit[m - weights[i]] for i in indices)
+        if not hit[degree]:
+            pick = next((j for j, w in enumerate(transverse) if w % h == degree % h), None)
+            if pick is None:
+                return None
+            del transverse[pick]
+        germ = (0,) * (len(indices) - 1) + tuple(transverse)
+        out.append((indices, CyclicQuotientSingularity(h, germ)))
+    return out
+
+
+# few distinct values, each repeated up to 6 times in a row, at least 3 entries
+repeated_tuples = (
+    st.lists(st.tuples(st.integers(1, 9), st.integers(1, 6)), min_size=1, max_size=5)
+    .map(lambda runs: tuple(a for a, count in runs for _ in range(count)))
+    .filter(lambda entries: len(entries) >= 3)
+)
+
+
+class TestMemberTypeRuns:
+    @given(repeated_tuples, st.integers(1, 90))
+    def test_matches_index_removal(self, entries, degree):
+        x = make(entries, degree)
+        for point in range(len(entries)):
+            assert x.member_type_at(point) == member_type_by_index(entries, degree, point)
+
+    @given(repeated_tuples, st.integers(1, 90), st.data())
+    def test_witness_removal_matches_index_removal(self, entries, degree, data):
+        n = len(entries)
+        point = data.draw(st.integers(0, n - 1))
+        witness = data.draw(st.integers(0, n - 1).filter(lambda e: e != point))
+        x = make(entries, degree, point_witnesses=((point, witness),))
+        assert x.member_type_at(point) == member_type_by_index(
+            entries, degree, point, witness
+        )
+
+    @given(repeated_tuples.filter(lambda entries: len(entries) <= 10), st.integers(1, 60))
+    def test_induced_singularities_match_index_removal(self, entries, degree):
+        # at most 10 entries keep the strata enumeration small
+        expected = induced_by_index(entries, degree)
+        x = make(entries, degree)
+        if expected is None:
+            with pytest.raises(ValueError, match="no transverse direction"):
+                x.induced_singularities()
+        else:
+            assert x.induced_singularities() == expected
+
+    @pytest.mark.parametrize(
+        "r,s,text",
+        [
+            (752, 601, "1^301300,601,402"),  # a = 1 merges into the unit run
+            (22, 7, "1^13,7,1"),  # b = 1: s splits the unit weights in two runs
+        ],
+    )
+    def test_volume_members(self, r, s, text):
+        rep = volume_witness(r, s)
+        x = rep.hypersurface
+        assert str(x.weights) == text
+        entries = x.weights.entries
+        s_index = rep.parameters["unit_weights"] + 1
+        assert x.member_type_at(s_index) == member_type_by_index(
+            entries, x.degree, s_index, s_index - 1
+        )
+        plain = WeightedHypersurface(x.weights, x.degree)
+        assert plain.member_type_at(s_index) == member_type_by_index(
+            entries, x.degree, s_index
+        )
 
 
 class TestSingularityReport:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wph.core import CyclicQuotientSingularity, Weights
+from wph.core import well_formed
 from wph.errors import BudgetError, NotWellFormedError
 from wph.singularity import (
     SingularityClass,
@@ -22,6 +23,12 @@ quotients = st.builds(
     CyclicQuotientSingularity,
     st.integers(2, 40),
     st.lists(st.integers(0, 60), min_size=1, max_size=6).map(tuple),
+)
+# quotient weights given as runs with counts up to 30
+repeated_quotients = st.builds(
+    lambda order, runs: CyclicQuotientSingularity(order, runs=runs),
+    st.integers(2, 40),
+    st.lists(st.tuples(st.integers(0, 60), st.integers(1, 30)), min_size=1, max_size=4),
 )
 
 
@@ -148,8 +155,7 @@ def test_quasi_reflection_flag():
     )
 
 
-@given(quotients)
-def test_quotient_report_matches_plain_scan(q):
+def assert_report_matches_plain_scan(q):
     residues = [[(j * b) % q.order for b in q.weights] for j in range(1, q.order)]
     totals = [sum(row) for row in residues]
     least = min(totals)
@@ -160,6 +166,19 @@ def test_quotient_report_matches_plain_scan(q):
         sum(1 for x in row if x) <= 1 for row in residues
     )
     assert rep.sclass == classify_quotient(q)
+    assert [reid_tai_sum(q, j) for j in range(1, q.order)] == [
+        Fraction(t, q.order) for t in totals
+    ]
+
+
+@given(quotients)
+def test_quotient_report_matches_plain_scan(q):
+    assert_report_matches_plain_scan(q)
+
+
+@given(repeated_quotients)
+def test_quotient_report_on_runs_matches_plain_scan(q):
+    assert_report_matches_plain_scan(q)
 
 
 def test_quotient_report_contents():
@@ -194,6 +213,21 @@ class TestAmbient:
         from wph.core import well_formed
 
         w = Weights(entries)
+        if not well_formed(w):
+            return
+        assert ambient_canonical(w) == ambient_canonical_bruteforce(w)
+
+    @given(
+        st.integers(0, 40),
+        st.lists(st.tuples(st.integers(2, 12), st.integers(1, 2)), min_size=1, max_size=4),
+    )
+    def test_one_point_per_value_on_repeats(self, units, heavy):
+        # a unit run, then repeated heavy values: at most 8 heavy indices, so
+        # the all-strata oracle stays small
+        runs = ((1, units),) + tuple(heavy) if units else tuple(heavy)
+        if sum(count for _, count in runs) < 2:
+            return
+        w = Weights(runs=runs)
         if not well_formed(w):
             return
         assert ambient_canonical(w) == ambient_canonical_bruteforce(w)
