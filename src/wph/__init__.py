@@ -12,7 +12,6 @@ from .core import (
     CyclicQuotientSingularity,
     StratumRecord,
     Weights,
-    coordinate_point_types,
     singular_strata,
     stratum_quotient_type,
     well_formed,
@@ -87,7 +86,6 @@ __all__ = [
     "ample_witness",
     "classify_quotient",
     "consecutive_family",
-    "coordinate_point_types",
     "degree_bound_witness",
     "enumerate_candidates",
     "find_min_volume",

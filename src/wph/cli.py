@@ -129,12 +129,12 @@ def _cmd_analyze(args) -> tuple[OutputDocument, int]:
             results["volume_decimal_approx"] = truncate_decimal(x.volume(), args.decimal)
     else:
         results["volume"] = "n/a (amplitude below 1)"
-    results["quasi_smooth"] = x.quasi_smooth()
     if results["well_formed"]:
         report = x.singularity_report()
+        results["quasi_smooth"] = report.quasi_smooth
         results["ambient_canonical"] = report.ambient_canonical
-        if results["quasi_smooth"]:
-            results["member_canonical"] = x.member_canonical()
+        if report.quasi_smooth:
+            results["member_canonical"] = report.member_canonical
         else:
             results["member_canonical"] = "n/a (member not quasi-smooth)"
         points = []
@@ -155,6 +155,7 @@ def _cmd_analyze(args) -> tuple[OutputDocument, int]:
                 for s in report.strata
             ]
     else:
+        results["quasi_smooth"] = x.quasi_smooth()
         results["ambient_canonical"] = "n/a (not well-formed)"
     if args.plurigenera:
         if x.amplitude >= 1:

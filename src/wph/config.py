@@ -21,8 +21,10 @@ def table_cap() -> int:
 
 
 def subset_cap() -> int:
-    """Maximum base-set size for subset enumerations (strata, quasi-smooth)."""
-    return _env_int("WPH_SUBSET_CAP", 30)
+    """Maximum base-set size for subset enumerations: weights > 1 for the
+    singular strata, distinct values for quasi-smoothness.  Up to 2^cap
+    subsets are enumerated, so each step of the cap doubles the work."""
+    return _env_int("WPH_SUBSET_CAP", 20)
 
 
 def order_cap() -> int:

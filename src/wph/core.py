@@ -9,9 +9,9 @@ the stratum the space looks like a cyclic quotient of order h.
 Weights and quotient weights are stored as runs: (value, count) pairs in
 coordinate order.  The assigned-volume members P(1^m, a, s, b) have m
 growing like r*a*b, so the kernels here read the runs: their cost grows
-with the number of runs (and, for strata and point lists, with the
-coordinates of weight > 1), never with the number of unit weights.  The
-expanded tuple is built only on demand.
+with the number of runs (and, for strata, with the coordinates of
+weight > 1), never with the number of unit weights.  The expanded tuple is
+built only on demand.
 """
 
 from __future__ import annotations
@@ -31,26 +31,11 @@ from .errors import BudgetError, NotSingularError
 Runs = tuple[tuple[int, int], ...]
 
 
-def _runs_of(entries: Iterable[int]) -> Runs:
-    """Maximal runs (value, count) of equal consecutive entries.  Entries of
-    different types never share a run, so validation sees every type."""
-    out = []
-    last, count = None, 0
-    for a in entries:
-        if count and a == last and type(a) is type(last):
-            count += 1
-        else:
-            if count:
-                out.append((last, count))
-            last, count = a, 1
-    if count:
-        out.append((last, count))
-    return tuple(out)
-
-
 def _checked(runs: Iterable[tuple[int, int]]) -> Runs:
     """Canonical form of given runs: counts must be positive integers, and
-    adjacent runs of one value (and type) are joined."""
+    adjacent runs of one value (and type) are joined.  Entries become runs as
+    `_checked(zip(entries, repeat(1)))`; entries of different types never
+    share a run, so validation sees every type."""
     out: list[tuple[int, int]] = []
     last = None
     for a, count in runs:
@@ -81,7 +66,7 @@ def _format_runs(runs: Runs) -> str:
 
 def format_entries(entries: Sequence[int]) -> str:
     """Comma-separated rendering, compressing runs of 4+ as "value^count"."""
-    return _format_runs(_runs_of(entries))
+    return _format_runs(_checked(zip(entries, repeat(1))))
 
 
 def parse_runs(text: str) -> Runs:
@@ -130,7 +115,7 @@ class Weights:
         *,
         runs: Iterable[tuple[int, int]] | None = None,
     ) -> None:
-        runs = _runs_of(entries) if runs is None else _checked(runs)
+        runs = _checked(zip(entries, repeat(1)) if runs is None else runs)
         length = 0
         for _, count in runs:
             length += count
@@ -248,7 +233,7 @@ class CyclicQuotientSingularity:
         *,
         runs: Iterable[tuple[int, int]] | None = None,
     ) -> None:
-        runs = _runs_of(weights) if runs is None else _checked(runs)
+        runs = _checked(zip(weights, repeat(1)) if runs is None else runs)
         if order < 1:
             raise ValueError("order must be >= 1")
         if not runs:
@@ -314,16 +299,17 @@ def singular_strata(w: Weights | Iterable[int]) -> list[StratumRecord]:
 
     Every qualifying subset is listed (no maximal-only reduction), ordered by
     size and then lexicographically.  Subsets containing a weight-1 index can
-    never qualify, so only indices with weight > 1 enter the enumeration; the
-    cap therefore applies to the count of such indices, read from the runs
-    before any index is listed.
+    never qualify, so only the c indices with weight > 1 enter, and 2^c
+    subsets are tried; the cap bounds c, read from the runs before any index
+    is listed.
     """
     weights = Weights.coerce(w)
     heavy_count = sum(count for a, count in weights.runs if a > 1)
     cap = config.subset_cap()
     if heavy_count > cap:
         raise BudgetError(
-            f"{heavy_count} weights exceed 1; subset enumeration capped at {cap}"
+            f"{heavy_count} weights exceed 1; subset enumeration capped at {cap} "
+            f"(set WPH_SUBSET_CAP to at least {heavy_count} to allow it)"
         )
     heavy = [
         (i, a)
@@ -359,21 +345,3 @@ def stratum_quotient_type(
     if h == 1:
         raise NotSingularError(f"weights over {sorted(subset)} are coprime")
     return CyclicQuotientSingularity(h, runs=weights.runs_without(k))
-
-
-def coordinate_point_types(
-    w: Weights | Iterable[int],
-) -> list[tuple[int, CyclicQuotientSingularity]]:
-    """Quotient type at each coordinate point with weight > 1.
-
-    The point where only coordinate k is nonzero looks like
-    1/a_k(the other weights); weight-1 coordinates give smooth points and are
-    skipped.  Every coordinate of one run has the same type, built once.
-    """
-    weights = Weights.coerce(w)
-    out: list[tuple[int, CyclicQuotientSingularity]] = []
-    for start, a, count in weights.spans():
-        if a > 1:
-            q = CyclicQuotientSingularity(a, runs=weights.runs_without(start))
-            out.extend((k, q) for k in range(start, start + count))
-    return out

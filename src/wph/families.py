@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 from . import config
 from .core import CyclicQuotientSingularity, Weights, well_formed
 from .errors import BudgetError, ParameterError
-from .hilbert import plurigenus, variables_present_below
+from .hilbert import plurigenera_table, variables_present_below
 from .hypersurface import WeightedHypersurface
 from .singularity import SingularityClass, classify_quotient, ambient_canonical
 
@@ -141,7 +141,7 @@ def vanishing_witness(n: int) -> FamilyReport:
     l = n + 1 - 3 * k
     x, checks = _consecutive_member(n, k, l)
 
-    genera = [plurigenus(x, m) for m in range(1, k)]
+    *genera, observed = plurigenera_table(x, k)
     bound = Fraction(3 ** (n + 1), (n - 1) ** n)
     vol = x.volume()
     checks += (
@@ -156,7 +156,7 @@ def vanishing_witness(n: int) -> FamilyReport:
             f"{vol} < {bound}",
         ),
     )
-    notes = (f"observed P_{k} = {plurigenus(x, k)} (reported, not asserted)",)
+    notes = (f"observed P_{k} = {observed} (reported, not asserted)",)
     return FamilyReport("thm3", {"n": n, "k": k, "l": l, "d": x.degree}, x, checks, notes)
 
 
@@ -405,19 +405,6 @@ def verify_family(family_id: str, **values: Iterable | None) -> list[FamilyRepor
     return [constructor(*args) for args in product(*grids)]
 
 
-def verify_all(
-    consecutive_ks: Iterable[int] | None = None,
-    consecutive_ls: Iterable[int] | None = None,
-    vanishing_ns: Iterable[int] | None = None,
-    bound_ns: Iterable[int] | None = None,
-    ample_ns: Iterable[int] | None = None,
-    volume_targets: Iterable[tuple[int, int]] | None = None,
-) -> AggregateReport:
-    """Run every family verifier over the given ranges, in family and
-    parameter order; a range left as None takes the family's defaults."""
-    reports = verify_family("prop", k=consecutive_ks, l=consecutive_ls)
-    reports += verify_family("thm3", n=vanishing_ns)
-    reports += verify_family("thm4", n=bound_ns)
-    reports += verify_family("ample", n=ample_ns)
-    reports += verify_family("volume", q=volume_targets)
-    return AggregateReport(tuple(reports))
+def verify_all() -> AggregateReport:
+    """Every family's reports over its default values, in registry order."""
+    return AggregateReport(tuple(r for fid in FAMILIES for r in verify_family(fid)))

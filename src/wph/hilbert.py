@@ -106,13 +106,7 @@ def plurigenus(x: "WeightedHypersurface", m: int) -> int:
     """
     if m < 1:
         raise ValueError("plurigenus index must be >= 1")
-    alpha = x.amplitude
-    if alpha < 1:
-        raise ValueError(f"amplitude {alpha} < 1: plurigenus formula not applicable")
-    top = m * alpha
-    table = _raw_table(_entries(x.weights), top)
-    low = top - x.degree
-    return table[top] - (table[low] if low >= 0 else 0)
+    return plurigenera_table(x, m)[-1]
 
 
 def plurigenera_table(x: "WeightedHypersurface", up_to: int) -> tuple[int, ...]:

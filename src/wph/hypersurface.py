@@ -24,6 +24,11 @@ largest index set of each value set as the binding case.  The multiplicity
 of each value comes from the runs of `Weights` (`Weights.multiplicities`),
 and member types drop coordinates from the runs, so neither cost grows with
 the number of coordinates carrying one value.
+
+The member's germs along the singular strata (Iano-Fletcher 2000, §8-10)
+come from one walk, `WeightedHypersurface._strata_germs`, which both
+`induced_singularities` (hence the search's `member_canonical`) and
+`singularity_report` read; the report's verdict is None unless quasi-smooth.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from . import config, hilbert
 from .core import (
     CyclicQuotientSingularity,
+    StratumRecord,
     Weights,
-    coordinate_point_types,
     singular_strata,
     stratum_quotient_type,
     well_formed,
@@ -124,7 +130,8 @@ class WeightedHypersurface:
         cap = config.subset_cap()
         if len(values) > cap:
             raise BudgetError(
-                f"{len(values)} distinct weights; value-subset enumeration capped at {cap}"
+                f"{len(values)} distinct weights; value-subset enumeration capped at "
+                f"{cap} (set WPH_SUBSET_CAP to at least {len(values)} to allow it)"
             )
         for size in range(1, len(values) + 1):
             for value_set in combinations(values, size):
@@ -173,56 +180,59 @@ class WeightedHypersurface:
                 return None
         return CyclicQuotientSingularity(a, runs=self.weights.runs_without(point, witness))
 
+    def _strata_germs(
+        self,
+    ) -> Iterator[tuple[StratumRecord, bool, CyclicQuotientSingularity | None]]:
+        """(stratum, met, member germ or None) per singular stratum, in the order
+        of `singular_strata`: the one place the member's germs are derived.
+
+        A coordinate point is met iff its weight fails to divide d; its germ is
+        `member_type_at`.  A larger stratum is always met (the member is ample):
+        the member cuts a divisor in it (a monomial supported there has degree
+        d; transverse type unchanged) or contains it (one transverse direction
+        of residue d mod h is lost; no germ if none has that residue).
+        """
+        d = self.degree
+        for stratum in singular_strata(self.weights):
+            indices, h = stratum.indices, stratum.order
+            if len(indices) == 1:
+                met = self.contains_coordinate_point(indices[0])
+                yield stratum, met, self.member_type_at(indices[0]) if met else None
+                continue
+            transverse = self.weights.runs_without(*indices)
+            values = tuple(sorted({self.weights[i] for i in indices}))
+            if not (_reachable(values, d) >> d) & 1:
+                # member contains the stratum; drop one residue-d direction
+                pick = next((k for k, (w, _) in enumerate(transverse) if w % h == d % h), None)
+                if pick is None:
+                    yield stratum, True, None
+                    continue
+                w, count = transverse[pick]
+                transverse[pick : pick + 1] = [(w, count - 1)] if count > 1 else []
+            germ = [(0, len(indices) - 1), *transverse]
+            yield stratum, True, CyclicQuotientSingularity(h, runs=germ)
+
     def induced_singularities(
         self,
     ) -> list[tuple[tuple[int, ...], CyclicQuotientSingularity]]:
         """Quotient type of the general member along each met singular stratum.
 
-        Coordinate points are met iff their weight fails to divide d; larger
-        strata are positive-dimensional and always met by the ample member.
-        Along a stratum the member either cuts a divisor (some monomial
-        supported in the stratum has degree d: transverse type unchanged) or
-        contains it (the lost transverse direction has residue d mod h).
-        Only meaningful for quasi-smooth members; the residue-matched
-        direction exists exactly when quasi-smoothness holds there.
+        Only meaningful for quasi-smooth members; a met stratum without a
+        residue-matched direction is a ValueError.
         """
-        d = self.degree
-        out: list[tuple[tuple[int, ...], CyclicQuotientSingularity]] = []
-        for stratum in singular_strata(self.weights):
-            indices, h = stratum.indices, stratum.order
-            if len(indices) == 1:
-                point = indices[0]
-                if not self.contains_coordinate_point(point):
-                    continue
-                member = self.member_type_at(point)
-                if member is None:
-                    raise ValueError(
-                        f"no transverse direction matches degree {d} mod {h} at "
-                        f"coordinate point {point}; member is not quasi-smooth there"
-                    )
-                out.append((indices, member))
-                continue
-            transverse = self.weights.runs_without(*indices)
-            values = tuple(sorted({self.weights[i] for i in indices}))
-            divisor_cut = bool((_reachable(values, d) >> d) & 1)
-            if not divisor_cut:
-                # member contains the stratum; drop one residue-d direction
-                target = d % h
-                pick = next(
-                    (k for k, (w, _) in enumerate(transverse) if w % h == target), None
+        out = []
+        for stratum, met, germ in self._strata_germs():
+            indices = stratum.indices
+            if met and germ is None:
+                where = f"along stratum {list(indices)}"
+                if len(indices) == 1:
+                    where = f"at coordinate point {indices[0]}"
+                raise ValueError(
+                    f"no transverse direction matches degree {self.degree} mod "
+                    f"{stratum.order} {where}; member is not quasi-smooth there"
                 )
-                if pick is None:
-                    raise ValueError(
-                        f"no transverse direction matches degree {d} mod {h} along "
-                        f"stratum {list(indices)}; member is not quasi-smooth there"
-                    )
-                w, count = transverse[pick]
-                if count > 1:
-                    transverse[pick] = (w, count - 1)
-                else:
-                    del transverse[pick]
-            germ = [(0, len(indices) - 1), *transverse]
-            out.append((indices, CyclicQuotientSingularity(h, runs=germ)))
+            if met:
+                out.append((indices, germ))
         return out
 
     def member_canonical(self) -> bool:
@@ -264,7 +274,6 @@ class StratumEntry:
     indices: tuple[int, ...]
     order: int
     ambient_class: SingularityClass
-    meets_member: bool
 
 
 @dataclass(frozen=True)
@@ -273,56 +282,42 @@ class SingularityReport:
     strata: tuple[StratumEntry, ...]
     ambient_canonical: bool
     quasi_smooth: bool
-    member_asserted: bool  # member verdicts are only claims when quasi-smooth
-
-    @property
-    def met_points(self) -> tuple[PointRecord, ...]:
-        return tuple(p for p in self.points if p.meets_member)
-
-    @property
-    def member_classes(self) -> tuple[SingularityClass, ...]:
-        return tuple(
-            p.member_class for p in self.met_points if p.member_class is not None
-        )
+    member_canonical: bool | None  # a verdict only when quasi-smooth
 
 
 def singularity_report(x: WeightedHypersurface) -> SingularityReport:
     """Classify ambient singularities and how the general member meets them.
 
-    Coordinate points are met iff their weight fails to divide the degree;
-    positive-dimensional singular strata are always met (the member is ample).
-    Member types at met points come from `member_type_at`: a supplied witness
-    where there is one, otherwise the first variable whose weight matches the
-    degree residue.
+    One walk over `_strata_germs` gives the points (coordinate points of
+    weight > 1) and the larger strata; every ambient type comes from
+    `stratum_quotient_type`.  `member_canonical` is None unless the member is
+    quasi-smooth, and only then are the strata's member germs classified.
+    Quasi-smoothness is decided before the walk, so its cap speaks first.
     """
     w = x.weights
     if not well_formed(w):
         raise NotWellFormedError(f"weights {w} are not well-formed")
-
-    points = []
-    for index, ambient in coordinate_point_types(w):
-        ambient_class = classify_quotient(ambient)
-        meets = x.contains_coordinate_point(index)
-        member_type = x.member_type_at(index) if meets else None
-        member_class = classify_quotient(member_type) if member_type is not None else None
-        points.append(
-            PointRecord(index, ambient, ambient_class, meets, member_type, member_class)
-        )
-
-    strata = []
-    for stratum in singular_strata(w):
-        if len(stratum.indices) < 2:
-            continue  # singletons are the coordinate points above
-        q = stratum_quotient_type(w, stratum.indices, min(stratum.indices))
-        strata.append(
-            StratumEntry(stratum.indices, stratum.order, classify_quotient(q), True)
-        )
-
     qs = x.quasi_smooth()
+
+    points, strata, canonical = [], [], True
+    for stratum, met, germ in x._strata_germs():
+        indices = stratum.indices
+        ambient = stratum_quotient_type(w, indices, indices[0])
+        ambient_class = classify_quotient(ambient)
+        # a point shows its member germ; a stratum's germ only feeds the verdict
+        wanted = germ is not None and (qs or len(indices) == 1)
+        member_class = classify_quotient(germ) if wanted else None
+        if len(indices) == 1:
+            points.append(PointRecord(indices[0], ambient, ambient_class, met, germ, member_class))
+        else:
+            strata.append(StratumEntry(indices, stratum.order, ambient_class))
+        if met:
+            canonical = canonical and member_class is not None and member_class.is_canonical
+
     return SingularityReport(
         points=tuple(points),
         strata=tuple(strata),
         ambient_canonical=all(p.ambient_class.is_canonical for p in points),
         quasi_smooth=qs,
-        member_asserted=qs,
+        member_canonical=canonical if qs else None,
     )

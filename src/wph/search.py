@@ -46,16 +46,13 @@ from .hypersurface import WeightedHypersurface
 
 @dataclass(frozen=True)
 class SearchRecord:
-    """One surviving candidate; all three flags are true by construction."""
+    """One surviving candidate; well-formed, quasi-smooth, member-canonical."""
 
     weights: tuple[int, ...]
     degree: int
     amplitude: int
     volume: Fraction
     plurigenera: tuple[int, ...]
-    well_formed: bool = True
-    member_canonical: bool = True
-    quasi_smooth: bool = True
 
     @property
     def sort_key(self) -> tuple[Fraction, tuple[int, ...]]:

@@ -135,6 +135,23 @@ class TestWeightLists:
         assert "WPH_TABLE_CAP" in capsys.readouterr().err
 
 
+class TestSubsetCap:
+    def test_heavy_weights_beyond_cap_are_a_budget_error(self, capsys):
+        # 30 weights of 2 would mean 2^30 strata subsets; none is listed
+        status = run(["analyze", "--weights", "1,1,2^30", "--degree", "63"])
+        err = capsys.readouterr().err
+        assert status == 3
+        assert "30 weights exceed 1" in err and "WPH_SUBSET_CAP to at least 30" in err
+
+    def test_distinct_values_beyond_cap_are_a_budget_error(self, capsys):
+        # 21 distinct values: quasi-smoothness is decided first, so its cap speaks
+        weights = ",".join(map(str, range(2, 23)))
+        status = run(["analyze", "--weights", weights, "--degree", "253"])
+        err = capsys.readouterr().err
+        assert status == 3
+        assert "21 distinct weights" in err and "WPH_SUBSET_CAP to at least 21" in err
+
+
 class TestConstructVolume:
     def test_five_sevenths(self, capsys):
         status, out = invoke(capsys, "construct-volume", "5/7")

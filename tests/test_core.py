@@ -8,7 +8,6 @@ from wph.core import (
     CyclicQuotientSingularity,
     StratumRecord,
     Weights,
-    coordinate_point_types,
     format_entries,
     parse_entries,
     singular_strata,
@@ -25,6 +24,15 @@ repeated_tuples = (
     .map(lambda runs: tuple(a for a, count in runs for _ in range(count)))
     .filter(lambda entries: len(entries) >= 2)
 )
+
+
+def point_types(w):
+    """(index, ambient type) at each coordinate point, from the singleton strata."""
+    return [
+        (s.indices[0], stratum_quotient_type(w, s.indices, s.indices[0]))
+        for s in singular_strata(w)
+        if len(s.indices) == 1
+    ]
 
 
 def format_naive(entries):
@@ -97,7 +105,11 @@ class TestWeights:
         assert str(w) == "1^1000000001,7,5"
         assert w.total() == 10**9 + 13 and w.product() == 35
         assert well_formed(w)
-        assert [k for k, _ in coordinate_point_types(w)] == [10**9 + 1, 10**9 + 2]
+        assert point_types(w) == [
+            (10**9 + 1, CyclicQuotientSingularity(7, runs=((1, 10**9 + 1), (5, 1)))),
+            (10**9 + 2, CyclicQuotientSingularity(5, runs=((1, 10**9 + 1), (7, 1)))),
+        ]
+        assert len(singular_strata(w)) == 2
 
 
 class TestWellFormed:
@@ -191,25 +203,25 @@ class TestStratumQuotientType:
 
 class TestCoordinatePointTypes:
     def test_examples(self):
-        assert coordinate_point_types(Weights((1, 1, 1, 1))) == []
-        assert coordinate_point_types(Weights((1, 1, 2, 5))) == [
+        assert point_types(Weights((1, 1, 1, 1))) == []
+        assert point_types(Weights((1, 1, 2, 5))) == [
             (2, CyclicQuotientSingularity(2, (1, 1, 5))),
             (3, CyclicQuotientSingularity(5, (1, 1, 2))),
         ]
-        points = coordinate_point_types(Weights((2, 2, 2, 2, 3, 3, 3)))
+        points = point_types(Weights((2, 2, 2, 2, 3, 3, 3)))
         assert [k for k, _ in points] == [0, 1, 2, 3, 4, 5, 6]
         assert all(q.order == 2 for k, q in points[:4])
         assert all(q.order == 3 for k, q in points[4:])
 
     @given(weight_tuples)
     def test_equals_singleton_strata(self, entries):
-        w = Weights(entries)
-        singles = [
-            (s.indices[0], stratum_quotient_type(w, s.indices, s.indices[0]))
-            for s in singular_strata(w)
-            if len(s.indices) == 1
-        ]
-        assert coordinate_point_types(w) == singles
+        # the singletons come first, one per coordinate of weight > 1, in index
+        # order, with the weight as order: the report's points are read off them
+        strata = singular_strata(Weights(entries))
+        heavy = [(k,) for k, a in enumerate(entries) if a > 1]
+        assert [s.indices for s in strata[: len(heavy)]] == heavy
+        assert [s.order for s in strata[: len(heavy)]] == [entries[k] for (k,) in heavy]
+        assert all(len(s.indices) > 1 for s in strata[len(heavy) :])
 
 
 class TestRunsMatchEntries:
@@ -253,7 +265,10 @@ class TestRunsMatchEntries:
             for k, a in enumerate(entries)
             if a > 1
         ]
-        assert coordinate_point_types(Weights(entries)) == expected
+        w = Weights(entries)
+        # one singleton stratum per heavy index, without listing every subset
+        got = [(k, stratum_quotient_type(w, (k,), k)) for k, a in enumerate(entries) if a > 1]
+        assert got == expected
 
     @given(repeated_tuples.map(lambda e: tuple(a - 1 for a in e)), st.integers(1, 13))
     def test_quotient_runs_match_entries(self, entries, order):

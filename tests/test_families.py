@@ -8,6 +8,7 @@ from wph.errors import BudgetError, ParameterError
 from wph.families import (
     DEFAULT_VOLUME_TARGETS,
     FAMILY_IDS,
+    AggregateReport,
     ample_witness,
     consecutive_family,
     degree_bound_witness,
@@ -283,35 +284,27 @@ class TestVolumeWitness:
 
 class TestVerifyAll:
     def test_small_slice_passes(self):
-        agg = verify_all(
-            consecutive_ks=(2,),
-            consecutive_ls=(0, 1),
-            vanishing_ns=(5, 6),
-            bound_ns=(7,),
-            ample_ns=(1, 2, 3),
-            volume_targets=((1, 2), (3, 1)),
+        reports = (
+            verify_family("prop", k=(2,), l=(0, 1))
+            + verify_family("thm3", n=(5, 6))
+            + verify_family("thm4", n=(7,))
+            + verify_family("ample", n=(1, 2, 3))
+            + verify_family("volume", q=((1, 2), (3, 1)))
         )
-        assert agg.passed
-        assert len(agg.reports) == 10
+        assert AggregateReport(tuple(reports)).passed
+        assert len(reports) == 10
 
     def test_deterministic_order(self):
-        a = verify_all(
-            consecutive_ks=(2,),
-            consecutive_ls=(0,),
-            vanishing_ns=(5,),
-            bound_ns=(7,),
-            ample_ns=(2,),
-            volume_targets=((1, 2),),
-        )
-        b = verify_all(
-            consecutive_ks=(2,),
-            consecutive_ls=(0,),
-            vanishing_ns=(5,),
-            bound_ns=(7,),
-            ample_ns=(2,),
-            volume_targets=((1, 2),),
-        )
-        assert [r.family for r in a.reports] == [r.family for r in b.reports]
+        slices = {
+            "prop": {"k": (2,), "l": (0,)},
+            "thm3": {"n": (5,)},
+            "thm4": {"n": (7,)},
+            "ample": {"n": (2,)},
+            "volume": {"q": ((1, 2),)},
+        }
+        a = [r for fid in FAMILY_IDS for r in verify_family(fid, **slices[fid])]
+        b = [r for fid in FAMILY_IDS for r in verify_family(fid, **slices[fid])]
+        assert [r.family for r in a] == list(FAMILY_IDS)
         assert a == b
 
     def test_constructor_lookup(self):

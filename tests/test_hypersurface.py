@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wph.core import CyclicQuotientSingularity, Weights, singular_strata
-from wph.errors import NotWellFormedError
+from wph.core import CyclicQuotientSingularity, Weights, singular_strata, well_formed
+from wph.errors import BudgetError, NotWellFormedError
 from wph.families import volume_witness
 from wph.hypersurface import WeightedHypersurface, singularity_report
 from wph.singularity import SingularityClass
@@ -110,6 +110,12 @@ class TestQuasiSmooth:
     def test_famous_threefold(self):
         assert make((4, 5, 6, 7, 23), 46).quasi_smooth()
 
+    def test_distinct_values_beyond_subset_cap(self):
+        # 2^21 value sets would be tried; the default cap is 20
+        with pytest.raises(BudgetError, match="WPH_SUBSET_CAP to at least 21"):
+            make(range(2, 23), 253).quasi_smooth()
+        assert make(range(2, 23), 22).quasi_smooth()  # a linear cone needs no sets
+
     def test_failing_pair_condition(self):
         # degree 46 but no monomial z^c * z_e for the weight-8 variable
         assert not make((4, 5, 7, 8, 21), 46).quasi_smooth()
@@ -176,6 +182,22 @@ class TestMemberTypes:
         x = make((5, 6, 7, 9, 14), 42)
         assert x.quasi_smooth()
         assert not x.member_canonical()
+
+    def test_missing_direction_messages(self):
+        with pytest.raises(ValueError) as point:
+            make((1, 1, 2, 6), 11).induced_singularities()
+        assert str(point.value) == (
+            "no transverse direction matches degree 11 mod 6 at coordinate point 3; "
+            "member is not quasi-smooth there"
+        )
+        # witnesses carry the points, so the [1, 2] stratum is the first to fail
+        x = make((1, 3, 3), 5, point_witnesses=((1, 2), (2, 0)))
+        with pytest.raises(ValueError) as stratum:
+            x.induced_singularities()
+        assert str(stratum.value) == (
+            "no transverse direction matches degree 5 mod 3 along stratum [1, 2]; "
+            "member is not quasi-smooth there"
+        )
 
     def test_contained_stratum_drops_a_transverse_direction(self):
         # odd degree: the weight-2 stratum carries no degree-15 monomial, so the
@@ -301,19 +323,20 @@ class TestSingularityReport:
     def test_x15_report(self):
         x = make((1, 1, 1, 1, 5, 2, 3), 15, point_witnesses=((5, 4),))
         report = singularity_report(x)
-        met = report.met_points
+        met = [p for p in report.points if p.meets_member]
         assert [p.index for p in met] == [5]
         assert met[0].member_type == CyclicQuotientSingularity(2, (1, 1, 1, 1, 3))
         assert met[0].member_class == SingularityClass.TERMINAL
-        assert report.quasi_smooth and report.member_asserted
+        assert report.quasi_smooth and report.member_canonical is True
 
     def test_x10_report_all_points_missed(self):
         x = make((1, 1, 2, 5), 10)
         report = singularity_report(x)
         assert len(report.points) == 2
-        assert report.met_points == ()
-        assert report.member_classes == ()
+        assert not any(p.meets_member for p in report.points)
+        assert all(p.member_type is None and p.member_class is None for p in report.points)
         assert not report.ambient_canonical  # the 1/5(1,1,2) point is not canonical
+        assert report.member_canonical is True  # nothing met
 
     def test_straight_projective_space_empty(self):
         report = singularity_report(make((1, 1, 1, 1), 5))
@@ -328,7 +351,36 @@ class TestSingularityReport:
     def test_strata_entries(self):
         report = singularity_report(make((4, 5, 6, 7, 23), 46))
         assert [(s.indices, s.order) for s in report.strata] == [((0, 2), 2)]
-        assert report.strata[0].meets_member
+        assert report.strata[0].ambient_class == SingularityClass.TERMINAL
+        assert report.member_canonical is True
+
+    def test_verdict_only_when_quasi_smooth(self):
+        report = singularity_report(make((1, 1, 2, 6), 11))
+        assert not report.quasi_smooth
+        assert report.member_canonical is None
+        # met points still show their germ, or None where no direction matches
+        assert [(p.index, p.member_type) for p in report.points if p.meets_member] == [
+            (2, CyclicQuotientSingularity(2, (1, 6))),
+            (3, None),
+        ]
+
+    def test_verdict_from_a_stratum(self):
+        # the points are canonical or missed; only the met [2, 3] stratum fails
+        report = singularity_report(make((1, 2, 5, 5), 15))
+        assert report.quasi_smooth and report.member_canonical is False
+        assert all(
+            p.member_class.is_canonical for p in report.points if p.meets_member
+        )
+        assert [s.indices for s in report.strata] == [(2, 3)]
+
+    @given(repeated_tuples.filter(lambda e: len(e) <= 10 and well_formed(e)), st.integers(1, 60))
+    def test_matches_member_canonical(self, entries, degree):
+        x = make(entries, degree)
+        report = singularity_report(x)
+        assert report.member_canonical == (x.member_canonical() if x.quasi_smooth() else None)
+        for p in report.points:
+            expected = member_type_by_index(entries, degree, p.index) if p.meets_member else None
+            assert p.member_type == expected
 
 
 class TestVolumeFamilyBoundary:
