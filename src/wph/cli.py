@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, config
-from .core import Weights, singular_strata, well_formed
-from .errors import BudgetError, EmptySearchError, ParameterError
+from .core import Weights
+from .errors import BudgetError, EmptySearchError, NotWellFormedError, ParameterError
 from .families import (
     FAMILIES,
     FAMILY_IDS,
@@ -119,7 +119,7 @@ def _cmd_analyze(args) -> tuple[OutputDocument, int]:
     weights = Weights.parse(args.weights)
     x = WeightedHypersurface(weights, args.degree)
     results: dict = {
-        "well_formed": well_formed(weights),
+        "well_formed": None,  # filled in by the report below, keeping the key first
         "amplitude": x.amplitude,
         "dimension": x.dimension,
     }
@@ -129,24 +129,23 @@ def _cmd_analyze(args) -> tuple[OutputDocument, int]:
             results["volume_decimal_approx"] = truncate_decimal(x.volume(), args.decimal)
     else:
         results["volume"] = "n/a (amplitude below 1)"
-    if results["well_formed"]:
+    try:
         report = x.singularity_report()
+    except NotWellFormedError:
+        report = None
+    results["well_formed"] = report is not None
+    if report is not None:
         results["quasi_smooth"] = report.quasi_smooth
         results["ambient_canonical"] = report.ambient_canonical
-        if report.quasi_smooth:
-            results["member_canonical"] = report.member_canonical
-        else:
-            results["member_canonical"] = "n/a (member not quasi-smooth)"
+        verdict = report.member_canonical  # None unless quasi-smooth
+        results["member_canonical"] = "n/a (member not quasi-smooth)" if verdict is None else verdict
         points = []
         for p in report.points:
-            if p.meets_member:
-                member = (
-                    f"met, member type {p.member_type} ({p.member_class})"
-                    if p.member_type is not None
-                    else "met (no transverse direction matches the degree residue)"
-                )
-            else:
-                member = "missed by the general member"
+            member = "missed by the general member"
+            if p.meets_member and p.member_type is None:
+                member = "met (no transverse direction matches the degree residue)"
+            elif p.meets_member:
+                member = f"met, member type {p.member_type} ({p.member_class})"
             points.append(f"i={p.index} {p.ambient_type} ambient={p.ambient_class}; {member}")
         results["singular_points"] = points
         if report.strata:
@@ -160,9 +159,7 @@ def _cmd_analyze(args) -> tuple[OutputDocument, int]:
     if args.plurigenera:
         if x.amplitude >= 1:
             genera = plurigenera_table(x, args.plurigenera)
-            results["plurigenera"] = [
-                f"P_{m + 1} = {p}" for m, p in enumerate(genera)
-            ]
+            results["plurigenera"] = [f"P_{m + 1} = {p}" for m, p in enumerate(genera)]
         else:
             results["plurigenera"] = ["n/a (amplitude below 1)"]
     doc = OutputDocument(

@@ -395,13 +395,16 @@ FAMILY_IDS = tuple(FAMILIES)
 
 def verify_family(family_id: str, **values: Iterable | None) -> list[FamilyReport]:
     """Reports of one family over every combination of its parameter values,
-    in parameter order; a parameter left out or None takes its defaults."""
+    in parameter order; a parameter left out or None takes its defaults.  An
+    empty value list is a ParameterError: it would verify nothing."""
     if family_id not in FAMILIES:
         raise ParameterError(
             f"unknown family {family_id!r}; choose from {', '.join(FAMILY_IDS)}"
         )
     constructor, defaults = FAMILIES[family_id]
-    grids = [defaults[k] if values.get(k) is None else values[k] for k in defaults]
+    grids = [tuple(defaults[k] if values.get(k) is None else values[k]) for k in defaults]
+    if empty := [k for k, grid in zip(defaults, grids) if not grid]:
+        raise ParameterError(f"{family_id}: no values given for {empty[0]}")
     return [constructor(*args) for args in product(*grids)]
 
 

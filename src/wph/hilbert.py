@@ -102,7 +102,7 @@ def plurigenus(x: "WeightedHypersurface", m: int) -> int:
 
     Valid for quasi-smooth, well-formed hypersurfaces with canonical class
     O(alpha), alpha >= 1; quasi-smoothness is the caller's responsibility
-    (family verifiers check it explicitly, the kernel here stays fast).
+    (`test_every_default_member_is_quasi_smooth_and_canonical` checks it).
     """
     if m < 1:
         raise ValueError("plurigenus index must be >= 1")

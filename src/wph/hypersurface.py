@@ -25,23 +25,23 @@ of each value comes from the runs of `Weights` (`Weights.multiplicities`),
 and member types drop coordinates from the runs, so neither cost grows with
 the number of coordinates carrying one value.
 
-The member's germs along the singular strata (Iano-Fletcher 2000, §8-10)
-come from one walk, `WeightedHypersurface._strata_germs`, which both
-`induced_singularities` (hence the search's `member_canonical`) and
-`singularity_report` read; the report's verdict is None unless quasi-smooth.
+Sing P is the union of the sub-spaces P(a_i : h | a_i), one per order h > 1
+(Iano-Fletcher 2000, §8-10), so `member_canonical` decides one member germ
+per order, never one per index subset, on the premise of quasi-smoothness.
+`singularity_report` takes its verdict from it, None unless quasi-smooth.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 from . import config, hilbert
 from .core import (
     CyclicQuotientSingularity,
-    StratumRecord,
     Weights,
     singular_strata,
     stratum_quotient_type,
@@ -63,6 +63,17 @@ def _reachable(values: tuple[int, ...], limit: int) -> int:
             bits |= (bits << shift) & mask
             shift <<= 1
     return bits
+
+
+def _strata_orders(weights: Weights) -> set[int]:
+    """Orders h > 1 of the singular strata: the gcd closure of the weight values."""
+    orders: set[int] = set()
+    for v in weights.multiplicities():
+        if v > 1:
+            orders |= {math.gcd(g, v) for g in orders}
+            orders.add(v)
+    orders.discard(1)
+    return orders
 
 
 @dataclass(frozen=True)
@@ -180,70 +191,35 @@ class WeightedHypersurface:
                 return None
         return CyclicQuotientSingularity(a, runs=self.weights.runs_without(point, witness))
 
-    def _strata_germs(
-        self,
-    ) -> Iterator[tuple[StratumRecord, bool, CyclicQuotientSingularity | None]]:
-        """(stratum, met, member germ or None) per singular stratum, in the order
-        of `singular_strata`: the one place the member's germs are derived.
-
-        A coordinate point is met iff its weight fails to divide d; its germ is
-        `member_type_at`.  A larger stratum is always met (the member is ample):
-        the member cuts a divisor in it (a monomial supported there has degree
-        d; transverse type unchanged) or contains it (one transverse direction
-        of residue d mod h is lost; no germ if none has that residue).
-        """
-        d = self.degree
-        for stratum in singular_strata(self.weights):
-            indices, h = stratum.indices, stratum.order
-            if len(indices) == 1:
-                met = self.contains_coordinate_point(indices[0])
-                yield stratum, met, self.member_type_at(indices[0]) if met else None
-                continue
-            transverse = self.weights.runs_without(*indices)
-            values = tuple(sorted({self.weights[i] for i in indices}))
-            if not (_reachable(values, d) >> d) & 1:
-                # member contains the stratum; drop one residue-d direction
-                pick = next((k for k, (w, _) in enumerate(transverse) if w % h == d % h), None)
-                if pick is None:
-                    yield stratum, True, None
-                    continue
-                w, count = transverse[pick]
-                transverse[pick : pick + 1] = [(w, count - 1)] if count > 1 else []
-            germ = [(0, len(indices) - 1), *transverse]
-            yield stratum, True, CyclicQuotientSingularity(h, runs=germ)
-
-    def induced_singularities(
-        self,
-    ) -> list[tuple[tuple[int, ...], CyclicQuotientSingularity]]:
-        """Quotient type of the general member along each met singular stratum.
-
-        Only meaningful for quasi-smooth members; a met stratum without a
-        residue-matched direction is a ValueError.
-        """
-        out = []
-        for stratum, met, germ in self._strata_germs():
-            indices = stratum.indices
-            if met and germ is None:
-                where = f"along stratum {list(indices)}"
-                if len(indices) == 1:
-                    where = f"at coordinate point {indices[0]}"
-                raise ValueError(
-                    f"no transverse direction matches degree {self.degree} mod "
-                    f"{stratum.order} {where}; member is not quasi-smooth there"
-                )
-            if met:
-                out.append((indices, germ))
-        return out
-
     def member_canonical(self) -> bool:
         """True when every singularity induced on the general member is canonical.
 
-        Callers should establish quasi-smoothness first; the induced types are
-        only the member's actual germs under that hypothesis.
+        One germ per order h (`_strata_orders`), not per index subset: with
+        `inside` weights divisible by h, every stratum of order h has the type
+        1/h(0^(inside-1), rest).  If h does not divide d, the member contains
+        them and loses a direction of residue d mod h (False, not an error,
+        when none exists); if h divides d, only the larger strata are met,
+        unchanged (none exist when inside < 2).  Premise: quasi-smoothness,
+        decided first by the caller; clause (b) then makes every stratum of
+        order h lose the same residue, so these are the member's germs.
         """
-        return all(
-            classify_quotient(q).is_canonical for _, q in self.induced_singularities()
-        )
+        d = self.degree
+        for h in sorted(_strata_orders(self.weights)):
+            residues: Counter[int] = Counter()
+            for v, count in self.weights.runs:
+                residues[v % h] += count
+            inside = residues[0]
+            if d % h:
+                if not residues[d % h]:
+                    return False
+                residues[d % h] -= 1
+            elif inside < 2:
+                continue
+            residues[0] = inside - 1
+            germ = CyclicQuotientSingularity(h, runs=(+residues).items())
+            if not classify_quotient(germ).is_canonical:
+                return False
+        return True
 
     def singularity_report(self) -> "SingularityReport":
         return singularity_report(self)
@@ -288,36 +264,34 @@ class SingularityReport:
 def singularity_report(x: WeightedHypersurface) -> SingularityReport:
     """Classify ambient singularities and how the general member meets them.
 
-    One walk over `_strata_germs` gives the points (coordinate points of
-    weight > 1) and the larger strata; every ambient type comes from
-    `stratum_quotient_type`.  `member_canonical` is None unless the member is
-    quasi-smooth, and only then are the strata's member germs classified.
-    Quasi-smoothness is decided before the walk, so its cap speaks first.
+    Points (coordinate points of weight > 1) and larger strata come from
+    `singular_strata`, with one ambient class per order.  `member_canonical`
+    is None unless the member is quasi-smooth, which is decided first, so
+    its cap speaks first.
     """
     w = x.weights
     if not well_formed(w):
         raise NotWellFormedError(f"weights {w} are not well-formed")
     qs = x.quasi_smooth()
 
-    points, strata, canonical = [], [], True
-    for stratum, met, germ in x._strata_germs():
-        indices = stratum.indices
+    points, strata, classes = [], [], {}
+    for stratum in singular_strata(w):
+        indices, h = stratum.indices, stratum.order
         ambient = stratum_quotient_type(w, indices, indices[0])
-        ambient_class = classify_quotient(ambient)
-        # a point shows its member germ; a stratum's germ only feeds the verdict
-        wanted = germ is not None and (qs or len(indices) == 1)
-        member_class = classify_quotient(germ) if wanted else None
-        if len(indices) == 1:
-            points.append(PointRecord(indices[0], ambient, ambient_class, met, germ, member_class))
-        else:
-            strata.append(StratumEntry(indices, stratum.order, ambient_class))
-        if met:
-            canonical = canonical and member_class is not None and member_class.is_canonical
+        if h not in classes:
+            classes[h] = classify_quotient(ambient)
+        if len(indices) > 1:
+            strata.append(StratumEntry(indices, h, classes[h]))
+            continue
+        met = x.contains_coordinate_point(indices[0])
+        germ = x.member_type_at(indices[0]) if met else None
+        member_class = classify_quotient(germ) if germ is not None else None
+        points.append(PointRecord(indices[0], ambient, classes[h], met, germ, member_class))
 
     return SingularityReport(
         points=tuple(points),
         strata=tuple(strata),
         ambient_canonical=all(p.ambient_class.is_canonical for p in points),
         quasi_smooth=qs,
-        member_canonical=canonical if qs else None,
+        member_canonical=x.member_canonical() if qs else None,
     )

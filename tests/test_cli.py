@@ -107,6 +107,12 @@ class TestVerify:
     def test_needs_family_or_all(self, capsys):
         assert run(["verify"]) == 2
 
+    def test_empty_range_is_a_usage_error(self, capsys):
+        assert run(["verify", "--family", "thm3", "--n", "9..5"]) == 2
+        assert "no values given for n" in capsys.readouterr().err
+        assert run(["verify", "--family", "prop", "--k", "3..2", "--l", "0"]) == 2
+        assert "no values given for k" in capsys.readouterr().err
+
     def test_unknown_subcommand_usage(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -319,3 +319,20 @@ class TestVerifyAll:
         assert list(everything) == by_family
         assert [r.parameters["n"] for r in verify_family("thm4")] == list(range(7, 31))
         assert len(verify_family("prop")) == 25
+
+    def test_empty_parameter_list_is_a_parameter_error(self):
+        # an empty range would verify nothing and pass
+        with pytest.raises(ParameterError, match="no values given for n"):
+            verify_family("thm3", n=[])
+        with pytest.raises(ParameterError, match="no values given for k"):
+            verify_family("prop", k=range(3, 3), l=[0])
+
+    def test_every_default_member_is_quasi_smooth_and_canonical(self):
+        # the plurigenus formula the families rest on assumes both; with the
+        # default caps, the thm3/thm4 members with n >= 19 and prop k = 6 have
+        # 21 or more weights > 1
+        members = [r.hypersurface for r in verify_all().reports]
+        assert len(members) == 101
+        for x in members:
+            assert x.quasi_smooth(), x
+            assert x.member_canonical(), x

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -10,7 +11,7 @@ from wph.core import CyclicQuotientSingularity, Weights, singular_strata, well_f
 from wph.errors import BudgetError, NotWellFormedError
 from wph.families import volume_witness
 from wph.hypersurface import WeightedHypersurface, singularity_report
-from wph.singularity import SingularityClass
+from wph.singularity import SingularityClass, classify_quotient
 
 
 def make(weights, degree, **kw):
@@ -167,15 +168,12 @@ class TestMemberTypes:
         assert x46.member_type_at(0) == CyclicQuotientSingularity(4, (5, 7, 23))
 
     def test_induced_singularities_on_the_min_volume_threefold(self):
-        x = make((4, 5, 6, 7, 23), 46)
-        induced = dict(x.induced_singularities())
+        induced = dict(induced_by_index((4, 5, 6, 7, 23), 46))
         assert set(induced) == {(0,), (1,), (2,), (3,), (0, 2)}
-        from wph.singularity import classify_quotient
-
         assert all(
             classify_quotient(q) == SingularityClass.TERMINAL for q in induced.values()
         )
-        assert x.member_canonical()
+        assert make((4, 5, 6, 7, 23), 46).member_canonical()
 
     def test_member_not_canonical_when_induced_point_fails(self):
         # 42 mod 9 = 6; induced type at the weight-9 point is 1/9(5,7,5), min 7/9
@@ -183,29 +181,20 @@ class TestMemberTypes:
         assert x.quasi_smooth()
         assert not x.member_canonical()
 
-    def test_missing_direction_messages(self):
-        with pytest.raises(ValueError) as point:
-            make((1, 1, 2, 6), 11).induced_singularities()
-        assert str(point.value) == (
-            "no transverse direction matches degree 11 mod 6 at coordinate point 3; "
-            "member is not quasi-smooth there"
-        )
-        # witnesses carry the points, so the [1, 2] stratum is the first to fail
-        x = make((1, 3, 3), 5, point_witnesses=((1, 2), (2, 0)))
-        with pytest.raises(ValueError) as stratum:
-            x.induced_singularities()
-        assert str(stratum.value) == (
-            "no transverse direction matches degree 5 mod 3 along stratum [1, 2]; "
-            "member is not quasi-smooth there"
-        )
+    def test_missing_direction_is_not_canonical(self):
+        # no weight is 11 mod 6 at the weight-6 point, none 5 mod 3 along the
+        # weight-3 stratum: neither member is quasi-smooth, and neither verdict
+        # is True
+        for weights, degree in [((1, 1, 2, 6), 11), ((1, 3, 3), 5)]:
+            assert induced_by_index(weights, degree) is None
+            assert not make(weights, degree).quasi_smooth()
+            assert make(weights, degree).member_canonical() is False
 
     def test_contained_stratum_drops_a_transverse_direction(self):
         # odd degree: the weight-2 stratum carries no degree-15 monomial, so the
         # member contains it and loses one transverse direction of residue 1
-        x = make((2, 2, 5, 5), 15)
-        assert x.quasi_smooth()
-        induced = dict(x.induced_singularities())
-        assert (0, 1) in induced
+        assert make((2, 2, 5, 5), 15).quasi_smooth()
+        induced = dict(induced_by_index((2, 2, 5, 5), 15))
         germ = induced[(0, 1)]
         assert germ.order == 2
         # one zero along the stratum, transverse (5,5) minus one odd entry
@@ -213,6 +202,15 @@ class TestMemberTypes:
         # the weight-5 stratum is cut in a divisor: transverse type unchanged
         assert induced[(2, 3)].order == 5
         assert sorted(b % 5 for b in induced[(2, 3)].weights) == [0, 2, 2]
+        # the per-order germ of order 2 is the contained one: 1/2(0, 5)
+        assert classify_quotient(germ) == SingularityClass.NOT_CANONICAL
+        assert not make((2, 2, 5, 5), 15).member_canonical()
+
+
+def canonical_by_index(weights, degree):
+    """The member verdict from the per-subset germs of `induced_by_index`."""
+    induced = induced_by_index(weights, degree)
+    return induced is not None and all(classify_quotient(q).is_canonical for _, q in induced)
 
 
 def member_type_by_index(weights, degree, point, witness=None):
@@ -235,7 +233,11 @@ def member_type_by_index(weights, degree, point, witness=None):
 
 
 def induced_by_index(weights, degree):
-    """`induced_singularities` read per coordinate; None where it raises."""
+    """(indices, member germ) along every met singular stratum, walking each
+    index subset; None where a met stratum has no residue-matched direction.
+    A point is met iff its weight fails to divide d; a larger stratum is met
+    always, cut (a monomial over it has degree d) or contained (one
+    transverse direction of residue d mod h is lost)."""
     out = []
     for stratum in singular_strata(Weights(weights)):
         indices, h = stratum.indices, stratum.order
@@ -286,17 +288,6 @@ class TestMemberTypeRuns:
             entries, degree, point, witness
         )
 
-    @given(repeated_tuples.filter(lambda entries: len(entries) <= 10), st.integers(1, 60))
-    def test_induced_singularities_match_index_removal(self, entries, degree):
-        # at most 10 entries keep the strata enumeration small
-        expected = induced_by_index(entries, degree)
-        x = make(entries, degree)
-        if expected is None:
-            with pytest.raises(ValueError, match="no transverse direction"):
-                x.induced_singularities()
-        else:
-            assert x.induced_singularities() == expected
-
     @pytest.mark.parametrize(
         "r,s,text",
         [
@@ -317,6 +308,34 @@ class TestMemberTypeRuns:
         assert plain.member_type_at(s_index) == member_type_by_index(
             entries, x.degree, s_index
         )
+
+
+class TestMemberCanonicalOracle:
+    """`member_canonical` (one germ per order) against the walk over every
+    index subset, on quasi-smooth members, where both are meaningful."""
+
+    @given(repeated_tuples.filter(lambda entries: len(entries) <= 10), st.integers(1, 60))
+    def test_matches_index_oracle_on_repeated_tuples(self, entries, degree):
+        x = make(entries, degree)
+        if x.quasi_smooth():
+            assert x.member_canonical() == canonical_by_index(entries, degree)
+
+    def test_matches_index_oracle_exhaustively(self):
+        # multisets of length 3-5, weights <= 9; degrees sum+1..sum+3 and one
+        # degree divisible by two of the weights (so some h divides d)
+        checked = 0
+        for length in (3, 4, 5):
+            for entries in combinations_with_replacement(range(1, 10), length):
+                degrees = set(range(sum(entries) + 1, sum(entries) + 4))
+                degrees.add(math.lcm(entries[-2], entries[-1]))
+                for degree in sorted(degrees):
+                    x = make(entries, degree)
+                    if x.quasi_smooth():
+                        assert x.member_canonical() == canonical_by_index(
+                            entries, degree
+                        ), (entries, degree)
+                        checked += 1
+        assert checked == 2600
 
 
 class TestSingularityReport:
