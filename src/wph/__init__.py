@@ -13,18 +13,15 @@ from .core import (
     StratumRecord,
     Weights,
     singular_strata,
-    stratum_quotient_type,
     well_formed,
 )
 from .errors import (
     BudgetError,
     EmptySearchError,
-    NotSingularError,
     NotWellFormedError,
     ParameterError,
 )
 from .families import (
-    AggregateReport,
     Check,
     FamilyReport,
     ample_witness,
@@ -63,13 +60,11 @@ from .singularity import (
 
 __all__ = [
     "__version__",
-    "AggregateReport",
     "BudgetError",
     "Check",
     "CyclicQuotientSingularity",
     "EmptySearchError",
     "FamilyReport",
-    "NotSingularError",
     "NotWellFormedError",
     "ParameterError",
     "PointRecord",
@@ -100,7 +95,6 @@ __all__ = [
     "search_records",
     "singular_strata",
     "singularity_report",
-    "stratum_quotient_type",
     "vanishing_witness",
     "variables_present",
     "verify_all",

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__, config
+from . import __version__
 from .core import Weights
 from .errors import BudgetError, EmptySearchError, NotWellFormedError, ParameterError
 from .families import (
@@ -211,7 +211,7 @@ def _cmd_reid_tai(args) -> tuple[OutputDocument, int]:
 
 def _family_reports(args) -> list[FamilyReport]:
     if args.all:
-        return list(verify_all().reports)
+        return verify_all()
     if not args.family:
         raise ParameterError("choose --family or --all")
     values = {}
@@ -275,14 +275,13 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
     up_to = args.plurigenera if args.plurigenera is not None else args.vanishing
     if up_to < args.vanishing:
         raise ParameterError("--plurigenera must be at least --vanishing")
-    jobs = args.jobs if args.jobs else config.default_jobs()
     records = search_records(
         args.dim,
         args.max_sum,
         amplitude=args.amplitude,
         plurigenera_up_to=up_to,
         vanishing=args.vanishing,
-        jobs=jobs,
+        jobs=args.jobs,
     )
     status = STATUS_OK if records else STATUS_FAILED_CHECK
     if args.csv:
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=int, default=1)
     p.add_argument("--vanishing", type=int, default=0, metavar="V")
     p.add_argument("--plurigenera", type=int, default=None, metavar="M")
-    p.add_argument("--jobs", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_search)
 

@@ -11,7 +11,10 @@ def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def table_cap() -> int:
@@ -36,7 +39,3 @@ def search_sum_cap() -> int:
     """Maximum weight sum the candidate enumeration accepts."""
     return _env_int("WPH_SEARCH_SUM_CAP", 500)
 
-
-def default_jobs() -> int:
-    """Worker count for the search CLI when --jobs is not given."""
-    return _env_int("WPH_JOBS", 1)

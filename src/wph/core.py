@@ -4,7 +4,11 @@ A weighted projective space is described by its tuple of positive integer
 weights (a_0, ..., a_n), one per homogeneous coordinate.  A stratum (the locus
 where exactly the coordinates indexed by S are nonzero) is singular precisely
 when the weights indexed by S share a common factor h > 1, and transverse to
-the stratum the space looks like a cyclic quotient of order h.
+the stratum the space looks like a cyclic quotient of order h.  Up to
+coordinates that add nothing to a Reid-Tai sum, that quotient depends on h
+alone, so this module is the one place that gives each order its germ
+(`strata_orders`, `order_residues`); `singular_strata` lists the strata by
+index set for display and for the oracles.
 
 Weights and quotient weights are stored as runs: (value, count) pairs in
 coordinate order.  The assigned-volume members P(1^m, a, s, b) have m
@@ -18,14 +22,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat, starmap
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import config
-from .errors import BudgetError, NotSingularError
+from .errors import BudgetError
 
 
 Runs = tuple[tuple[int, int], ...]
@@ -64,11 +69,6 @@ def _format_runs(runs: Runs) -> str:
     return ",".join(parts)
 
 
-def format_entries(entries: Sequence[int]) -> str:
-    """Comma-separated rendering, compressing runs of 4+ as "value^count"."""
-    return _format_runs(_checked(zip(entries, repeat(1))))
-
-
 def parse_runs(text: str) -> Runs:
     """Runs of a list such as "1^4,5,2,3" or "4,5,6,7,23", never expanded.
 
@@ -87,11 +87,6 @@ def parse_runs(text: str) -> Runs:
             f"(set WPH_TABLE_CAP to at least {length} to allow it)"
         )
     return runs
-
-
-def parse_entries(text: str) -> tuple[int, ...]:
-    """Inverse of format_entries; plain lists like "4,5,6,7,23" also parse."""
-    return _expand(parse_runs(text))
 
 
 @dataclass(frozen=True, init=False)
@@ -205,12 +200,6 @@ class Weights:
             if left:
                 out.append((a, left))
         return out
-
-    def without(self, index: int) -> tuple[int, ...]:
-        """Entries with the one at `index` omitted."""
-        if not 0 <= index < self._length:
-            raise IndexError(index)
-        return _expand(self.runs_without(index))
 
 
 @dataclass(frozen=True, init=False)
@@ -326,22 +315,29 @@ def singular_strata(w: Weights | Iterable[int]) -> list[StratumRecord]:
     return found
 
 
-def stratum_quotient_type(
-    w: Weights | Iterable[int], indices: Iterable[int], k: int
-) -> CyclicQuotientSingularity:
-    """Transverse quotient type 1/h(a_0, ..., a_k omitted, ..., a_n) of a stratum.
+def strata_orders(w: Weights | Iterable[int]) -> list[int]:
+    """Orders h > 1 of the singular strata, ascending: the gcd closure of the
+    weight values.  Sing P is the union of the P(a_i : h | a_i), one for each
+    such h (Iano-Fletcher 2000), and every h here is the order of some stratum."""
+    orders: set[int] = set()
+    for v in Weights.coerce(w).multiplicities():
+        if v > 1:
+            orders |= {math.gcd(g, v) for g in orders}
+            orders.add(v)
+    orders.discard(1)
+    return sorted(orders)
 
-    `indices` is the stratum's index set, `k` a member of it; h is the gcd of
-    the weights over the stratum.  Entries are returned unreduced; reduction
-    mod h happens during classification.
+
+def order_residues(w: Weights | Iterable[int], h: int) -> Counter[int]:
+    """Residue mod h -> number of weights, with one residue-0 coordinate removed.
+
+    Every stratum of order h has the transverse type 1/h(a_0, ..., a_k
+    omitted, ..., a_n) for any k on it.  The weights divisible by h, k among
+    them, add nothing to a Reid-Tai sum, so these residues are the type of
+    every stratum of order h: one germ per order, never one per index subset.
     """
-    weights = Weights.coerce(w)
-    subset = frozenset(indices)
-    if not subset:
-        raise ValueError("stratum index set is empty")
-    if k not in subset:
-        raise ValueError(f"index {k} is not in the stratum {sorted(subset)}")
-    h = math.gcd(*(weights[i] for i in subset))
-    if h == 1:
-        raise NotSingularError(f"weights over {sorted(subset)} are coprime")
-    return CyclicQuotientSingularity(h, runs=weights.runs_without(k))
+    residues: Counter[int] = Counter()
+    for v, count in Weights.coerce(w).runs:
+        residues[v % h] += count
+    residues[0] -= 1
+    return +residues

@@ -9,10 +9,6 @@ class NotWellFormedError(ValueError):
     """Weights fail the omit-one-gcd condition required by the caller."""
 
 
-class NotSingularError(ValueError):
-    """The requested stratum has trivial common factor (no singularity)."""
-
-
 class ParameterError(ValueError):
     """Family parameters outside the range the construction supports."""
 

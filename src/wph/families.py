@@ -42,10 +42,6 @@ class Check:
     passed: bool
     detail: str = ""
 
-    def __str__(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
-        return f"[{tag}] {self.name}" + (f": {self.detail}" if self.detail else "")
-
 
 @dataclass(frozen=True)
 class FamilyReport:
@@ -58,28 +54,6 @@ class FamilyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        params = " ".join(f"{k}={v}" for k, v in self.parameters.items())
-        lines = [f"family {self.family} ({params}): {self.hypersurface}"]
-        lines += [f"  {c}" for c in self.checks]
-        lines += [f"  note: {n}" for n in self.notes]
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    reports: tuple[FamilyReport, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-    def __str__(self) -> str:
-        lines = [str(r) for r in self.reports]
-        verdict = "all checks passed" if self.passed else "SOME CHECKS FAILED"
-        lines.append(f"{len(self.reports)} reports: {verdict}")
-        return "\n".join(lines)
 
 
 def _consecutive_weights(k: int, l: int) -> tuple[tuple[int, ...], int]:
@@ -408,6 +382,6 @@ def verify_family(family_id: str, **values: Iterable | None) -> list[FamilyRepor
     return [constructor(*args) for args in product(*grids)]
 
 
-def verify_all() -> AggregateReport:
+def verify_all() -> list[FamilyReport]:
     """Every family's reports over its default values, in registry order."""
-    return AggregateReport(tuple(r for fid in FAMILIES for r in verify_family(fid)))
+    return [r for fid in FAMILIES for r in verify_family(fid)]

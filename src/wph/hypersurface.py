@@ -26,15 +26,15 @@ and member types drop coordinates from the runs, so neither cost grows with
 the number of coordinates carrying one value.
 
 Sing P is the union of the sub-spaces P(a_i : h | a_i), one per order h > 1
-(Iano-Fletcher 2000, §8-10), so `member_canonical` decides one member germ
-per order, never one per index subset, on the premise of quasi-smoothness.
-`singularity_report` takes its verdict from it, None unless quasi-smooth.
+(Iano-Fletcher 2000, §8-10), and `core.order_residues` gives the germ of
+each order.  `member_canonical` removes a residue-d direction from that germ,
+never walking index subsets, on the premise of quasi-smoothness.
+`singularity_report` takes its ambient classes from the same germs and its
+member verdict from `member_canonical`, None unless quasi-smooth.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -43,8 +43,9 @@ from . import config, hilbert
 from .core import (
     CyclicQuotientSingularity,
     Weights,
+    order_residues,
     singular_strata,
-    stratum_quotient_type,
+    strata_orders,
     well_formed,
 )
 from .errors import BudgetError, NotWellFormedError
@@ -65,17 +66,6 @@ def _reachable(values: tuple[int, ...], limit: int) -> int:
     return bits
 
 
-def _strata_orders(weights: Weights) -> set[int]:
-    """Orders h > 1 of the singular strata: the gcd closure of the weight values."""
-    orders: set[int] = set()
-    for v in weights.multiplicities():
-        if v > 1:
-            orders |= {math.gcd(g, v) for g in orders}
-            orders.add(v)
-    orders.discard(1)
-    return orders
-
-
 @dataclass(frozen=True)
 class WeightedHypersurface:
     """General hypersurface of degree `degree` in the space with `weights`.
@@ -91,7 +81,6 @@ class WeightedHypersurface:
     weights: Weights
     degree: int
     point_witnesses: tuple[tuple[int, int], ...] = field(default=())
-    note: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", Weights.coerce(self.weights))
@@ -194,28 +183,24 @@ class WeightedHypersurface:
     def member_canonical(self) -> bool:
         """True when every singularity induced on the general member is canonical.
 
-        One germ per order h (`_strata_orders`), not per index subset: with
-        `inside` weights divisible by h, every stratum of order h has the type
-        1/h(0^(inside-1), rest).  If h does not divide d, the member contains
-        them and loses a direction of residue d mod h (False, not an error,
-        when none exists); if h divides d, only the larger strata are met,
-        unchanged (none exist when inside < 2).  Premise: quasi-smoothness,
+        One germ per stratum order h (`core.strata_orders`), not per index
+        subset: `core.order_residues` gives the type of every stratum of order
+        h.  If h does not divide d, the member contains them and loses a
+        direction of residue d mod h (False, not an error, when none exists);
+        if h divides d, only the larger strata are met, unchanged (none exist
+        when a single weight is divisible by h).  Premise: quasi-smoothness,
         decided first by the caller; clause (b) then makes every stratum of
         order h lose the same residue, so these are the member's germs.
         """
         d = self.degree
-        for h in sorted(_strata_orders(self.weights)):
-            residues: Counter[int] = Counter()
-            for v, count in self.weights.runs:
-                residues[v % h] += count
-            inside = residues[0]
+        for h in strata_orders(self.weights):
+            residues = order_residues(self.weights, h)
             if d % h:
                 if not residues[d % h]:
                     return False
                 residues[d % h] -= 1
-            elif inside < 2:
+            elif not residues[0]:
                 continue
-            residues[0] = inside - 1
             germ = CyclicQuotientSingularity(h, runs=(+residues).items())
             if not classify_quotient(germ).is_canonical:
                 return False
@@ -264,10 +249,12 @@ class SingularityReport:
 def singularity_report(x: WeightedHypersurface) -> SingularityReport:
     """Classify ambient singularities and how the general member meets them.
 
-    Points (coordinate points of weight > 1) and larger strata come from
-    `singular_strata`, with one ambient class per order.  `member_canonical`
-    is None unless the member is quasi-smooth, which is decided first, so
-    its cap speaks first.
+    Points (coordinate points of weight > 1) and larger strata are listed
+    from `singular_strata`; each takes the ambient class of its order's germ
+    (`core.order_residues`), and every order has a stratum, so those classes
+    also give `ambient_canonical`.  A point prints its own ambient type.
+    `member_canonical` is None unless the member is quasi-smooth, which is
+    decided first, so its cap speaks first.
     """
     w = x.weights
     if not well_formed(w):
@@ -277,21 +264,23 @@ def singularity_report(x: WeightedHypersurface) -> SingularityReport:
     points, strata, classes = [], [], {}
     for stratum in singular_strata(w):
         indices, h = stratum.indices, stratum.order
-        ambient = stratum_quotient_type(w, indices, indices[0])
         if h not in classes:
-            classes[h] = classify_quotient(ambient)
+            order_germ = CyclicQuotientSingularity(h, runs=order_residues(w, h).items())
+            classes[h] = classify_quotient(order_germ)
         if len(indices) > 1:
             strata.append(StratumEntry(indices, h, classes[h]))
             continue
-        met = x.contains_coordinate_point(indices[0])
-        germ = x.member_type_at(indices[0]) if met else None
+        k = indices[0]
+        ambient = CyclicQuotientSingularity(h, runs=w.runs_without(k))
+        met = x.contains_coordinate_point(k)
+        germ = x.member_type_at(k) if met else None
         member_class = classify_quotient(germ) if germ is not None else None
-        points.append(PointRecord(indices[0], ambient, classes[h], met, germ, member_class))
+        points.append(PointRecord(k, ambient, classes[h], met, germ, member_class))
 
     return SingularityReport(
         points=tuple(points),
         strata=tuple(strata),
-        ambient_canonical=all(p.ambient_class.is_canonical for p in points),
+        ambient_canonical=all(c.is_canonical for c in classes.values()),
         quasi_smooth=qs,
         member_canonical=x.member_canonical() if qs else None,
     )

@@ -10,12 +10,10 @@ a quasi-reflection (at most one coordinate moved) are flagged for reporting
 but classified by the same rule.
 
 `ambient_canonical` decides whether a well-formed weighted projective space
-has only canonical singularities by classifying its coordinate points alone:
-if a stratum of order h fails the criterion at multiplier j, the coordinate
-point of any member weight m*h fails at multiplier m*j, so coordinate points
-already witness any failure.  `ambient_canonical_bruteforce` re-derives the
-same verdict from every singular stratum and serves as the oracle for that
-reduction.
+has only canonical singularities by classifying one germ per stratum order h
+(`core.strata_orders`), whose type `core.order_residues` gives: every stratum
+of order h has it.  `ambient_canonical_bruteforce` re-derives the same verdict
+from every singular stratum, by index, and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +28,10 @@ from . import config
 from .core import (
     CyclicQuotientSingularity,
     Weights,
+    order_residues,
     parse_runs,
     singular_strata,
-    stratum_quotient_type,
+    strata_orders,
     well_formed,
 )
 from .errors import BudgetError, NotWellFormedError
@@ -158,14 +157,6 @@ class QuotientReport:
     at_multiplier: int | None
     quasi_reflection: bool
 
-    def __str__(self) -> str:
-        head = f"{self.singularity}: {self.sclass}"
-        if self.minimum is not None:
-            head += f" min={self.minimum} at j={self.at_multiplier}"
-        if self.quasi_reflection:
-            head += " [quasi-reflection pattern]"
-        return head
-
 
 def quotient_report(s: CyclicQuotientSingularity) -> QuotientReport:
     """Full (non-short-circuiting) classification with diagnostics."""
@@ -183,23 +174,17 @@ def _require_well_formed(w: Weights) -> None:
 
 
 def ambient_canonical(w: Weights | Iterable[int]) -> bool:
-    """True when every coordinate point of the (well-formed) space is canonical.
-
-    Checking coordinate points suffices for the full space; see the module
-    docstring.  Points of equal weight have the same type up to the order of
-    its weights, so one point per distinct value is classified.
-    Non-well-formed input is rejected, not rescaled.
-    """
+    """True when every singular stratum of the (well-formed) space is canonical:
+    one germ per stratum order, see the module docstring.  Non-well-formed
+    input is rejected, not rescaled."""
     weights = Weights.coerce(w)
     _require_well_formed(weights)
-    seen: set[int] = set()
-    for start, a, _ in weights.spans():
-        if a > 1 and a not in seen:
-            seen.add(a)
-            q = CyclicQuotientSingularity(a, runs=weights.runs_without(start))
-            if not classify_quotient(q).is_canonical:
-                return False
-    return True
+    return all(
+        classify_quotient(
+            CyclicQuotientSingularity(h, runs=order_residues(weights, h).items())
+        ).is_canonical
+        for h in strata_orders(weights)
+    )
 
 
 def ambient_canonical_bruteforce(w: Weights | Iterable[int]) -> bool:
@@ -207,7 +192,8 @@ def ambient_canonical_bruteforce(w: Weights | Iterable[int]) -> bool:
     weights = Weights.coerce(w)
     _require_well_formed(weights)
     for stratum in singular_strata(weights):
-        q = stratum_quotient_type(weights, stratum.indices, min(stratum.indices))
+        k = stratum.indices[0]
+        q = CyclicQuotientSingularity(stratum.order, runs=weights.runs_without(k))
         if not classify_quotient(q).is_canonical:
             return False
     return True

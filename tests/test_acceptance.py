@@ -188,7 +188,7 @@ def test_criterion_7_coordinate_point_reduction_oracle():
     elapsed = time.monotonic() - start
     _report(
         7,
-        f"coordinate-point test == all-strata oracle on {checked} exhaustive + "
+        f"per-order verdict == all-strata oracle on {checked} exhaustive + "
         f"{randoms} random tuples ({elapsed:.1f}s)",
         ok and elapsed < 60,
     )

@@ -158,6 +158,14 @@ class TestSubsetCap:
         assert "21 distinct weights" in err and "WPH_SUBSET_CAP to at least 21" in err
 
 
+class TestCapVariables:
+    def test_malformed_cap_names_itself(self, capsys, monkeypatch):
+        monkeypatch.setenv("WPH_ORDER_CAP", "lots")
+        assert run(["reid-tai", "1/6(2,2,3)"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: WPH_ORDER_CAP must be an integer, got 'lots'\n"
+
+
 class TestConstructVolume:
     def test_five_sevenths(self, capsys):
         status, out = invoke(capsys, "construct-volume", "5/7")

@@ -8,14 +8,13 @@ from wph.core import (
     CyclicQuotientSingularity,
     StratumRecord,
     Weights,
-    format_entries,
-    parse_entries,
+    order_residues,
     singular_strata,
-    stratum_quotient_type,
+    strata_orders,
     well_formed,
 )
-from wph.errors import BudgetError, NotSingularError
-from wph.singularity import reid_tai_min
+from wph.errors import BudgetError
+from wph.singularity import classify_quotient, reid_tai_min
 
 weight_tuples = st.lists(st.integers(1, 12), min_size=2, max_size=7).map(tuple)
 # few distinct values, each repeated up to 9 times in a row
@@ -26,12 +25,14 @@ repeated_tuples = (
 )
 
 
-def point_types(w):
-    """(index, ambient type) at each coordinate point, from the singleton strata."""
+def point_types(entries):
+    """(index, ambient type) at each coordinate point, from the singleton
+    strata, with the type read off the expanded tuple by index."""
     return [
-        (s.indices[0], stratum_quotient_type(w, s.indices, s.indices[0]))
-        for s in singular_strata(w)
+        (k, CyclicQuotientSingularity(s.order, entries[:k] + entries[k + 1 :]))
+        for s in singular_strata(Weights(entries))
         if len(s.indices) == 1
+        for k in s.indices
     ]
 
 
@@ -57,7 +58,7 @@ class TestWeights:
         assert w[4] == 23
         assert w.total() == 45
         assert w.product() == 19320
-        assert w.without(0) == (5, 6, 7, 23)
+        assert w.runs_without(0) == [(5, 1), (6, 1), (7, 1), (23, 1)]
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -77,13 +78,12 @@ class TestWeights:
         w = Weights.parse("1^4,5,2,3")
         assert w.entries == (1, 1, 1, 1, 5, 2, 3)
         assert str(Weights((1,) * 6 + (2,))) == "1^6,2"
-        assert parse_entries(format_entries((1,) * 37410 + (113, 106))) == (1,) * 37410 + (113, 106)
+        long = (1,) * 37410 + (113, 106)
+        assert Weights.parse(str(Weights(long))).entries == long
 
     def test_parse_rejects_run_counts_below_one(self):
         for text in ("7^0,2,3", "1^-3,2,3,5"):
-            with pytest.raises(ValueError, match="run counts"):
-                parse_entries(text)
-            with pytest.raises(ValueError, match="cannot parse weights"):
+            with pytest.raises(ValueError, match="cannot parse weights.*run counts"):
                 Weights.parse(text)
         with pytest.raises(ValueError):
             Weights(runs=((1, 2), (3, 0)))
@@ -92,8 +92,6 @@ class TestWeights:
         monkeypatch.setenv("WPH_TABLE_CAP", "50")
         with pytest.raises(BudgetError, match=r"53 .*WPH_TABLE_CAP to at least 53"):
             Weights.parse("1^51,2,3")
-        with pytest.raises(BudgetError, match="WPH_TABLE_CAP"):
-            parse_entries("1^51,2,3")
         assert len(Weights.parse("1^48,2,3")) == 50
 
     def test_long_runs_are_never_expanded(self):
@@ -105,11 +103,13 @@ class TestWeights:
         assert str(w) == "1^1000000001,7,5"
         assert w.total() == 10**9 + 13 and w.product() == 35
         assert well_formed(w)
-        assert point_types(w) == [
-            (10**9 + 1, CyclicQuotientSingularity(7, runs=((1, 10**9 + 1), (5, 1)))),
-            (10**9 + 2, CyclicQuotientSingularity(5, runs=((1, 10**9 + 1), (7, 1)))),
+        assert [(s.indices, s.order) for s in singular_strata(w)] == [
+            ((10**9 + 1,), 7),
+            ((10**9 + 2,), 5),
         ]
-        assert len(singular_strata(w)) == 2
+        assert w.runs_without(10**9 + 1) == [(1, 10**9 + 1), (5, 1)]
+        assert strata_orders(w) == [5, 7]
+        assert order_residues(w, 7) == {1: 10**9 + 1, 5: 1}
 
 
 class TestWellFormed:
@@ -174,41 +174,46 @@ class TestSingularStrata:
             StratumRecord((0,), 1)
 
 
-class TestStratumQuotientType:
+class TestOrderGerms:
     def test_examples(self):
-        q = stratum_quotient_type(Weights((4, 5, 6, 7, 23)), {0, 2}, 0)
-        assert q == CyclicQuotientSingularity(2, (5, 6, 7, 23))
-        q = stratum_quotient_type(Weights((1, 1, 2)), {2}, 2)
-        assert q == CyclicQuotientSingularity(2, (1, 1))
-        q = stratum_quotient_type(Weights((2, 2, 2, 2, 3, 3, 3, 6)), {7}, 7)
-        assert q == CyclicQuotientSingularity(6, (2, 2, 2, 2, 3, 3, 3))
-
-    def test_errors(self):
         w = Weights((4, 5, 6, 7, 23))
-        with pytest.raises(ValueError):
-            stratum_quotient_type(w, {0, 2}, 1)
-        with pytest.raises(NotSingularError):
-            stratum_quotient_type(w, {0, 1}, 0)
+        assert strata_orders(w) == [2, 4, 5, 6, 7, 23]
+        assert order_residues(w, 2) == {1: 3, 0: 1}
+        assert order_residues(w, 4) == {1: 1, 2: 1, 3: 2}
+        assert strata_orders(Weights((1, 1, 1))) == []
+        assert strata_orders(Weights((6, 10, 15))) == [2, 3, 5, 6, 10, 15]
+        assert order_residues(Weights((2, 2, 2, 2, 3, 3, 3, 6)), 3) == {2: 4, 0: 3}
 
     @given(weight_tuples)
-    def test_omitted_index_does_not_change_reid_tai_min(self, entries):
+    def test_orders_are_the_strata_orders(self, entries):
         w = Weights(entries)
+        assert strata_orders(w) == sorted({s.order for s in singular_strata(w)})
+
+    @given(weight_tuples)
+    def test_every_stratum_index_matches_its_order_germ(self, entries):
+        # 1/h(weights without k), for every stratum and every k on it, has the
+        # class and the Reid-Tai minimum of the one germ of order h
+        w = Weights(entries)
+        germs = {
+            h: CyclicQuotientSingularity(h, runs=order_residues(w, h).items())
+            for h in strata_orders(w)
+        }
         for stratum in singular_strata(w):
-            mins = {
-                reid_tai_min(stratum_quotient_type(w, stratum.indices, k))
-                for k in stratum.indices
-            }
-            assert len(mins) == 1
+            germ = germs[stratum.order]
+            for k in stratum.indices:
+                q = CyclicQuotientSingularity(stratum.order, entries[:k] + entries[k + 1 :])
+                assert classify_quotient(q) == classify_quotient(germ), (stratum, k)
+                assert reid_tai_min(q) == reid_tai_min(germ), (stratum, k)
 
 
 class TestCoordinatePointTypes:
     def test_examples(self):
-        assert point_types(Weights((1, 1, 1, 1))) == []
-        assert point_types(Weights((1, 1, 2, 5))) == [
+        assert point_types((1, 1, 1, 1)) == []
+        assert point_types((1, 1, 2, 5)) == [
             (2, CyclicQuotientSingularity(2, (1, 1, 5))),
             (3, CyclicQuotientSingularity(5, (1, 1, 2))),
         ]
-        points = point_types(Weights((2, 2, 2, 2, 3, 3, 3)))
+        points = point_types((2, 2, 2, 2, 3, 3, 3))
         assert [k for k, _ in points] == [0, 1, 2, 3, 4, 5, 6]
         assert all(q.order == 2 for k, q in points[:4])
         assert all(q.order == 3 for k, q in points[4:])
@@ -235,7 +240,11 @@ class TestRunsMatchEntries:
         assert [w[i] for i in range(-n, n)] == list(entries) * 2
         assert all(a != b for (a, _), (b, _) in zip(w.runs, w.runs[1:]))
         assert Weights(runs=((a, 1) for a in entries)) == w  # split runs merge back
-        assert all(w.without(i) == entries[:i] + entries[i + 1 :] for i in range(n))
+        assert all(
+            CyclicQuotientSingularity(1, runs=w.runs_without(i)).weights
+            == entries[:i] + entries[i + 1 :]
+            for i in range(n)
+        )
         assert w.multiplicities() == {a: entries.count(a) for a in entries}
 
     @given(repeated_tuples)
@@ -253,9 +262,9 @@ class TestRunsMatchEntries:
 
     @given(repeated_tuples)
     def test_format_parse_round_trip(self, entries):
-        text = format_entries(entries)
-        assert text == format_naive(entries) == str(Weights(entries))
-        assert parse_entries(text) == entries
+        text = str(Weights(entries))
+        assert text == format_naive(entries)
+        assert Weights.parse(text).entries == entries
         assert Weights.parse(text) == Weights(entries)
 
     @given(repeated_tuples)
@@ -266,8 +275,12 @@ class TestRunsMatchEntries:
             if a > 1
         ]
         w = Weights(entries)
-        # one singleton stratum per heavy index, without listing every subset
-        got = [(k, stratum_quotient_type(w, (k,), k)) for k, a in enumerate(entries) if a > 1]
+        # the report's point types drop one coordinate from the runs
+        got = [
+            (k, CyclicQuotientSingularity(a, runs=w.runs_without(k)))
+            for k, a in enumerate(entries)
+            if a > 1
+        ]
         assert got == expected
 
     @given(repeated_tuples.map(lambda e: tuple(a - 1 for a in e)), st.integers(1, 13))
