@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import Weights
-from .errors import BudgetError, EmptySearchError, NotWellFormedError, ParameterError
+from .errors import BudgetError, NotWellFormedError, ParameterError
 from .families import (
     FAMILIES,
     FAMILY_IDS,
@@ -210,17 +210,20 @@ def _cmd_reid_tai(args) -> tuple[OutputDocument, int]:
 
 
 def _family_reports(args) -> list[FamilyReport]:
+    given = [name for name in ("k", "l", "n", "q") if getattr(args, name) is not None]
     if args.all:
+        extra = (["--family"] if args.family else []) + [f"--{name}" for name in given]
+        if extra:
+            raise ParameterError(f"--all runs every default; drop {', '.join(extra)}")
         return verify_all()
     if not args.family:
         raise ParameterError("choose --family or --all")
-    values = {}
-    for name in FAMILIES[args.family][1]:  # the family's parameter names
-        text = getattr(args, name)
-        if text and name == "q":
-            values[name] = [_parse_ratio(q) for q in text.split(",")]
-        elif text:
-            values[name] = _parse_range(text)
+    stray = [f"--{name}" for name in given if name not in FAMILIES[args.family][1]]
+    if stray:
+        raise ParameterError(f"family {args.family} takes no {', '.join(stray)}")
+    values = {name: _parse_range(getattr(args, name)) for name in given if name != "q"}
+    if args.q is not None:
+        values["q"] = [_parse_ratio(q) for q in args.q.split(",")]
     return verify_family(args.family, **values)
 
 
@@ -393,9 +396,6 @@ def run(argv: list[str]) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return STATUS_BUDGET
-    except EmptySearchError as exc:
-        print(f"no results: {exc}", file=sys.stderr)
-        return STATUS_FAILED_CHECK
     except (ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STATUS_USAGE

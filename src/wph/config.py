@@ -1,41 +1,36 @@
 """Resource caps, overridable through environment variables.
 
-All caps guard exponential or table-building code paths; exceeding one
-raises :class:`wph.errors.BudgetError` rather than silently truncating.
+Every cap guards an exponential or table-building code path.  `require` is
+the one place that reads a cap, compares it and raises
+:class:`wph.errors.BudgetError`, which names the variable and the value
+needed, rather than silently truncating.
 """
 
 import os
 
+from .errors import BudgetError
 
-def _env_int(name: str, default: int) -> int:
+DEFAULTS = {
+    # cells of a count table or of a reachability bitset (64 bits a cell),
+    # unit weights of a `volume` member, entries of a parsed weight list
+    "WPH_TABLE_CAP": 10_000_000,
+    # distinct values (quasi-smoothness) and weights > 1 (strata listing)
+    # whose subsets are enumerated; each step of the cap doubles the work
+    "WPH_SUBSET_CAP": 20,
+    "WPH_ORDER_CAP": 1_000_000,  # cyclic group order of the Reid-Tai scan
+    "WPH_SEARCH_SUM_CAP": 500,  # weight-sum bound of the candidate search
+}
+
+
+def require(name: str, needed: int, what: str) -> None:
+    """Raise BudgetError if `needed` exceeds the cap `name`; `what` says what
+    needs it, e.g. "group order 2000000"."""
     raw = os.environ.get(name)
-    if raw is None:
-        return default
     try:
-        return int(raw)
+        cap = DEFAULTS[name] if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def table_cap() -> int:
-    """Maximum number of cells in a monomial-count table, of unit weights in a
-    `volume` family member, and of entries in a parsed weight list."""
-    return _env_int("WPH_TABLE_CAP", 10_000_000)
-
-
-def subset_cap() -> int:
-    """Maximum base-set size for subset enumerations: weights > 1 for the
-    singular strata, distinct values for quasi-smoothness.  Up to 2^cap
-    subsets are enumerated, so each step of the cap doubles the work."""
-    return _env_int("WPH_SUBSET_CAP", 20)
-
-
-def order_cap() -> int:
-    """Maximum cyclic group order for the Reid-Tai loop."""
-    return _env_int("WPH_ORDER_CAP", 1_000_000)
-
-
-def search_sum_cap() -> int:
-    """Maximum weight sum the candidate enumeration accepts."""
-    return _env_int("WPH_SEARCH_SUM_CAP", 500)
-
+    if needed > cap:
+        raise BudgetError(
+            f"{what}, above the cap {cap} (set {name} to at least {needed} to allow it)"
+        )

@@ -30,7 +30,6 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from . import config
-from .errors import BudgetError
 
 
 Runs = tuple[tuple[int, int], ...]
@@ -73,19 +72,14 @@ def parse_runs(text: str) -> Runs:
     """Runs of a list such as "1^4,5,2,3" or "4,5,6,7,23", never expanded.
 
     A count below 1 is a ValueError; a list of more entries than
-    `config.table_cap()` is a BudgetError."""
+    WPH_TABLE_CAP allows is a BudgetError."""
     pairs = []
     for part in text.split(","):
         base, caret, count = part.strip().partition("^")
         pairs.append((int(base), int(count) if caret else 1))
     runs = _checked(pairs)
     length = sum(count for _, count in runs)
-    cap = config.table_cap()
-    if length > cap:
-        raise BudgetError(
-            f"{length} listed weights exceed the cap {cap} "
-            f"(set WPH_TABLE_CAP to at least {length} to allow it)"
-        )
+    config.require("WPH_TABLE_CAP", length, f"{length} listed weights")
     return runs
 
 
@@ -294,12 +288,7 @@ def singular_strata(w: Weights | Iterable[int]) -> list[StratumRecord]:
     """
     weights = Weights.coerce(w)
     heavy_count = sum(count for a, count in weights.runs if a > 1)
-    cap = config.subset_cap()
-    if heavy_count > cap:
-        raise BudgetError(
-            f"{heavy_count} weights exceed 1; subset enumeration capped at {cap} "
-            f"(set WPH_SUBSET_CAP to at least {heavy_count} to allow it)"
-        )
+    config.require("WPH_SUBSET_CAP", heavy_count, f"{heavy_count} weights exceed 1")
     heavy = [
         (i, a)
         for start, a, count in weights.spans()

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import config
 from .core import CyclicQuotientSingularity, Weights, well_formed
-from .errors import BudgetError, ParameterError
+from .errors import ParameterError
 from .hilbert import plurigenera_table, variables_present_below
 from .hypersurface import WeightedHypersurface
 from .singularity import SingularityClass, classify_quotient, ambient_canonical
@@ -243,7 +243,7 @@ def volume_witness(
     The defaults pick the smallest valid parameters; overrides must keep
     b*r = 1 mod s and a coprime to both s and b.  Reports are deterministic:
     the same (r, s) always yields the same construction.  An m above
-    `config.table_cap()` raises BudgetError before the member is built.  The
+    WPH_TABLE_CAP raises BudgetError before the member is built.  The
     member is built, checked and printed from its runs; no m-length tuple
     is made.
     """
@@ -267,13 +267,8 @@ def volume_witness(
     m = r * a * b + 1 - a - s - b - 2
     if m < 1:
         raise ParameterError(f"parameters give {m} unit weights; need at least one")
-    cap = config.table_cap()
-    if m > cap:
-        # checked before the tuple is built: m grows like r*a*b
-        raise BudgetError(
-            f"volume {r}/{s} needs m={m} unit weights, above the cap {cap} "
-            f"(set WPH_TABLE_CAP to at least {m} to allow it)"
-        )
+    # checked before the member is built: m grows like r*a*b
+    config.require("WPH_TABLE_CAP", m, f"volume {r}/{s} needs m={m} unit weights")
 
     # built as runs, so no m-length tuple exists on this path
     weights = Weights(runs=((1, m), (a, 1), (s, 1), (b, 1)))

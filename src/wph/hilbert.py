@@ -32,9 +32,7 @@ def _entries(w: "Weights | Iterable[int]") -> tuple[int, ...]:
 
 
 def _raw_table(entries: tuple[int, ...], up_to: int) -> list[int]:
-    cap = config.table_cap()
-    if up_to + 1 > cap:
-        raise BudgetError(f"count table of {up_to + 1} cells exceeds cap {cap}")
+    config.require("WPH_TABLE_CAP", up_to + 1, f"count table of {up_to + 1} cells")
     counts = [0] * (up_to + 1)
     counts[0] = 1
     for a in entries:

@@ -48,7 +48,7 @@ from .core import (
     strata_orders,
     well_formed,
 )
-from .errors import BudgetError, NotWellFormedError
+from .errors import NotWellFormedError
 from .singularity import SingularityClass, classify_quotient
 
 
@@ -127,12 +127,9 @@ class WeightedHypersurface:
         if d in counts:
             return True  # linear cone
         values = sorted(counts)
-        cap = config.subset_cap()
-        if len(values) > cap:
-            raise BudgetError(
-                f"{len(values)} distinct weights; value-subset enumeration capped at "
-                f"{cap} (set WPH_SUBSET_CAP to at least {len(values)} to allow it)"
-            )
+        config.require("WPH_SUBSET_CAP", len(values), f"{len(values)} distinct weights")
+        # the d-bit bitset below, counted at 64 bits a count-table cell
+        config.require("WPH_TABLE_CAP", d // 64 + 1, f"a reachability bitset for degree {d}")
         for size in range(1, len(values) + 1):
             for value_set in combinations(values, size):
                 bits = _reachable(value_set, d)

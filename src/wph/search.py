@@ -39,7 +39,7 @@ from typing import Iterator
 
 from . import config
 from .core import Weights, well_formed
-from .errors import BudgetError, EmptySearchError
+from .errors import EmptySearchError
 from .hilbert import plurigenera_table
 from .hypersurface import WeightedHypersurface
 
@@ -148,9 +148,7 @@ def _check_budget(member_dim: int, max_weight_sum: int, amplitude: int) -> None:
         raise ValueError("member dimension must be >= 2")
     if amplitude < 1:
         raise ValueError("amplitude must be >= 1")
-    cap = config.search_sum_cap()
-    if max_weight_sum > cap:
-        raise BudgetError(f"weight-sum bound {max_weight_sum} exceeds cap {cap}")
+    config.require("WPH_SEARCH_SUM_CAP", max_weight_sum, f"weight-sum bound {max_weight_sum}")
 
 
 def _leading_records(
@@ -200,9 +198,12 @@ def search_records(
     """All surviving records sorted by (volume, weights); optionally those whose
     first `vanishing` plurigenera are zero.  The result is independent of the
     worker count: partitions by leading weight merge into one sorted list.
-    At most min(jobs, usable CPUs, leading weights) worker processes run."""
+    At most min(jobs, usable CPUs, leading weights) worker processes run;
+    jobs below 1 is a ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     up_to = max(plurigenera_up_to, vanishing)
-    if jobs <= 1:
+    if jobs == 1:
         records = list(enumerate_candidates(member_dim, max_weight_sum, amplitude, up_to))
     else:
         batches = _batches(member_dim, max_weight_sum, amplitude, up_to)

@@ -34,7 +34,7 @@ from .core import (
     strata_orders,
     well_formed,
 )
-from .errors import BudgetError, NotWellFormedError
+from .errors import NotWellFormedError
 
 __all__ = [
     "CyclicQuotientSingularity",
@@ -86,9 +86,7 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
     pass ends at the first total below r, where the verdict is already known.
     """
     r = s.order
-    cap = config.order_cap()
-    if r > cap:
-        raise BudgetError(f"group order {r} exceeds cap {cap}")
+    config.require("WPH_ORDER_CAP", r, f"group order {r}")
     # grouping the runs by residue keeps the pass O(r * distinct residues)
     residues: dict[int, int] = {}
     for b, count in s.runs:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -116,6 +117,20 @@ class TestVerify:
     def test_unknown_subcommand_usage(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--all", "--family", "prop", "--k", "2", "--l", "0"], "--family, --k, --l"),
+            (["--all", "--n", "5"], "--n"),
+            (["--family", "thm3", "--k", "3"], "takes no --k"),
+            (["--family", "volume", "--n", "3", "--q", "1/2"], "takes no --n"),
+        ],
+    )
+    def test_flags_that_would_be_ignored_are_usage_errors(self, capsys, argv, named):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
 
     def test_volume_beyond_table_cap_is_a_budget_error(self, capsys):
         # a convergent of pi: (1^m, 1, 33215, 33102) with m = 3,454,061,177
@@ -156,6 +171,22 @@ class TestSubsetCap:
         err = capsys.readouterr().err
         assert status == 3
         assert "21 distinct weights" in err and "WPH_SUBSET_CAP to at least 21" in err
+
+
+class TestReachabilityCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--weights", "2,3,5", "--degree", "100000000001"],
+            ["search", "--dim", "2", "--max-sum", "12", "--amplitude", "100000000000"],
+        ],
+    )
+    def test_huge_degree_is_a_budget_error_not_an_allocation(self, capsys, argv):
+        start = time.perf_counter()
+        assert run(argv) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "WPH_TABLE_CAP" in err and "Traceback" not in err
 
 
 class TestCapVariables:
@@ -205,6 +236,11 @@ class TestSearch:
         status, out = invoke(capsys, "search", "--dim", "3", "--max-sum", "4", "--csv")
         assert status == 1
         assert out.startswith("weights,d,volume,")
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        assert run(["search", "--dim", "2", "--max-sum", "12", "--jobs", jobs]) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
     def test_plurigenera_must_cover_vanishing(self, capsys):
         assert run(

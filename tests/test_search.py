@@ -78,6 +78,10 @@ class TestEnumeration:
         with pytest.raises(BudgetError):
             list(enumerate_candidates(2, 10_000))
 
+    def test_rejects_jobs_below_one(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            search_records(2, 10, jobs=0)
+
 
 class TestDegreeDrivenGenerator:
     @pytest.mark.parametrize("member_dim", [2, 3, 4])
