@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -91,18 +92,20 @@ def truncate_decimal(q: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_range(flag: str, text: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise ParameterError(f"{flag} takes an integer or a range like 5..9, got {text!r}") from None
 
 
-def _parse_ratio(text: str) -> tuple[int, int]:
-    if "/" in text:
-        r, s = text.split("/", 1)
-        return int(r), int(s)
-    return int(text), 1
+def _parse_ratio(what: str, text: str) -> tuple[int, int]:
+    r, slash, s = text.partition("/")
+    try:
+        return int(r), int(s) if slash else 1
+    except ValueError:
+        raise ParameterError(f"{what} takes a ratio like 5/7, got {text!r}") from None
 
 
 def _check_dicts(report: FamilyReport, prefix: str = "") -> list[dict]:
@@ -221,9 +224,9 @@ def _family_reports(args) -> list[FamilyReport]:
     stray = [f"--{name}" for name in given if name not in FAMILIES[args.family][1]]
     if stray:
         raise ParameterError(f"family {args.family} takes no {', '.join(stray)}")
-    values = {name: _parse_range(getattr(args, name)) for name in given if name != "q"}
+    values = {n: _parse_range(f"--{n}", getattr(args, n)) for n in given if n != "q"}
     if args.q is not None:
-        values["q"] = [_parse_ratio(q) for q in args.q.split(",")]
+        values["q"] = [_parse_ratio("--q", q) for q in args.q.split(",")]
     return verify_family(args.family, **values)
 
 
@@ -251,7 +254,7 @@ def _cmd_verify(args) -> tuple[OutputDocument, int]:
 
 
 def _cmd_construct_volume(args) -> tuple[OutputDocument, int]:
-    r, s = _parse_ratio(args.ratio)
+    r, s = _parse_ratio("construct-volume", args.ratio)
     report = volume_witness(r, s, a=args.a, b=args.b)
     x = report.hypersurface
     doc = OutputDocument(
@@ -323,7 +326,10 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
 # ------------------------------------------------------------------ driver
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `wph` parser, built on first use and shared by every `run` call:
+    each `parse_args` returns a fresh namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="wph",
         description="exact arithmetic for weighted projective hypersurfaces",
@@ -386,9 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return STATUS_OK if exc.code in (0, None) else STATUS_USAGE
     try:

@@ -4,10 +4,12 @@ A quotient 1/r(b_1, ..., b_m) is canonical if and only if
 
     (1/r) * sum_i ((j * b_i) mod r)  >=  1    for every j in [1, r-1],
 
-and terminal when the inequality is strict for every j.  The loop runs over
-all j, with no coprimality restriction; inputs where some multiplier acts as
-a quasi-reflection (at most one coordinate moved) are flagged for reporting
-but classified by the same rule.
+and terminal when the inequality is strict for every j.  The scan runs over
+all j, with no coprimality restriction, a block of consecutive j at a time in
+exact integers; a verdict-only scan stops after the first block holding a
+total below r.  Inputs where some multiplier acts as a quasi-reflection (at
+most one coordinate moved) are flagged for reporting but classified by the
+same rule.
 
 `ambient_canonical` decides whether a well-formed weighted projective space
 has only canonical singularities by classifying one germ per stratum order h
@@ -22,6 +24,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable
 
 from . import config
@@ -48,6 +51,9 @@ __all__ = [
     "ambient_canonical_bruteforce",
     "parse_quotient",
 ]
+
+# multipliers per block of the Reid-Tai scan
+_BLOCK = 4096
 
 
 class SingularityClass(enum.IntEnum):
@@ -79,11 +85,13 @@ _CLASS_NAMES = {
 
 
 def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, int, bool]:
-    """One pass over the multipliers j in [1, r-1] of 1/r(b).
+    """One pass over the multipliers j in [1, r-1] of 1/r(b), `_BLOCK` at a time.
 
     Returns the least total sum_i ((j * b_i) mod r), the first j attaining it,
-    and whether some j moves at most one coordinate.  With `stop_below` the
-    pass ends at the first total below r, where the verdict is already known.
+    and whether some j moves at most one coordinate.  A block's totals are
+    built a residue column at a time by `map`, so memory is O(_BLOCK) for any
+    r.  With `stop_below` the pass ends after the first block holding a total
+    below r, where the verdict is already known.
     """
     r = s.order
     config.require("WPH_ORDER_CAP", r, f"group order {r}")
@@ -92,17 +100,29 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
     for b, count in s.runs:
         residues[b % r] = residues.get(b % r, 0) + count
     counts = residues.items()
+    # cnt * ((j * rho) mod r) == (j * rho * cnt) mod (r * cnt): one column per
+    # nonzero residue, read off an arithmetic progression
+    columns = [(rho * cnt, r * cnt) for rho, cnt in counts if rho]
     best, best_j, reflection = r * sum(residues.values()), 0, False
-    for j in range(1, r):
-        total = sum(cnt * ((j * rho) % r) for rho, cnt in counts)
-        if total < best:
-            best, best_j = total, j
+    for lo in range(1, r, _BLOCK):
+        hi = min(lo + _BLOCK, r)
+        totals = [0] * (hi - lo)
+        for step, modulus in columns:
+            column = map(modulus.__rmod__, range(lo * step, hi * step, step))
+            totals = list(map(add, totals, column))
+        low = min(totals)
+        if low < best:
+            best, best_j = low, lo + totals.index(low)
         # moving at most one coordinate forces a total below r
-        if total < r:
+        if low < r:
             if stop_below:
                 break
             if not reflection:
-                reflection = sum(cnt for rho, cnt in counts if (j * rho) % r) <= 1
+                reflection = any(
+                    sum(cnt for rho, cnt in counts if (j * rho) % r) <= 1
+                    for j, total in enumerate(totals, lo)
+                    if total < r
+                )
     return best, best_j, reflection
 
 

@@ -1,10 +1,13 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from wph.cli import run, truncate_decimal
+from wph.cli import build_parser, run, truncate_decimal
 from fractions import Fraction
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def invoke(capsys, *argv):
@@ -131,6 +134,24 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "thm3", "--n", "5..5,6"],
+             "--n takes an integer or a range like 5..9, got '5..5,6'"),
+            (["--family", "thm3", "--n", ""],
+             "--n takes an integer or a range like 5..9, got ''"),
+            (["--family", "prop", "--k", "2", "--l", "0..z"],
+             "--l takes an integer or a range like 5..9, got '0..z'"),
+            (["--family", "volume", "--q", ""], "--q takes a ratio like 5/7, got ''"),
+            (["--family", "volume", "--q", "1/2,x"], "--q takes a ratio like 5/7, got 'x'"),
+        ],
+    )
+    def test_malformed_range_or_ratio_names_the_flag(self, capsys, argv, message):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_volume_beyond_table_cap_is_a_budget_error(self, capsys):
         # a convergent of pi: (1^m, 1, 33215, 33102) with m = 3,454,061,177
@@ -211,6 +232,30 @@ class TestConstructVolume:
 
     def test_bad_override(self, capsys):
         assert run(["construct-volume", "1/2", "--b", "2"]) == 2
+
+    def test_malformed_ratio_names_the_command(self, capsys):
+        assert run(["construct-volume", "1/x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: construct-volume takes a ratio like 5/7, got '1/x'\n"
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_carries_no_state_between_calls(self, capsys):
+        assert run(["frobnicate"]) == 2
+        assert run(["reid-tai", "--help"]) == 0
+        assert run(["reid-tai", "1/2000000(1)"]) == 3
+        assert run(["verify", "--family", "thm3", "--k", "3"]) == 2
+        capsys.readouterr()
+        assert run(["--json", "search", "--dim", "2", "--max-sum", "12"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "search-d2-global-json.out").read_text()
+        # a global --json of the previous call must not leak into this one
+        assert run(["search", "--dim", "2", "--max-sum", "12"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "search-d2.out").read_text()
 
 
 class TestSearch:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from wph.core import CyclicQuotientSingularity, Weights
 from wph.core import well_formed
 from wph.errors import BudgetError, NotWellFormedError
 from wph.singularity import (
+    _BLOCK,
     SingularityClass,
     ambient_canonical,
     ambient_canonical_bruteforce,
@@ -156,6 +158,7 @@ def test_quasi_reflection_flag():
 
 
 def assert_report_matches_plain_scan(q):
+    """Compare `quotient_report` with a plain per-j scan; returns its totals."""
     residues = [[(j * b) % q.order for b in q.weights] for j in range(1, q.order)]
     totals = [sum(row) for row in residues]
     least = min(totals)
@@ -169,6 +172,7 @@ def assert_report_matches_plain_scan(q):
     assert [reid_tai_sum(q, j) for j in range(1, q.order)] == [
         Fraction(t, q.order) for t in totals
     ]
+    return totals
 
 
 @given(quotients)
@@ -190,6 +194,85 @@ def test_quotient_report_contents():
     smooth = quotient_report(CyclicQuotientSingularity(1, (4,)))
     assert smooth.sclass == SingularityClass.SMOOTH
     assert smooth.minimum is None
+
+
+def _next_prime(n):
+    n += 1
+    while any(n % f == 0 for f in range(2, int(n**0.5) + 1)):
+        n += 1
+    return n
+
+
+def _block(j):
+    return (j - 1) // _BLOCK
+
+
+# 1/(3p)(...) with p the first prime above _BLOCK: weights divisible by 3 vanish
+# exactly at j = p and 2p, which lie past the first block and in different blocks
+_P = _next_prime(_BLOCK)
+
+
+class TestBlockEdges:
+    """The blocked scan against the plain per-j scan where blocks start and end."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, _next_prime(3 * _BLOCK)],
+    )
+    def test_matches_plain_scan_across_blocks(self, order):
+        rng = random.Random(order)
+        for size in (2, 3, 5):
+            weights = tuple(rng.randrange(order) for _ in range(size))
+            assert_report_matches_plain_scan(CyclicQuotientSingularity(order, weights))
+
+    def test_tied_minimum_keeps_the_first_block(self):
+        # totals are r at j = p, 2p and r + (3j mod r) elsewhere
+        q = CyclicQuotientSingularity(3 * _P, (1, 3 * _P - 1, 3))
+        totals = assert_report_matches_plain_scan(q)
+        least = min(totals)
+        ties = [j for j, t in enumerate(totals, 1) if t == least]
+        assert ties == [_P, 2 * _P] and 0 < _block(_P) < _block(2 * _P)
+        assert quotient_report(q).at_multiplier == _P
+
+    @pytest.mark.parametrize(
+        "weights, early_below", [((3, 3, 1), True), ((3, 3 * _P - 3, 1), False)]
+    )
+    def test_only_quasi_reflection_lies_past_the_first_block(self, weights, early_below):
+        q = CyclicQuotientSingularity(3 * _P, weights)
+        totals = assert_report_matches_plain_scan(q)
+        reflecting = [
+            j for j in range(1, q.order)
+            if sum(c for b, c in q.runs if (j * b) % q.order) <= 1
+        ]
+        assert reflecting == [_P, 2 * _P] and _block(_P) > 0
+        # the scan tests the flag in every block holding a total below r
+        assert (min(totals[:_BLOCK]) < q.order) == early_below
+        assert quotient_report(q).quasi_reflection
+
+    def test_first_total_below_r_in_a_later_block(self):
+        # totals are r + j, except j at j = p, 2p: the first below r is past block one
+        q = CyclicQuotientSingularity(3 * _P, (3, 3 * _P - 3, 1))
+        totals = assert_report_matches_plain_scan(q)
+        below = [j for j, t in enumerate(totals, 1) if t < q.order]
+        assert below == [_P, 2 * _P] and _block(below[0]) > 0
+        assert classify_quotient(q) == SingularityClass.NOT_CANONICAL
+
+    def test_memory_does_not_grow_with_the_order(self):
+        q = CyclicQuotientSingularity(200_003, (1, 200_002))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rep = quotient_report(q)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (rep.minimum, rep.at_multiplier) == (1, 1)
+        # all 200,002 totals at once would take several MB
+        assert peak < 1_000_000
 
 
 class TestAmbient:
