@@ -38,6 +38,9 @@ STATUS_FAILED_CHECK = 1
 STATUS_USAGE = 2
 STATUS_BUDGET = 3
 
+# destination -> flag of every count option; a negative count is a usage error
+COUNT_FLAGS = {"plurigenera": "--plurigenera", "up_to": "--up-to", "vanishing": "--vanishing"}
+
 
 @dataclass
 class OutputDocument:
@@ -397,6 +400,9 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return STATUS_OK if exc.code in (0, None) else STATUS_USAGE
     try:
+        for dest, flag in COUNT_FLAGS.items():  # checked before any handler runs
+            if (getattr(args, dest, None) or 0) < 0:
+                raise ParameterError(f"{flag} must be >= 0, got {getattr(args, dest)}")
         output, status = args.handler(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)

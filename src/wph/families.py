@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 from . import config
 from .core import CyclicQuotientSingularity, Weights, well_formed
 from .errors import ParameterError
-from .hilbert import plurigenera_table, variables_present_below
+from .hilbert import plurigenera_table, values_present_below
 from .hypersurface import WeightedHypersurface
 from .singularity import SingularityClass, classify_quotient, ambient_canonical
 
@@ -144,10 +144,9 @@ def degree_bound_witness(n: int) -> FamilyReport:
     x, checks = _consecutive_member(n, k, l)
 
     obstruction = k * (k + 1)
-    top = {i for i, a in enumerate(x.weights) if a == obstruction}
+    # the weight-obstruction variables are the only run of that value
     absent = all(
-        top.isdisjoint(present)
-        for present in variables_present_below(x.weights, obstruction)
+        obstruction not in present for present in values_present_below(x.weights, obstruction)
     )
     bound = Fraction(n * (n - 3), 9)
     checks += (
@@ -182,7 +181,6 @@ def ample_witness(n: int) -> FamilyReport:
         weights = (1,) * (n + 1) + (d,)
     x = WeightedHypersurface(Weights(weights), 2 * d)
 
-    top_index = len(weights) - 1
     missed = [
         (i, x.weights[i])
         for i, a in enumerate(x.weights)
@@ -190,9 +188,8 @@ def ample_witness(n: int) -> FamilyReport:
     ]
     singular = [i for i, a in enumerate(x.weights) if a > 1]
     all_missed = len(missed) == len(singular)
-    top_absent = all(
-        top_index not in present for present in variables_present_below(x.weights, d)
-    )
+    # the top variable is the only one of weight d
+    top_absent = all(d not in present for present in values_present_below(x.weights, d))
     checks = (
         Check("amplitude is 1", x.amplitude == 1),
         Check("member dimension is n", x.dimension == n, f"dimension={x.dimension}"),

@@ -4,10 +4,15 @@ N_w(m) is the number of exponent tuples e >= 0 with sum_i e_i * a_i = m,
 i.e. the coefficient of t^m in prod_i 1/(1 - t^{a_i}).  For a quasi-smooth
 well-formed hypersurface of degree d whose canonical class is O(alpha) with
 alpha >= 1, the m-th plurigenus is N(m*alpha) - N(m*alpha - d).
+
+Nothing here expands the weights: the count table divides by (1 - t^v)^c
+once per run (v, c), and variable presence, which depends only on the value
+a_i, is read from `reachable`, the bitset `quasi_smooth` also uses.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING, Iterable
 
 from . import config
@@ -21,45 +26,78 @@ ENUM_MAX_DEGREE = 200
 ENUM_MAX_LENGTH = 8
 
 
-def _entries(w: "Weights | Iterable[int]") -> tuple[int, ...]:
+def _multiplicities(w: "Weights | Iterable[int]") -> dict[int, int]:
     # counting works for any nonempty positive tuple, including length 1
-    entries = w.entries if isinstance(w, Weights) else tuple(w)
-    if not entries:
+    if isinstance(w, Weights):
+        return w.multiplicities()
+    counts: dict[int, int] = {}
+    for a in w:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            raise ValueError("weights must be positive integers")
+        counts[a] = counts.get(a, 0) + 1
+    if not counts:
         raise ValueError("need at least one weight")
-    if any(not isinstance(a, int) or isinstance(a, bool) or a < 1 for a in entries):
-        raise ValueError("weights must be positive integers")
-    return entries
+    return counts
 
 
-def _raw_table(entries: tuple[int, ...], up_to: int) -> list[int]:
+def reachable(values: tuple[int, ...], limit: int) -> int:
+    """Bitset of degrees in [0, limit] realisable as nonnegative combinations."""
+    mask = (1 << (limit + 1)) - 1
+    bits = 1
+    for v in values:
+        if v > limit:
+            continue
+        shift = v
+        while shift <= limit:
+            bits |= (bits << shift) & mask
+            shift <<= 1
+    return bits
+
+
+def _raw_table(runs: Iterable[tuple[int, int]], up_to: int) -> list[int]:
+    """N(0..up_to) over the runs (v, c), at O(up_to * min(c, up_to // v + 1)) a run:
+    c coin-change passes, or one product along each residue class mod v with
+    1/(1 - t^v)^c = sum_j C(j + c - 1, j) t^(jv), cut at j = up_to // v."""
     config.require("WPH_TABLE_CAP", up_to + 1, f"count table of {up_to + 1} cells")
     counts = [0] * (up_to + 1)
     counts[0] = 1
-    for a in entries:
-        for m in range(a, up_to + 1):
-            counts[m] += counts[m - a]
+    for v, c in runs:
+        top = up_to // v
+        if c <= top:
+            for _ in range(c):
+                for m in range(v, up_to + 1):
+                    counts[m] += counts[m - v]
+            continue
+        series = [1]
+        for j in range(1, top + 1):
+            series.append(series[-1] * (c + j - 1) // j)
+        # classes r with r + v > up_to hold one cell, which the product keeps
+        for r in range(min(v, up_to - v + 1)):
+            line = counts[r::v]
+            counts[r::v] = [sum(map(mul, series, line[i::-1])) for i in range(len(line))]
     return counts
 
 
 def monomial_count(w: "Weights | Iterable[int]", m: int) -> int:
     """Number of monomials of weighted degree m (0 for negative m)."""
-    entries = _entries(w)
+    runs = _multiplicities(w).items()
     if m < 0:
         return 0
     if m == 0:
         return 1
-    return _raw_table(entries, m)[m]
+    return _raw_table(runs, m)[m]
 
 
 def monomial_count_enum(w: "Weights | Iterable[int]", m: int) -> int:
     """Independent oracle: recursive exponent enumeration, small inputs only."""
-    entries = _entries(w)
+    counts = _multiplicities(w)
     if m < 0:
         return 0
-    if m > ENUM_MAX_DEGREE or len(entries) > ENUM_MAX_LENGTH:
+    if m > ENUM_MAX_DEGREE or sum(counts.values()) > ENUM_MAX_LENGTH:
         raise BudgetError(
             f"enumeration limited to degree {ENUM_MAX_DEGREE} and {ENUM_MAX_LENGTH} weights"
         )
+    entries = [a for a, count in counts.items() for _ in range(count)]
 
     def rec(i: int, remaining: int) -> int:
         if i == len(entries) - 1:
@@ -70,29 +108,35 @@ def monomial_count_enum(w: "Weights | Iterable[int]", m: int) -> int:
     return rec(0, m)
 
 
+def _reachable_below(w: "Weights | Iterable[int]", top: int) -> tuple[tuple[int, ...], int]:
+    """The distinct values of w and their `reachable` bitset over degrees < top."""
+    values = tuple(_multiplicities(w))
+    # top bits, counted at 64 bits a count-table cell
+    config.require("WPH_TABLE_CAP", top // 64 + 1, f"a reachability bitset for degree {top}")
+    return values, reachable(values, top - 1)
+
+
+def values_present_below(w: "Weights | Iterable[int]", top: int) -> list[set[int]]:
+    """[{a_i : i in variables_present(w, t)} for t in range(top)], from one bitset.
+
+    Value v appears in degree t exactly when t >= v and t - v is realisable;
+    no count table and no index set is built.
+    """
+    values, bits = _reachable_below(w, top)
+    return [{v for v in values if v <= t and (bits >> (t - v)) & 1} for t in range(top)]
+
+
 def variables_present(w: "Weights | Iterable[int]", t: int) -> set[int]:
     """Indices of variables appearing in some monomial of weighted degree t.
 
     Variable i appears exactly when t >= a_i and degree t - a_i is realisable
     by the full weight tuple (the monomial may reuse variable i itself).
     """
-    entries = _entries(w)
     if t < 0:
         raise ValueError("degree must be >= 0")
-    if t == 0:
-        return set()
-    table = _raw_table(entries, t)
-    return {i for i, a in enumerate(entries) if t >= a and table[t - a] > 0}
-
-
-def variables_present_below(w: "Weights | Iterable[int]", top: int) -> list[set[int]]:
-    """[variables_present(w, t) for t in range(top)], read from one count table."""
-    entries = _entries(w)
-    table = _raw_table(entries, max(top - 1, 0))
-    return [
-        {i for i, a in enumerate(entries) if t >= a and table[t - a] > 0}
-        for t in range(top)
-    ]
+    w = w if isinstance(w, Weights) else tuple(w)
+    _, bits = _reachable_below(w, t + 1)
+    return {i for i, a in enumerate(w) if a <= t and (bits >> (t - a)) & 1}
 
 
 def plurigenus(x: "WeightedHypersurface", m: int) -> int:
@@ -116,7 +160,7 @@ def plurigenera_table(x: "WeightedHypersurface", up_to: int) -> tuple[int, ...]:
     alpha = x.amplitude
     if alpha < 1:
         raise ValueError(f"amplitude {alpha} < 1: plurigenus formula not applicable")
-    table = _raw_table(_entries(x.weights), up_to * alpha)
+    table = _raw_table(x.weights.multiplicities().items(), up_to * alpha)
     out = []
     for m in range(1, up_to + 1):
         top = m * alpha

@@ -20,7 +20,8 @@ if d - a_e is realisable over I's values for some e whose value lies in I,
 then (a) already holds, so when (a) fails the usable e's all carry values
 outside I and their count does not depend on which indices of each value I
 contains.  The subset loop therefore runs over distinct value sets, with the
-largest index set of each value set as the binding case.  The multiplicity
+largest index set of each value set as the binding case, and the degrees
+realisable over a value set come from `hilbert.reachable`.  The multiplicity
 of each value comes from the runs of `Weights` (`Weights.multiplicities`),
 and member types drop coordinates from the runs, so neither cost grows with
 the number of coordinates carrying one value.
@@ -49,21 +50,8 @@ from .core import (
     well_formed,
 )
 from .errors import NotWellFormedError
+from .hilbert import reachable
 from .singularity import SingularityClass, classify_quotient
-
-
-def _reachable(values: tuple[int, ...], limit: int) -> int:
-    """Bitset of degrees in [0, limit] realisable as nonnegative combinations."""
-    mask = (1 << (limit + 1)) - 1
-    bits = 1
-    for v in values:
-        if v > limit:
-            continue
-        shift = v
-        while shift <= limit:
-            bits |= (bits << shift) & mask
-            shift <<= 1
-    return bits
 
 
 @dataclass(frozen=True)
@@ -132,7 +120,7 @@ class WeightedHypersurface:
         config.require("WPH_TABLE_CAP", d // 64 + 1, f"a reachability bitset for degree {d}")
         for size in range(1, len(values) + 1):
             for value_set in combinations(values, size):
-                bits = _reachable(value_set, d)
+                bits = reachable(value_set, d)
                 if (bits >> d) & 1:
                     continue  # clause (a)
                 binding = sum(counts[v] for v in value_set)

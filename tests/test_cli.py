@@ -294,6 +294,27 @@ class TestSearch:
         ) == 2
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["plurigenera", "--weights", "2,3,5", "--degree", "11", "--up-to", "-1"],
+             "--up-to must be >= 0, got -1"),
+            (["analyze", "--weights", "2,3,5", "--degree", "9", "--plurigenera", "-2"],
+             "--plurigenera must be >= 0, got -2"),
+            (["search", "--dim", "2", "--max-sum", "12", "--vanishing", "-1"],
+             "--vanishing must be >= 0, got -1"),
+            (["search", "--dim", "2", "--max-sum", "12", "--plurigenera", "-1"],
+             "--plurigenera must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_count_is_a_usage_error_naming_the_flag(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 class TestTruncateDecimal:
     def test_truncates_not_rounds(self):
         assert truncate_decimal(Fraction(1, 420), 6) == "0.002380"

@@ -9,7 +9,7 @@ from wph import config
 from wph.core import CyclicQuotientSingularity, Weights, parse_runs, singular_strata
 from wph.errors import BudgetError
 from wph.families import volume_witness
-from wph.hilbert import monomial_count
+from wph.hilbert import monomial_count, values_present_below
 from wph.hypersurface import WeightedHypersurface
 from wph.search import search_records
 from wph.singularity import classify_quotient
@@ -44,6 +44,7 @@ SITES = [
         101,  # 6400 // 64 + 1 cells of 64 bits
         lambda: WeightedHypersurface(Weights((2, 3, 5)), 6400).quasi_smooth(),
     ),
+    ("presence bitset", "WPH_TABLE_CAP", 1, 2, lambda: values_present_below((2, 3), 64)),
 ]
 
 

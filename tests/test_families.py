@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 
@@ -279,6 +281,21 @@ class TestVolumeWitness:
         assert rep.passed, rep.checks
         assert x.weights.total() == x.degree - 1
         assert x.volume() == Fraction(r, s)
+
+    @pytest.mark.parametrize("r,s", DEFAULT_VOLUME_TARGETS)
+    def test_volume_in_growing_dimension(self, r, s):
+        # the first five valid a from the default on: every member has volume
+        # r/s and passes, and the member dimension grows with a
+        first = volume_witness(r, s)
+        b = first.parameters["b"]
+        valid = (a for a in count(first.parameters["a"]) if math.gcd(a, s) == math.gcd(a, b) == 1)
+        dimensions = []
+        for a in islice(valid, 5):
+            rep = volume_witness(r, s, a=a)
+            assert rep.passed, (a, rep.checks)
+            assert rep.hypersurface.volume() == Fraction(r, s)
+            dimensions.append(rep.hypersurface.dimension)
+        assert all(low < high for low, high in zip(dimensions, dimensions[1:])), dimensions
 
 
 class TestVerifyAll:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -7,18 +8,40 @@ from hypothesis import strategies as st
 
 from wph.core import Weights
 from wph.errors import BudgetError
-from wph.families import ample_witness, degree_bound_witness
+from wph.families import ample_witness, degree_bound_witness, volume_witness
 from wph.hilbert import (
+    _raw_table,
     monomial_count,
     monomial_count_enum,
     plurigenera_table,
     plurigenus,
+    values_present_below,
     variables_present,
-    variables_present_below,
 )
 from wph.hypersurface import WeightedHypersurface
 
 small_weights = st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple)
+# (value, count) runs with repeated values, counts on both sides of up_to // value
+weight_runs = st.lists(st.tuples(st.integers(1, 12), st.integers(1, 40)), min_size=1, max_size=4)
+# few distinct values, each repeated up to 6 times in a row
+repeated_tuples = st.lists(
+    st.tuples(st.integers(1, 9), st.integers(1, 6)), min_size=1, max_size=4
+).map(lambda runs: tuple(a for a, count in runs for _ in range(count)))
+
+
+def table_by_entry(entries, up_to):
+    """Oracle: the coin-change table with one pass per coordinate."""
+    counts = [0] * (up_to + 1)
+    counts[0] = 1
+    for a in entries:
+        for m in range(a, up_to + 1):
+            counts[m] += counts[m - a]
+    return counts
+
+
+def values_by_index(weights, t):
+    """The values of the variables that `variables_present` finds in degree t."""
+    return {weights[i] for i in variables_present(weights, t)}
 
 
 class TestMonomialCount:
@@ -80,23 +103,38 @@ class TestOracleEquivalence:
 
 
 class TestCountTable:
-    def test_table_matches_per_degree_for_family_weights(self):
-        # the weights and degree ranges that the thm4 and ample witnesses check
-        for n in range(7, 41):
-            bound, ample = degree_bound_witness(n), ample_witness(n)
-            for rep, top in (
-                (bound, bound.parameters["obstruction_degree"]),
-                (ample, ample.parameters["d"]),
-            ):
-                weights = rep.hypersurface.weights
-                expected = [variables_present(weights, t) for t in range(top)]
-                assert variables_present_below(weights, top) == expected
+    def test_values_match_per_degree_for_family_weights(self):
+        # the weights and degree ranges that the families workload checks:
+        # thm4 up to n = 60 and ample up to n = 100
+        members = [
+            (rep.hypersurface.weights, rep.parameters["obstruction_degree"])
+            for rep in map(degree_bound_witness, range(7, 61))
+        ] + [
+            (rep.hypersurface.weights, rep.parameters["d"])
+            for rep in map(ample_witness, range(1, 101))
+        ]
+        for weights, top in members:
+            counts = table_by_entry(tuple(weights), top - 1)
+            present = values_present_below(weights, top)
+            assert len(present) == top
+            for t, values in enumerate(present):
+                assert values == values_by_index(weights, t)
+                assert values == {a for a in weights.multiplicities() if a <= t and counts[t - a]}
+
+    @given(repeated_tuples, st.integers(0, 40))
+    def test_values_match_per_degree_on_repeated_tuples(self, weights, top):
+        counts = table_by_entry(weights, max(top - 1, 0))
+        present = values_present_below(weights, top)
+        assert len(present) == top
+        for t, values in enumerate(present):
+            assert values == values_by_index(weights, t)
+            assert values == {a for a in weights if a <= t and counts[t - a]}
 
     def test_invariants(self):
-        # one table serves every degree below `top`, and degree 0 has no variable
-        assert variables_present_below((2, 3), 0) == []
-        assert variables_present_below((2, 3), 1) == [set()]
-        assert len(variables_present_below((2, 3), 10)) == 10
+        # one bitset serves every degree below `top`, and degree 0 has no variable
+        assert values_present_below((2, 3), 0) == []
+        assert values_present_below((2, 3), 1) == [set()]
+        assert len(values_present_below((2, 3), 10)) == 10
 
     def test_monotone_under_adding_weights(self):
         base = [monomial_count((2, 5), m) for m in range(31)]
@@ -106,6 +144,43 @@ class TestCountTable:
     def test_binomial_check_on_unit_weights(self):
         for m in range(13):
             assert monomial_count((1, 1, 1, 1), m) == math.comb(m + 3, 3)
+
+
+class TestRunTable:
+    @given(weight_runs, st.integers(0, 120))
+    def test_matches_the_per_entry_table(self, runs, up_to):
+        entries = tuple(a for a, count in runs for _ in range(count))
+        assert _raw_table(runs, up_to) == table_by_entry(entries, up_to)
+
+    @given(weight_runs.filter(lambda runs: sum(c for _, c in runs) <= 8), st.integers(0, 24))
+    def test_matches_enumeration(self, runs, m):
+        entries = tuple(a for a, count in runs for _ in range(count))
+        assert _raw_table(runs, m)[m] == monomial_count_enum(entries, m)
+
+    @pytest.mark.parametrize("value", [1, 2, 3, 7])
+    def test_both_sides_of_the_pass_count_switch(self, value):
+        # c passes while c <= up_to // value, one series product above
+        up_to = 40
+        for count in range(1, up_to // value + 3):
+            expected = table_by_entry((value,) * count + (5, 5), up_to)
+            assert _raw_table([(value, count), (5, 2)], up_to) == expected
+            assert _raw_table([(5, 2), (value, count)], up_to) == expected
+
+    def test_runs_are_read_not_entries(self, monkeypatch):
+        # P_1..P_3 of the m = 997,565 volume member: 1^997566 and two weights
+        # above 3, so P_j = C(j + 997565, j)
+        def refuse(self):
+            raise AssertionError("expanded the weights")
+
+        monkeypatch.setattr(Weights, "entries", property(refuse))
+        x = volume_witness(2989, 425).hypersurface
+        start = time.perf_counter()
+        genera = plurigenera_table(x, 3)
+        elapsed = time.perf_counter() - start
+        assert genera == tuple(math.comb(j + 997565, j) for j in (1, 2, 3))
+        assert elapsed < 0.1, elapsed
+        assert monomial_count(x.weights, 2) == math.comb(997567, 2)
+        assert values_present_below(x.weights, 4) == [set(), {1}, {1}, {1}]
 
 
 class TestVariablesPresent:
