@@ -17,7 +17,6 @@ from .core import (
 )
 from .errors import (
     BudgetError,
-    EmptySearchError,
     NotWellFormedError,
     ParameterError,
 )
@@ -45,7 +44,7 @@ from .hypersurface import (
     WeightedHypersurface,
     singularity_report,
 )
-from .search import SearchRecord, enumerate_candidates, find_min_volume, search_records
+from .search import SearchRecord, enumerate_candidates, search_records
 from .singularity import (
     QuotientReport,
     SingularityClass,
@@ -63,7 +62,6 @@ __all__ = [
     "BudgetError",
     "Check",
     "CyclicQuotientSingularity",
-    "EmptySearchError",
     "FamilyReport",
     "NotWellFormedError",
     "ParameterError",
@@ -83,7 +81,6 @@ __all__ = [
     "consecutive_family",
     "degree_bound_witness",
     "enumerate_candidates",
-    "find_min_volume",
     "monomial_count",
     "monomial_count_enum",
     "parse_quotient",

@@ -39,7 +39,8 @@ STATUS_USAGE = 2
 STATUS_BUDGET = 3
 
 # destination -> flag of every count option; a negative count is a usage error
-COUNT_FLAGS = {"plurigenera": "--plurigenera", "up_to": "--up-to", "vanishing": "--vanishing"}
+COUNT_FLAGS = {"plurigenera": "--plurigenera", "up_to": "--up-to", "vanishing": "--vanishing",
+               "decimal": "--decimal"}
 
 
 @dataclass

@@ -11,8 +11,8 @@ import os
 from .errors import BudgetError
 
 DEFAULTS = {
-    # cells of a count table or of a reachability bitset (64 bits a cell),
-    # unit weights of a `volume` member, entries of a parsed weight list
+    # cells of a count table or of a reachability table, degrees of a
+    # presence listing, entries of a parsed weight list
     "WPH_TABLE_CAP": 10_000_000,
     # distinct values (quasi-smoothness) and weights > 1 (strata listing)
     # whose subsets are enumerated; each step of the cap doubles the work

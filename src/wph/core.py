@@ -231,11 +231,6 @@ class CyclicQuotientSingularity:
         """The expanded weight tuple (built on each access)."""
         return _expand(self.runs)
 
-    def reduced(self) -> "CyclicQuotientSingularity":
-        """Same singularity with every weight replaced by its residue mod r."""
-        r = self.order
-        return CyclicQuotientSingularity(r, runs=((b % r, count) for b, count in self.runs))
-
     def __str__(self) -> str:
         return f"1/{self.order}({_format_runs(self.runs)})"
 

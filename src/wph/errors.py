@@ -11,7 +11,3 @@ class NotWellFormedError(ValueError):
 
 class ParameterError(ValueError):
     """Family parameters outside the range the construction supports."""
-
-
-class EmptySearchError(LookupError):
-    """A search produced no records satisfying the filters."""

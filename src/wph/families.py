@@ -28,7 +28,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from . import config
 from .core import CyclicQuotientSingularity, Weights, well_formed
 from .errors import ParameterError
 from .hilbert import plurigenera_table, values_present_below
@@ -239,10 +238,9 @@ def volume_witness(
 
     The defaults pick the smallest valid parameters; overrides must keep
     b*r = 1 mod s and a coprime to both s and b.  Reports are deterministic:
-    the same (r, s) always yields the same construction.  An m above
-    WPH_TABLE_CAP raises BudgetError before the member is built.  The
-    member is built, checked and printed from its runs; no m-length tuple
-    is made.
+    the same (r, s) always yields the same construction.  The member is
+    built, checked and printed from its runs; no m-length tuple is made, and
+    no cost grows with m.
     """
     if r < 1 or s < 1:
         raise ParameterError("volume must be a ratio of positive integers")
@@ -264,8 +262,6 @@ def volume_witness(
     m = r * a * b + 1 - a - s - b - 2
     if m < 1:
         raise ParameterError(f"parameters give {m} unit weights; need at least one")
-    # checked before the member is built: m grows like r*a*b
-    config.require("WPH_TABLE_CAP", m, f"volume {r}/{s} needs m={m} unit weights")
 
     # built as runs, so no m-length tuple exists on this path
     weights = Weights(runs=((1, m), (a, 1), (s, 1), (b, 1)))

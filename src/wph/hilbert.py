@@ -7,11 +7,18 @@ alpha >= 1, the m-th plurigenus is N(m*alpha) - N(m*alpha - d).
 
 Nothing here expands the weights: the count table divides by (1 - t^v)^c
 once per run (v, c), and variable presence, which depends only on the value
-a_i, is read from `reachable`, the bitset `quasi_smooth` also uses.
+a_i, is read from a reachability table, the kernel `quasi_smooth` also uses.
+
+A reachability table of a value set whose first value is a has a entries:
+entry r is the least realisable degree = r mod a, or inf when there is none
+(the Apery set of Nijenhuis 1979; Boecker-Liptak, Algorithmica 2007).  So t
+is realisable iff t >= table[t % a], and no table grows with the degree.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from math import gcd, inf
 from operator import mul
 from typing import TYPE_CHECKING, Iterable
 
@@ -40,18 +47,37 @@ def _multiplicities(w: "Weights | Iterable[int]") -> dict[int, int]:
     return counts
 
 
-def reachable(values: tuple[int, ...], limit: int) -> int:
-    """Bitset of degrees in [0, limit] realisable as nonnegative combinations."""
-    mask = (1 << (limit + 1)) - 1
-    bits = 1
-    for v in values:
-        if v > limit:
-            continue
-        shift = v
-        while shift <= limit:
-            bits |= (bits << shift) & mask
-            shift <<= 1
-    return bits
+def with_value(table: list, v: int) -> list:
+    """The reachability table of a value set with v added, in O(len(table)).
+
+    [] is the table of the empty set; its first value v gives [0, inf, ...].
+    Otherwise each cycle r -> r + v mod a is walked twice, carrying the least
+    degree seen plus v, so the second lap passes the cycle's minimum on to
+    every entry.  The argument is never changed.
+    """
+    if not table:
+        return [0] + [inf] * (v - 1)
+    a = len(table)
+    step = v % a
+    if not step:
+        return table  # multiples of a are realisable already
+    table = table[:]
+    cycles = gcd(a, step)
+    for start in range(cycles):
+        r, carry = start, table[start]
+        for _ in range(2 * a // cycles):
+            r = (r + step) % a
+            carry += v
+            if carry < table[r]:
+                table[r] = carry
+            else:
+                carry = table[r]
+    return table
+
+
+def reaches(table: list, t: int) -> bool:
+    """Whether degree t >= 0 is realisable over the table's value set."""
+    return t >= table[t % len(table)]
 
 
 def _raw_table(runs: Iterable[tuple[int, int]], up_to: int) -> list[int]:
@@ -108,22 +134,26 @@ def monomial_count_enum(w: "Weights | Iterable[int]", m: int) -> int:
     return rec(0, m)
 
 
-def _reachable_below(w: "Weights | Iterable[int]", top: int) -> tuple[tuple[int, ...], int]:
-    """The distinct values of w and their `reachable` bitset over degrees < top."""
-    values = tuple(_multiplicities(w))
-    # top bits, counted at 64 bits a count-table cell
-    config.require("WPH_TABLE_CAP", top // 64 + 1, f"a reachability bitset for degree {top}")
-    return values, reachable(values, top - 1)
+def _values_up_to(w: "Weights | Iterable[int]", t: int) -> tuple[list[int], list]:
+    """The distinct values <= t of w, ascending, and their reachability table.
+
+    Larger values take no part in any degree up to t, so the table has at
+    most t entries; [] when no value is that small."""
+    values = sorted(v for v in _multiplicities(w) if v <= t)
+    if values:
+        config.require("WPH_TABLE_CAP", values[0], f"a reachability table of {values[0]} cells")
+    return values, reduce(with_value, values, [])
 
 
 def values_present_below(w: "Weights | Iterable[int]", top: int) -> list[set[int]]:
-    """[{a_i : i in variables_present(w, t)} for t in range(top)], from one bitset.
+    """[{a_i : i in variables_present(w, t)} for t in range(top)], from one table.
 
     Value v appears in degree t exactly when t >= v and t - v is realisable;
     no count table and no index set is built.
     """
-    values, bits = _reachable_below(w, top)
-    return [{v for v in values if v <= t and (bits >> (t - v)) & 1} for t in range(top)]
+    config.require("WPH_TABLE_CAP", top, f"presence in {top} degrees")
+    values, table = _values_up_to(w, top - 1)
+    return [{v for v in values if v <= t and reaches(table, t - v)} for t in range(top)]
 
 
 def variables_present(w: "Weights | Iterable[int]", t: int) -> set[int]:
@@ -135,8 +165,8 @@ def variables_present(w: "Weights | Iterable[int]", t: int) -> set[int]:
     if t < 0:
         raise ValueError("degree must be >= 0")
     w = w if isinstance(w, Weights) else tuple(w)
-    _, bits = _reachable_below(w, t + 1)
-    return {i for i, a in enumerate(w) if a <= t and (bits >> (t - a)) & 1}
+    _, table = _values_up_to(w, t)
+    return {i for i, a in enumerate(w) if a <= t and reaches(table, t - a)}
 
 
 def plurigenus(x: "WeightedHypersurface", m: int) -> int:

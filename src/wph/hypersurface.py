@@ -20,8 +20,11 @@ if d - a_e is realisable over I's values for some e whose value lies in I,
 then (a) already holds, so when (a) fails the usable e's all carry values
 outside I and their count does not depend on which indices of each value I
 contains.  The subset loop therefore runs over distinct value sets, with the
-largest index set of each value set as the binding case, and the degrees
-realisable over a value set come from `hilbert.reachable`.  The multiplicity
+largest index set of each value set as the binding case.  It walks them depth
+first in ascending order: a set's reachability table (`hilbert.with_value`)
+is its parent's with one value added, and a set where (a) holds is not
+expanded, since (a) then holds on every superset.  A table has as many cells
+as its set's least value, whatever d is.  The multiplicity
 of each value comes from the runs of `Weights` (`Weights.multiplicities`),
 and member types drop coordinates from the runs, so neither cost grows with
 the number of coordinates carrying one value.
@@ -38,9 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
-from . import config, hilbert
+from . import config
 from .core import (
     CyclicQuotientSingularity,
     Weights,
@@ -50,7 +52,7 @@ from .core import (
     well_formed,
 )
 from .errors import NotWellFormedError
-from .hilbert import reachable
+from .hilbert import reaches, with_value
 from .singularity import SingularityClass, classify_quotient
 
 
@@ -116,21 +118,24 @@ class WeightedHypersurface:
             return True  # linear cone
         values = sorted(counts)
         config.require("WPH_SUBSET_CAP", len(values), f"{len(values)} distinct weights")
-        # the d-bit bitset below, counted at 64 bits a count-table cell
-        config.require("WPH_TABLE_CAP", d // 64 + 1, f"a reachability bitset for degree {d}")
-        for size in range(1, len(values) + 1):
-            for value_set in combinations(values, size):
-                bits = reachable(value_set, d)
-                if (bits >> d) & 1:
-                    continue  # clause (a)
-                binding = sum(counts[v] for v in value_set)
-                usable = sum(
-                    counts[u]
-                    for u in values
-                    if u not in value_set and u <= d and (bits >> (d - u)) & 1
-                )
-                if usable < binding:
+        if values[-1] > d:
+            return False  # the set {values[-1]} meets neither clause: nothing has degree d - u
+        # a set's table has as many cells as its least value
+        config.require("WPH_TABLE_CAP", values[-1], f"a reachability table of {values[-1]} cells")
+        gaps = [(d - u, counts[u]) for u in values]
+        # (first index to add, table, binding count) of each set still to expand
+        stack = [(0, [], 0)]
+        while stack:
+            start, parent, binding = stack.pop()
+            for i in range(start, len(values)):
+                table = with_value(parent, values[i])
+                if reaches(table, d):
+                    continue  # clause (a), here and on every superset
+                size = binding + counts[values[i]]
+                # a value of the set reaching d - u would give clause (a)
+                if sum(c for gap, c in gaps if reaches(table, gap)) < size:
                     return False  # clause (b) fails for the full index set
+                stack.append((i + 1, table, size))
         return True
 
     def member_type_at(self, point: int) -> CyclicQuotientSingularity | None:
@@ -193,12 +198,6 @@ class WeightedHypersurface:
 
     def singularity_report(self) -> "SingularityReport":
         return singularity_report(self)
-
-    def plurigenus(self, m: int) -> int:
-        return hilbert.plurigenus(self, m)
-
-    def plurigenera(self, up_to: int) -> tuple[int, ...]:
-        return hilbert.plurigenera_table(self, up_to)
 
 
 @dataclass(frozen=True)

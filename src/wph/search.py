@@ -32,14 +32,12 @@ amplitude >= 1 makes d larger than every weight.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from . import config
 from .core import Weights, well_formed
-from .errors import EmptySearchError
 from .hilbert import plurigenera_table
 from .hypersurface import WeightedHypersurface
 
@@ -206,6 +204,8 @@ def search_records(
     if jobs == 1:
         records = list(enumerate_candidates(member_dim, max_weight_sum, amplitude, up_to))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled searches pay for it
+
         batches = _batches(member_dim, max_weight_sum, amplitude, up_to)
         # the pool may start every worker up front, so ask for no more than
         # the CPUs this process may run on and the batches there are
@@ -219,23 +219,3 @@ def search_records(
         records = [r for r in records if r.vanishing_at_least(vanishing)]
     records.sort(key=lambda r: r.sort_key)
     return records
-
-
-def find_min_volume(
-    member_dim: int,
-    max_weight_sum: int,
-    amplitude: int = 1,
-    vanishing: int = 0,
-    plurigenera_up_to: int = 0,
-    jobs: int = 1,
-) -> SearchRecord:
-    """Minimum-volume record within the searched bound (ties broken by weights)."""
-    records = search_records(
-        member_dim, max_weight_sum, amplitude, plurigenera_up_to, vanishing, jobs
-    )
-    if not records:
-        raise EmptySearchError(
-            f"no records for dimension {member_dim} with weight sum <= {max_weight_sum}"
-            + (f" and {vanishing} vanishing plurigenera" if vanishing else "")
-        )
-    return records[0]

@@ -23,10 +23,11 @@ from wph.hilbert import (
     monomial_count,
     monomial_count_enum,
     plurigenera_table,
+    plurigenus,
     variables_present,
 )
 from wph.hypersurface import WeightedHypersurface
-from wph.search import find_min_volume, search_records
+from wph.search import search_records
 from wph.singularity import (
     SingularityClass,
     ambient_canonical,
@@ -34,6 +35,11 @@ from wph.singularity import (
     classify_quotient,
     reid_tai_min,
 )
+
+
+def _reduced(q: CyclicQuotientSingularity) -> CyclicQuotientSingularity:
+    """The same singularity with every weight replaced by its residue mod r."""
+    return CyclicQuotientSingularity(q.order, tuple(b % q.order for b in q.weights))
 
 
 def _report(number: int, description: str, passed: bool) -> None:
@@ -54,7 +60,7 @@ def test_criterion_1_min_volume_threefold_target():
         target is not None
         and target.degree == 46
         and target.volume == Fraction(1, 420)
-        and find_min_volume(3, 45, vanishing=3) == target
+        and records[0] == target
     )
     elapsed = time.monotonic() - start
     _report(
@@ -90,7 +96,7 @@ def test_criterion_3_vanishing_plurigenera_and_volume_bound():
         x = rep.hypersurface
         k = rep.parameters["k"]
         ok = ok and rep.passed
-        ok = ok and all(x.plurigenus(m) == 0 for m in range(1, k))
+        ok = ok and all(plurigenus(x, m) == 0 for m in range(1, k))
         bound = Fraction(3 ** (n + 1), (n - 1) ** n)
         ok = ok and x.volume() * (n - 1) ** n < 3 ** (n + 1)  # cross-multiplied
         ok = ok and x.volume() < bound
@@ -238,8 +244,8 @@ def test_criterion_9_reid_tai_unit_classifications():
         weights = tuple(rng.randint(0, 4 * r) for _ in range(m))
         q = CyclicQuotientSingularity(r, weights)
         reference = classify_quotient(q)
-        ok = ok and reid_tai_min(q) == reid_tai_min(q.reduced())
-        ok = ok and classify_quotient(q.reduced()) == reference
+        ok = ok and reid_tai_min(q) == reid_tai_min(_reduced(q))
+        ok = ok and classify_quotient(_reduced(q)) == reference
         perm = list(weights)
         rng.shuffle(perm)
         ok = ok and classify_quotient(CyclicQuotientSingularity(r, tuple(perm))) == reference

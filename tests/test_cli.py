@@ -153,12 +153,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_volume_beyond_table_cap_is_a_budget_error(self, capsys):
-        # a convergent of pi: (1^m, 1, 33215, 33102) with m = 3,454,061,177
-        assert run(["verify", "--family", "volume", "--q", "104348/33215"]) == 3
-        err = capsys.readouterr().err
-        assert "WPH_TABLE_CAP" in err and "3454061177" in err
-        assert "Traceback" not in err
+    def test_pi_convergent_volume_is_answered(self, capsys):
+        # a convergent of pi: (1^m, 1, 33215, 33102) with m = 3,454,061,177;
+        # no cost grows with m, and the largest reachability table has 33,102 cells
+        start = time.perf_counter()
+        assert run(["verify", "--family", "volume", "--q", "104348/33215"]) == 0
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert "'unit_weights': 3454061177" in captured.out
+        assert "passed: yes" in captured.out and captured.err == ""
 
 
 class TestWeightLists:
@@ -194,20 +197,23 @@ class TestSubsetCap:
         assert "21 distinct weights" in err and "WPH_SUBSET_CAP to at least 21" in err
 
 
-class TestReachabilityCap:
+class TestHugeDegree:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, line",
         [
-            ["analyze", "--weights", "2,3,5", "--degree", "100000000001"],
-            ["search", "--dim", "2", "--max-sum", "12", "--amplitude", "100000000000"],
+            (["analyze", "--weights", "2,3,5", "--degree", "100000000001"], "quasi_smooth: no"),
+            (["search", "--dim", "2", "--max-sum", "12", "--amplitude", "100000000000"],
+             "record_count: 8"),
         ],
+        ids=["analyze", "search"],
     )
-    def test_huge_degree_is_a_budget_error_not_an_allocation(self, capsys, argv):
+    def test_huge_degree_is_answered_without_allocation(self, capsys, argv, line):
+        # reachability tables have as many cells as a weight, whatever the degree
         start = time.perf_counter()
-        assert run(argv) == 3
+        assert run(argv) == 0
         assert time.perf_counter() - start < 1
-        err = capsys.readouterr().err
-        assert "WPH_TABLE_CAP" in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert line in captured.out.splitlines() and captured.err == ""
 
 
 class TestCapVariables:
@@ -306,6 +312,9 @@ class TestCountFlags:
              "--vanishing must be >= 0, got -1"),
             (["search", "--dim", "2", "--max-sum", "12", "--plurigenera", "-1"],
              "--plurigenera must be >= 0, got -1"),
+            (["analyze", "--weights", "2,3,5", "--degree", "11", "--decimal", "-3"],
+             "--decimal must be >= 0, got -3"),
+            (["reid-tai", "1/5(1,4)", "--decimal", "-3"], "--decimal must be >= 0, got -3"),
         ],
     )
     def test_negative_count_is_a_usage_error_naming_the_flag(self, capsys, argv, message):

@@ -8,8 +8,7 @@ import pytest
 from wph import config
 from wph.core import CyclicQuotientSingularity, Weights, parse_runs, singular_strata
 from wph.errors import BudgetError
-from wph.families import volume_witness
-from wph.hilbert import monomial_count, values_present_below
+from wph.hilbert import monomial_count, values_present_below, variables_present
 from wph.hypersurface import WeightedHypersurface
 from wph.search import search_records
 from wph.singularity import classify_quotient
@@ -27,7 +26,6 @@ SITES = [
         6,
         lambda: WeightedHypersurface(Weights((1, 2, 3, 4, 5, 6)), 100).quasi_smooth(),
     ),
-    ("volume m", "WPH_TABLE_CAP", 3, 4, lambda: volume_witness(1, 2)),
     ("count table", "WPH_TABLE_CAP", 10, 21, lambda: monomial_count((1, 2), 20)),
     (
         "group order",
@@ -38,13 +36,14 @@ SITES = [
     ),
     ("search sum", "WPH_SEARCH_SUM_CAP", 11, 12, lambda: search_records(2, 12)),
     (
-        "reachability bitset",
+        "reachability table",
         "WPH_TABLE_CAP",
         99,
-        101,  # 6400 // 64 + 1 cells of 64 bits
-        lambda: WeightedHypersurface(Weights((2, 3, 5)), 6400).quasi_smooth(),
+        100,  # the table of {100} has a cell per residue mod 100, whatever d is
+        lambda: WeightedHypersurface(Weights((2, 3, 100)), 6400).quasi_smooth(),
     ),
-    ("presence bitset", "WPH_TABLE_CAP", 1, 2, lambda: values_present_below((2, 3), 64)),
+    ("presence degrees", "WPH_TABLE_CAP", 63, 64, lambda: values_present_below((2, 3), 64)),
+    ("presence table", "WPH_TABLE_CAP", 49, 50, lambda: variables_present((50, 51), 10**12)),
 ]
 
 

@@ -288,4 +288,6 @@ class TestRunsMatchEntries:
         q = CyclicQuotientSingularity(order, entries)
         assert q.weights == entries
         assert str(q) == f"1/{order}({format_naive(entries)})"
-        assert q.reduced() == CyclicQuotientSingularity(order, (b % order for b in entries))
+        # residues that become equal merge into one run
+        residues = CyclicQuotientSingularity(order, runs=((b % order, c) for b, c in q.runs))
+        assert residues == CyclicQuotientSingularity(order, (b % order for b in entries))

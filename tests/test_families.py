@@ -6,7 +6,7 @@ from itertools import count, islice
 import pytest
 
 from wph.core import CyclicQuotientSingularity
-from wph.errors import BudgetError, ParameterError
+from wph.errors import ParameterError
 from wph.families import (
     DEFAULT_VOLUME_TARGETS,
     FAMILY_IDS,
@@ -18,7 +18,7 @@ from wph.families import (
     verify_family,
     volume_witness,
 )
-from wph.hilbert import plurigenera_table
+from wph.hilbert import plurigenera_table, plurigenus
 from wph.singularity import SingularityClass, classify_quotient
 
 
@@ -86,7 +86,7 @@ class TestVanishingWitness:
         rep = vanishing_witness(8)
         assert rep.parameters["k"] == 3
         x = rep.hypersurface
-        assert x.plurigenus(1) == 0 and x.plurigenus(2) == 0
+        assert plurigenus(x, 1) == 0 and plurigenus(x, 2) == 0
         assert rep.passed
 
     def test_rejects_small_n(self):
@@ -238,13 +238,15 @@ class TestVolumeWitness:
         with pytest.raises(ParameterError):
             volume_witness(1, 5, b=1)
 
-    def test_unit_weight_count_is_capped_before_building(self, monkeypatch):
-        # 1/2 needs m = 4 unit weights (test_half); a cap of 3 refuses it
-        monkeypatch.setenv("WPH_TABLE_CAP", "3")
-        with pytest.raises(BudgetError, match=r"m=4 .*WPH_TABLE_CAP"):
-            volume_witness(1, 2)
-        monkeypatch.setenv("WPH_TABLE_CAP", "4")
-        assert volume_witness(1, 2).passed
+    def test_volume_in_dimension_above_a_billion(self):
+        # the paper's "arbitrarily big dimension": for 355/113 (b = 106), a = 26577
+        # is the least a coprime to s and b with m = a(rb - 1) - s - b - 1 > 10^9
+        rep = volume_witness(355, 113, a=26577)
+        assert rep.parameters["unit_weights"] == 1_000_065_713
+        assert rep.passed, rep.checks
+        x = rep.hypersurface
+        assert x.dimension == 1_000_065_714
+        assert x.volume() == Fraction(355, 113)
 
     def test_large_member_never_holds_an_m_length_tuple(self):
         # m = 997,565 unit weights; a tuple of them alone would take 8 MB

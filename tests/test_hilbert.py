@@ -1,6 +1,9 @@
 import math
 import random
 import time
+from collections import Counter
+from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -15,8 +18,10 @@ from wph.hilbert import (
     monomial_count_enum,
     plurigenera_table,
     plurigenus,
+    reaches,
     values_present_below,
     variables_present,
+    with_value,
 )
 from wph.hypersurface import WeightedHypersurface
 
@@ -37,6 +42,39 @@ def table_by_entry(entries, up_to):
         for m in range(a, up_to + 1):
             counts[m] += counts[m - a]
     return counts
+
+
+def reachable_bits(values, limit):
+    """Oracle: bitset of the degrees in [0, limit] realisable over `values`,
+    closed under each value by doubling shifts (the kernel before tables)."""
+    mask = (1 << (limit + 1)) - 1
+    bits = 1
+    for v in values:
+        shift = v
+        while shift <= limit:
+            bits |= (bits << shift) & mask
+            shift <<= 1
+    return bits
+
+
+def quasi_smooth_by_value_bitsets(weights, d):
+    """Oracle: the criterion over every value set, each with its own bitset."""
+    counts = Counter(weights)
+    if d in counts:
+        return True
+    values = sorted(counts)
+    for size in range(1, len(values) + 1):
+        for value_set in combinations(values, size):
+            bits = reachable_bits(value_set, d)
+            if (bits >> d) & 1:
+                continue
+            usable = sum(
+                counts[u] for u in values
+                if u not in value_set and u <= d and (bits >> (d - u)) & 1
+            )
+            if usable < sum(counts[v] for v in value_set):
+                return False
+    return True
 
 
 def values_by_index(weights, t):
@@ -131,7 +169,7 @@ class TestCountTable:
             assert values == {a for a in weights if a <= t and counts[t - a]}
 
     def test_invariants(self):
-        # one bitset serves every degree below `top`, and degree 0 has no variable
+        # one table serves every degree below `top`, and degree 0 has no variable
         assert values_present_below((2, 3), 0) == []
         assert values_present_below((2, 3), 1) == [set()]
         assert len(values_present_below((2, 3), 10)) == 10
@@ -265,3 +303,46 @@ def _tuples_up_to(length, max_entry):
     for first in range(1, max_entry + 1):
         for rest in _tuples_up_to(length - 1, max_entry):
             yield (first,) + rest
+
+
+class TestReachabilityTable:
+    # repeated values, in any order; degrees up to 10^4
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=7), st.integers(0, 10**4))
+    def test_matches_the_bitset_oracle(self, values, limit):
+        bits = reachable_bits(values, limit)
+        for order in (values, sorted(values)):
+            table = reduce(with_value, order, [])
+            assert len(table) == order[0]
+            assert all(reaches(table, t) == bool((bits >> t) & 1) for t in range(limit + 1))
+
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=5), st.integers(1, 200))
+    def test_adding_a_value_leaves_the_argument_alone(self, values, v):
+        table = reduce(with_value, values, [])
+        before = list(table)
+        with_value(table, v)
+        assert table == before
+
+    def test_entries_are_the_least_degrees_per_residue(self):
+        # {5, 7}: the Apery set of 7 in the semigroup they make
+        assert reduce(with_value, (5, 7), []) == [0, 21, 7, 28, 14]
+        assert reduce(with_value, (4, 6), []) == [0, math.inf, 6, math.inf]
+        assert reaches([0, 21, 7, 28, 14], 23) is False  # Frobenius number of {5, 7}
+        assert reaches([0, 21, 7, 28, 14], 24) is True
+
+    @given(repeated_tuples.filter(lambda w: len(w) >= 3), st.data())
+    def test_quasi_smooth_matches_the_bitset_oracle(self, weights, data):
+        # a random degree, a Fermat degree (every weight divides it) and a
+        # Fermat degree plus a weight, so both verdicts occur at large d
+        lcm = math.lcm(*weights)
+        c = data.draw(st.integers(1, max(1, 10**4 // lcm)))
+        shift = data.draw(st.sampled_from(weights))
+        for d in (data.draw(st.integers(1, 10**4)), c * lcm, c * lcm + shift):
+            x = WeightedHypersurface(Weights(weights), d)
+            assert x.quasi_smooth() == quasi_smooth_by_value_bitsets(weights, d), (weights, d)
+
+    def test_no_table_grows_with_the_degree(self):
+        # every table here has at most 5 cells, whatever d is
+        d = 10**12 + 1
+        assert not WeightedHypersurface(Weights((2, 3, 5)), d).quasi_smooth()
+        assert WeightedHypersurface(Weights((2, 3, 5)), 30 * 10**11).quasi_smooth()
+        assert variables_present((2, 3, 5), d) == {0, 1, 2}

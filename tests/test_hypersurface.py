@@ -20,7 +20,7 @@ def make(weights, degree, **kw):
 
 def quasi_smooth_bruteforce(weights, degree):
     """The monomial-existence criterion read literally, over every *index*
-    subset I and every index e (no value-set reduction, no bitsets)."""
+    subset I and every index e (no value-set reduction, no reachability tables)."""
     if degree in weights:
         return True  # linear cone
 

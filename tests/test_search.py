@@ -1,7 +1,11 @@
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 import wph.search
 from wph.core import Weights, well_formed
-from wph.errors import BudgetError, EmptySearchError
+from wph.errors import BudgetError
 from wph.hilbert import plurigenera_table
 from wph.hypersurface import WeightedHypersurface
 from wph.search import (
@@ -18,7 +22,6 @@ from wph.search import (
     _nondecreasing_tuples,
     _singleton_condition,
     enumerate_candidates,
-    find_min_volume,
     search_records,
 )
 
@@ -180,6 +183,17 @@ class TestDeterminismAndParallelism:
     def test_repeat_runs_identical(self):
         assert search_records(2, 9) == search_records(2, 9)
 
+    def test_serial_search_leaves_the_pool_unimported(self):
+        # the pool's modules cost every `import wph.cli` 30-40 ms
+        code = (
+            "import sys, wph.cli; wph.cli.run(['search', '--dim', '2', '--max-sum', '9']); "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')), file=sys.stderr)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(wph.search.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0 and "(1,1,1,2) d=6 vol=3" in done.stdout
+        assert done.stderr == "[]\n"
+
     def test_worker_count_is_clamped(self, monkeypatch):
         requested = []
 
@@ -196,7 +210,8 @@ class TestDeterminismAndParallelism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(wph.search, "ProcessPoolExecutor", InlinePool)
+        # the pool is imported when a search asks for more than one job
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         records = search_records(2, 10, plurigenera_up_to=1, jobs=10_000)
         assert records == search_records(2, 10, plurigenera_up_to=1)
         # two leading weights (1 and 2) can start at most two workers
@@ -231,23 +246,21 @@ class TestLiteratureAnchors:
 
 class TestFindMinVolume:
     def test_min_volume_threefold_rediscovered(self):
-        best = find_min_volume(3, 45, vanishing=3)
+        best = search_records(3, 45, vanishing=3)[0]
         assert best.weights == (4, 5, 6, 7, 23)
         assert best.degree == 46
         assert best.volume == Fraction(1, 420)
         assert best.plurigenera == (0, 0, 0)
 
     def test_surface_minimum_in_small_range(self):
-        best = find_min_volume(2, 5)
+        best = search_records(2, 5)[0]
         assert best.weights == (1, 1, 1, 2)
         assert best.volume == 3
         assert best.volume >= 1  # observed in this range, not asserted in general
 
     def test_empty_result_error(self):
-        with pytest.raises(EmptySearchError):
-            find_min_volume(3, 4)  # five positive weights cannot sum to 4
-        with pytest.raises(EmptySearchError):
-            find_min_volume(2, 8, vanishing=3)  # needs min weight >= 4, sum >= 16
+        assert search_records(3, 4) == []  # five positive weights cannot sum to 4
+        assert search_records(2, 8, vanishing=3) == []  # needs min weight >= 4, sum >= 16
 
     def test_vanishing_filter_requires_enough_genera(self):
         record = SearchRecord((1, 1, 1, 1), 5, 1, Fraction(5), (0,))
