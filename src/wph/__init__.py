@@ -40,7 +40,6 @@ from .hilbert import (
 from .hypersurface import (
     PointRecord,
     SingularityReport,
-    StratumEntry,
     WeightedHypersurface,
     singularity_report,
 )
@@ -53,7 +52,6 @@ from .singularity import (
     classify_quotient,
     parse_quotient,
     quotient_report,
-    reid_tai_min,
     reid_tai_sum,
 )
 
@@ -70,7 +68,6 @@ __all__ = [
     "SearchRecord",
     "SingularityClass",
     "SingularityReport",
-    "StratumEntry",
     "StratumRecord",
     "WeightedHypersurface",
     "Weights",
@@ -87,7 +84,6 @@ __all__ = [
     "plurigenera_table",
     "plurigenus",
     "quotient_report",
-    "reid_tai_min",
     "reid_tai_sum",
     "search_records",
     "singular_strata",

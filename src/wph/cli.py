@@ -30,7 +30,7 @@ from .families import (
     volume_witness,
 )
 from .hilbert import plurigenera_table
-from .hypersurface import WeightedHypersurface
+from .hypersurface import WeightedHypersurface, singularity_report
 from .singularity import parse_quotient, quotient_report
 
 STATUS_OK = 0
@@ -137,7 +137,7 @@ def _cmd_analyze(args) -> tuple[OutputDocument, int]:
     else:
         results["volume"] = "n/a (amplitude below 1)"
     try:
-        report = x.singularity_report()
+        report = singularity_report(x)
     except NotWellFormedError:
         report = None
     results["well_formed"] = report is not None
@@ -153,11 +153,12 @@ def _cmd_analyze(args) -> tuple[OutputDocument, int]:
                 member = "met (no transverse direction matches the degree residue)"
             elif p.meets_member:
                 member = f"met, member type {p.member_type} ({p.member_class})"
-            points.append(f"i={p.index} {p.ambient_type} ambient={p.ambient_class}; {member}")
+            ambient = report.classes[p.ambient_type.order]
+            points.append(f"i={p.index} {p.ambient_type} ambient={ambient}; {member}")
         results["singular_points"] = points
         if report.strata:
             results["singular_strata"] = [
-                f"indices={list(s.indices)} order={s.order} ambient={s.ambient_class}"
+                f"indices={list(s.indices)} order={s.order} ambient={report.classes[s.order]}"
                 for s in report.strata
             ]
     else:

@@ -154,8 +154,6 @@ class Weights:
         return chain.from_iterable(starmap(repeat, self.runs))
 
     def __getitem__(self, i: int) -> int:
-        if isinstance(i, slice):
-            return self.entries[i]
         index = i + self._length if i < 0 else i
         if not 0 <= index < self._length:
             raise IndexError(i)

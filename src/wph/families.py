@@ -248,7 +248,7 @@ def volume_witness(
         raise ParameterError(f"r and s must be coprime, got gcd={math.gcd(r, s)}")
 
     if b is None:
-        b = next(b for b in range(1, s + 1) if (b * r) % s == 1 % s)
+        b = pow(r, -1, s) or 1  # the least b >= 1 with b*r = 1 mod s (s = 1 gives 0)
         while r * b <= 1:
             # unit-weight count m = a(rb-1) - s - b - 1 cannot reach 1 for any a
             b += s

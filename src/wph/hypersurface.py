@@ -33,8 +33,9 @@ Sing P is the union of the sub-spaces P(a_i : h | a_i), one per order h > 1
 (Iano-Fletcher 2000, §8-10), and `core.order_residues` gives the germ of
 each order.  `member_canonical` removes a residue-d direction from that germ,
 never walking index subsets, on the premise of quasi-smoothness.
-`singularity_report` takes its ambient classes from the same germs and its
-member verdict from `member_canonical`, None unless quasi-smooth.
+`singularity_report` keeps one ambient class per order (`classes`, from
+`singularity.order_classes`) and takes its member verdict from
+`member_canonical`, None unless quasi-smooth.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ from fractions import Fraction
 from . import config
 from .core import (
     CyclicQuotientSingularity,
+    StratumRecord,
     Weights,
     order_residues,
     singular_strata,
     strata_orders,
-    well_formed,
 )
-from .errors import NotWellFormedError
 from .hilbert import reaches, with_value
-from .singularity import SingularityClass, classify_quotient
+from .singularity import SingularityClass, classify_quotient, order_classes, require_well_formed
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,6 @@ class WeightedHypersurface:
                 return False
         return True
 
-    def singularity_report(self) -> "SingularityReport":
-        return singularity_report(self)
-
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -206,25 +203,16 @@ class PointRecord:
 
     index: int
     ambient_type: CyclicQuotientSingularity
-    ambient_class: SingularityClass
     meets_member: bool
     member_type: CyclicQuotientSingularity | None
     member_class: SingularityClass | None
 
 
 @dataclass(frozen=True)
-class StratumEntry:
-    """A singular stratum on two or more coordinates; met by any ample member."""
-
-    indices: tuple[int, ...]
-    order: int
-    ambient_class: SingularityClass
-
-
-@dataclass(frozen=True)
 class SingularityReport:
     points: tuple[PointRecord, ...]
-    strata: tuple[StratumEntry, ...]
+    strata: tuple[StratumRecord, ...]  # the singular strata on two or more coordinates
+    classes: dict[int, SingularityClass]  # stratum order -> ambient class of its germ
     ambient_canonical: bool
     quasi_smooth: bool
     member_canonical: bool | None  # a verdict only when quasi-smooth
@@ -234,36 +222,33 @@ def singularity_report(x: WeightedHypersurface) -> SingularityReport:
     """Classify ambient singularities and how the general member meets them.
 
     Points (coordinate points of weight > 1) and larger strata are listed
-    from `singular_strata`; each takes the ambient class of its order's germ
-    (`core.order_residues`), and every order has a stratum, so those classes
-    also give `ambient_canonical`.  A point prints its own ambient type.
-    `member_canonical` is None unless the member is quasi-smooth, which is
-    decided first, so its cap speaks first.
+    from `singular_strata`; `classes` maps each stratum order to its ambient
+    class (`singularity.order_classes`), and every order has a stratum, so
+    they also give `ambient_canonical`.  Inputs are checked, and caps speak,
+    in this order: well-formedness, quasi-smoothness, the strata listing,
+    the Reid-Tai scans.  `member_canonical` is None unless quasi-smooth.
     """
     w = x.weights
-    if not well_formed(w):
-        raise NotWellFormedError(f"weights {w} are not well-formed")
+    require_well_formed(w)
     qs = x.quasi_smooth()
+    strata = singular_strata(w)
+    classes = order_classes(w)
 
-    points, strata, classes = [], [], {}
-    for stratum in singular_strata(w):
-        indices, h = stratum.indices, stratum.order
-        if h not in classes:
-            order_germ = CyclicQuotientSingularity(h, runs=order_residues(w, h).items())
-            classes[h] = classify_quotient(order_germ)
-        if len(indices) > 1:
-            strata.append(StratumEntry(indices, h, classes[h]))
-            continue
-        k = indices[0]
-        ambient = CyclicQuotientSingularity(h, runs=w.runs_without(k))
+    points = []
+    for stratum in strata:
+        if len(stratum.indices) > 1:
+            break  # listed by size: the points come first
+        k = stratum.indices[0]
+        ambient = CyclicQuotientSingularity(stratum.order, runs=w.runs_without(k))
         met = x.contains_coordinate_point(k)
         germ = x.member_type_at(k) if met else None
         member_class = classify_quotient(germ) if germ is not None else None
-        points.append(PointRecord(k, ambient, classes[h], met, germ, member_class))
+        points.append(PointRecord(k, ambient, met, germ, member_class))
 
     return SingularityReport(
         points=tuple(points),
-        strata=tuple(strata),
+        strata=tuple(strata[len(points):]),
+        classes=classes,
         ambient_canonical=all(c.is_canonical for c in classes.values()),
         quasi_smooth=qs,
         member_canonical=x.member_canonical() if qs else None,

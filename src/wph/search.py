@@ -141,14 +141,6 @@ def _evaluate(
     return SearchRecord(weights, degree, amplitude, x.volume(), genera)
 
 
-def _check_budget(member_dim: int, max_weight_sum: int, amplitude: int) -> None:
-    if member_dim < 2:
-        raise ValueError("member dimension must be >= 2")
-    if amplitude < 1:
-        raise ValueError("amplitude must be >= 1")
-    config.require("WPH_SEARCH_SUM_CAP", max_weight_sum, f"weight-sum bound {max_weight_sum}")
-
-
 def _leading_records(
     leading: int, length: int, max_sum: int, amplitude: int, up_to: int
 ) -> Iterator[SearchRecord]:
@@ -162,7 +154,11 @@ def _batches(
     member_dim: int, max_weight_sum: int, amplitude: int, up_to: int
 ) -> list[tuple[int, int, int, int, int]]:
     """One batch per leading weight; serial and pooled searches run the same."""
-    _check_budget(member_dim, max_weight_sum, amplitude)
+    if member_dim < 2:
+        raise ValueError("member dimension must be >= 2")
+    if amplitude < 1:
+        raise ValueError("amplitude must be >= 1")
+    config.require("WPH_SEARCH_SUM_CAP", max_weight_sum, f"weight-sum bound {max_weight_sum}")
     length = member_dim + 2
     return [
         (lead, length, max_weight_sum, amplitude, up_to)

@@ -11,11 +11,12 @@ total below r.  Inputs where some multiplier acts as a quasi-reflection (at
 most one coordinate moved) are flagged for reporting but classified by the
 same rule.
 
-`ambient_canonical` decides whether a well-formed weighted projective space
-has only canonical singularities by classifying one germ per stratum order h
-(`core.strata_orders`), whose type `core.order_residues` gives: every stratum
-of order h has it.  `ambient_canonical_bruteforce` re-derives the same verdict
-from every singular stratum, by index, and serves as its oracle.
+`order_classes` is the one place that classifies the ambient germ of each
+stratum order h (`core.strata_orders`), whose type `core.order_residues`
+gives: every stratum of order h has it.  `ambient_canonical` and
+`hypersurface.singularity_report` read its table, and
+`ambient_canonical_bruteforce`, their oracle, classifies every singular
+stratum by index.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ __all__ = [
     "SingularityClass",
     "QuotientReport",
     "reid_tai_sum",
-    "reid_tai_min",
     "classify_quotient",
     "quotient_report",
+    "order_classes",
     "ambient_canonical",
     "ambient_canonical_bruteforce",
     "parse_quotient",
@@ -142,13 +143,6 @@ def reid_tai_sum(s: CyclicQuotientSingularity, j: int) -> Fraction:
     return Fraction(sum(count * ((j * b) % r) for b, count in s.runs), r)
 
 
-def reid_tai_min(s: CyclicQuotientSingularity) -> Fraction:
-    """Minimum of reid_tai_sum over every multiplier j in [1, r-1]."""
-    if s.order < 2:
-        raise ValueError("order-1 quotients are smooth; no multipliers to scan")
-    return Fraction(_scan(s)[0], s.order)
-
-
 def classify_quotient(s: CyclicQuotientSingularity) -> SingularityClass:
     """Classify via the criterion: min > 1 terminal, = 1 canonical, < 1 neither.
 
@@ -186,29 +180,34 @@ def quotient_report(s: CyclicQuotientSingularity) -> QuotientReport:
     )
 
 
-def _require_well_formed(w: Weights) -> None:
+def require_well_formed(w: Weights) -> None:
     if not well_formed(w):
         raise NotWellFormedError(f"weights {w} are not well-formed")
 
 
+def order_classes(w: Weights | Iterable[int]) -> dict[int, SingularityClass]:
+    """Stratum order h -> the class of every stratum of order h (module docstring),
+    largest h first, so a `WPH_ORDER_CAP` breach names an order enough for all."""
+    weights = Weights.coerce(w)
+    return {
+        h: classify_quotient(CyclicQuotientSingularity(h, runs=order_residues(weights, h).items()))
+        for h in reversed(strata_orders(weights))
+    }
+
+
 def ambient_canonical(w: Weights | Iterable[int]) -> bool:
     """True when every singular stratum of the (well-formed) space is canonical:
-    one germ per stratum order, see the module docstring.  Non-well-formed
-    input is rejected, not rescaled."""
+    one germ per stratum order (`order_classes`).  Non-well-formed input is
+    rejected, not rescaled."""
     weights = Weights.coerce(w)
-    _require_well_formed(weights)
-    return all(
-        classify_quotient(
-            CyclicQuotientSingularity(h, runs=order_residues(weights, h).items())
-        ).is_canonical
-        for h in strata_orders(weights)
-    )
+    require_well_formed(weights)
+    return all(c.is_canonical for c in order_classes(weights).values())
 
 
 def ambient_canonical_bruteforce(w: Weights | Iterable[int]) -> bool:
     """Oracle for `ambient_canonical`: classify every singular stratum."""
     weights = Weights.coerce(w)
-    _require_well_formed(weights)
+    require_well_formed(weights)
     for stratum in singular_strata(weights):
         k = stratum.indices[0]
         q = CyclicQuotientSingularity(stratum.order, runs=weights.runs_without(k))

@@ -33,7 +33,7 @@ from wph.singularity import (
     ambient_canonical,
     ambient_canonical_bruteforce,
     classify_quotient,
-    reid_tai_min,
+    quotient_report,
 )
 
 
@@ -244,7 +244,7 @@ def test_criterion_9_reid_tai_unit_classifications():
         weights = tuple(rng.randint(0, 4 * r) for _ in range(m))
         q = CyclicQuotientSingularity(r, weights)
         reference = classify_quotient(q)
-        ok = ok and reid_tai_min(q) == reid_tai_min(_reduced(q))
+        ok = ok and quotient_report(q).minimum == quotient_report(_reduced(q)).minimum
         ok = ok and classify_quotient(_reduced(q)) == reference
         perm = list(weights)
         rng.shuffle(perm)

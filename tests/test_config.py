@@ -9,9 +9,9 @@ from wph import config
 from wph.core import CyclicQuotientSingularity, Weights, parse_runs, singular_strata
 from wph.errors import BudgetError
 from wph.hilbert import monomial_count, values_present_below, variables_present
-from wph.hypersurface import WeightedHypersurface
+from wph.hypersurface import WeightedHypersurface, singularity_report
 from wph.search import search_records
-from wph.singularity import classify_quotient
+from wph.singularity import classify_quotient, order_classes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wph"
 
@@ -34,6 +34,8 @@ SITES = [
         12,
         lambda: classify_quotient(CyclicQuotientSingularity(12, (1, 5))),
     ),
+    # orders 6 and 7: the breach names 7, which is enough for both scans
+    ("order classes", "WPH_ORDER_CAP", 5, 7, lambda: order_classes((1, 1, 7, 6))),
     ("search sum", "WPH_SEARCH_SUM_CAP", 11, 12, lambda: search_records(2, 12)),
     (
         "reachability table",
@@ -59,6 +61,24 @@ def test_each_cap_site_names_its_variable_and_the_value_needed(
     )
     monkeypatch.setenv(name, str(needed))
     call()  # the value needed is enough
+
+
+# (weights, degree, WPH_SUBSET_CAP, WPH_ORDER_CAP, the need that speaks first)
+PRECEDENCE = [
+    ((1, 1, 5, 6, 7), 21, 2, 4, "4 distinct weights"),  # quasi-smoothness before the scans
+    ((1, 1, 2, 2, 2, 3), 11, 3, 1, "4 weights exceed 1"),  # the strata listing before the scans
+]
+
+
+@pytest.mark.parametrize(
+    "entries, degree, subset_cap, order_cap, what", PRECEDENCE, ids=["quasi-smooth", "strata"]
+)
+def test_report_caps_speak_in_check_order(entries, degree, subset_cap, order_cap, what, monkeypatch):
+    monkeypatch.setenv("WPH_SUBSET_CAP", str(subset_cap))
+    monkeypatch.setenv("WPH_ORDER_CAP", str(order_cap))
+    with pytest.raises(BudgetError) as info:
+        singularity_report(WeightedHypersurface(Weights(entries), degree))
+    assert str(info.value).startswith(f"{what}, above the cap {subset_cap} (set WPH_SUBSET_CAP")
 
 
 def test_defaults():

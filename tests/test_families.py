@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import count, islice
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from wph.core import CyclicQuotientSingularity
 from wph.errors import ParameterError
@@ -220,6 +222,19 @@ class TestVolumeWitness:
         member = x.member_type_at(s_index)
         assert member == CyclicQuotientSingularity(7, (1,) * m + (rep.parameters["b"],))
         assert classify_quotient(member) == SingularityClass.TERMINAL
+
+    @given(st.integers(1, 10_000), st.integers(1, 200))
+    @example(1, 1)
+    @example(1, 2)
+    @example(7, 1)
+    @example(1, 200)
+    def test_default_b_is_the_least_inverse(self, r, s):
+        assume(math.gcd(r, s) == 1)
+        # the former linear scan, kept as the oracle of the modular inverse
+        b = next(b for b in range(1, s + 1) if (b * r) % s == 1 % s)
+        while r * b <= 1:
+            b += s
+        assert volume_witness(r, s).parameters["b"] == b
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ParameterError):

@@ -11,7 +11,7 @@ from wph.core import CyclicQuotientSingularity, Weights, singular_strata, well_f
 from wph.errors import BudgetError, NotWellFormedError
 from wph.families import volume_witness
 from wph.hypersurface import WeightedHypersurface, singularity_report
-from wph.singularity import SingularityClass, classify_quotient
+from wph.singularity import SingularityClass, ambient_canonical_bruteforce, classify_quotient
 
 
 def make(weights, degree, **kw):
@@ -370,7 +370,7 @@ class TestSingularityReport:
     def test_strata_entries(self):
         report = singularity_report(make((4, 5, 6, 7, 23), 46))
         assert [(s.indices, s.order) for s in report.strata] == [((0, 2), 2)]
-        assert report.strata[0].ambient_class == SingularityClass.TERMINAL
+        assert report.classes[report.strata[0].order] == SingularityClass.TERMINAL
         assert report.member_canonical is True
 
     def test_verdict_only_when_quasi_smooth(self):
@@ -400,6 +400,15 @@ class TestSingularityReport:
         for p in report.points:
             expected = member_type_by_index(entries, degree, p.index) if p.meets_member else None
             assert p.member_type == expected
+        # the one class per order is the class of every point and stratum of that order
+        w = Weights(entries)
+        located = [(p.index, p.ambient_type.order) for p in report.points]
+        located += [(s.indices[0], s.order) for s in report.strata]
+        assert sorted(report.classes) == sorted({order for _, order in located})
+        for k, order in located:
+            q = CyclicQuotientSingularity(order, runs=w.runs_without(k))
+            assert report.classes[order] == classify_quotient(q), (k, order)
+        assert report.ambient_canonical == ambient_canonical_bruteforce(entries)
 
 
 class TestVolumeFamilyBoundary:
@@ -422,8 +431,8 @@ class TestVolumeFamilyBoundary:
 
     def test_drop_not_always_at_s_minus_one(self):
         # m = s-1 can stay terminal: 1/3(1,1,2) has minimum 4/3
-        from wph.singularity import classify_quotient, reid_tai_min
+        from wph.singularity import classify_quotient, quotient_report
 
         q = CyclicQuotientSingularity(3, (1, 1, 2))
-        assert reid_tai_min(q) == Fraction(4, 3)
+        assert quotient_report(q).minimum == Fraction(4, 3)
         assert classify_quotient(q) == SingularityClass.TERMINAL

@@ -17,7 +17,6 @@ from wph.singularity import (
     classify_quotient,
     parse_quotient,
     quotient_report,
-    reid_tai_min,
     reid_tai_sum,
 )
 
@@ -54,19 +53,14 @@ def test_reid_tai_sum_rejects_bad_multiplier():
 
 
 def test_reid_tai_min_examples():
-    assert reid_tai_min(CyclicQuotientSingularity(2, (1, 1))) == 1
-    assert reid_tai_min(CyclicQuotientSingularity(3, (1, 2))) == 1
-    assert reid_tai_min(CyclicQuotientSingularity(2, (1, 1, 1))) == Fraction(3, 2)
-
-
-def test_reid_tai_min_rejects_order_one():
-    with pytest.raises(ValueError):
-        reid_tai_min(CyclicQuotientSingularity(1, (1, 1)))
+    assert quotient_report(CyclicQuotientSingularity(2, (1, 1))).minimum == 1
+    assert quotient_report(CyclicQuotientSingularity(3, (1, 2))).minimum == 1
+    assert quotient_report(CyclicQuotientSingularity(2, (1, 1, 1))).minimum == Fraction(3, 2)
 
 
 def test_order_budget():
     with pytest.raises(BudgetError):
-        reid_tai_min(CyclicQuotientSingularity(2_000_000, (1,)))
+        quotient_report(CyclicQuotientSingularity(2_000_000, (1,)))
 
 
 class TestClassify:
@@ -99,7 +93,7 @@ class TestClassify:
         for r in range(2, 51):
             q = CyclicQuotientSingularity(r, (1, r - 1))
             assert classify_quotient(q) == SingularityClass.CANONICAL_NOT_TERMINAL
-            assert reid_tai_min(q) == 1
+            assert quotient_report(q).minimum == 1
 
     def test_class_ordering(self):
         assert SingularityClass.TERMINAL.is_canonical
@@ -114,7 +108,7 @@ class TestClassify:
 
     @given(quotients)
     def test_consistent_with_min(self, q):
-        minimum = reid_tai_min(q)
+        minimum = quotient_report(q).minimum
         expected = (
             SingularityClass.TERMINAL
             if minimum > 1
@@ -134,7 +128,7 @@ class TestClassify:
     @given(quotients)
     def test_zero_residue_weight_is_inert(self, q):
         extended = CyclicQuotientSingularity(q.order, q.weights + (q.order,))
-        assert reid_tai_min(extended) == reid_tai_min(q)
+        assert quotient_report(extended).minimum == quotient_report(q).minimum
         assert classify_quotient(extended) == classify_quotient(q)
 
     def test_random_invariance_batch(self):
