@@ -40,7 +40,7 @@ never walking index subsets, on the premise of quasi-smoothness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config
@@ -58,19 +58,11 @@ from .singularity import SingularityClass, classify_quotient, order_classes, req
 
 @dataclass(frozen=True)
 class WeightedHypersurface:
-    """General hypersurface of degree `degree` in the space with `weights`.
-
-    `point_witnesses` is optional family knowledge: for a coordinate point
-    (by index) lying on the member, the index of the variable whose partial
-    derivative is nonvanishing there.  Removing that variable's weight from
-    the ambient quotient type gives the member's local type; without a
-    witness `member_type_at` removes the first variable whose weight matches
-    the degree residue.
-    """
+    """General hypersurface of degree `degree` in the space with `weights`; the
+    two are the whole object, and every local type is derived from them."""
 
     weights: Weights
     degree: int
-    point_witnesses: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", Weights.coerce(self.weights))
@@ -78,11 +70,6 @@ class WeightedHypersurface:
             raise ValueError("degree must be >= 1")
         if len(self.weights) < 3:
             raise ValueError("member dimension must be >= 1")
-        for point, witness in self.point_witnesses:
-            if not (0 <= point < len(self.weights) and 0 <= witness < len(self.weights)):
-                raise ValueError("witness indices out of range")
-            if point == witness:
-                raise ValueError("witness variable must differ from the point index")
 
     @property
     def amplitude(self) -> int:
@@ -144,31 +131,28 @@ class WeightedHypersurface:
         The member's tangent space there is the ambient chart minus one
         direction of residue d mod a_point (the degree character of the
         defining equation), so the type is the ambient point type with one
-        such variable removed.  A family-supplied witness names the removed
-        variable; otherwise the smallest index carrying an actual monomial
-        z_point^c * z_e of degree d is used.  Returns None when no direction
-        matches (the member is then not quasi-smooth at the point).  Both
-        coordinates are removed from the runs, so the cost is O(runs).
+        such variable removed: the smallest index e != point with
+        a_e = d mod a_point and a_e <= d, so that a monomial z_point^c * z_e
+        has degree d.  Returns None when no direction matches (the member is
+        then not quasi-smooth at the point).  Both coordinates are removed
+        from the runs, so the cost is O(runs).
         """
         a = self.weights[point]
         d = self.degree
-        witness = dict(self.point_witnesses).get(point)
-        if witness is None:
-            target = d % a
-            # the first index of a matching run, or its second if the first is the point
-            witness = next(
-                (
-                    e
-                    for start, w, count in self.weights.spans()
-                    if w % a == target and d - w >= 0
-                    for e in range(start, start + min(count, 2))
-                    if e != point
-                ),
-                None,
-            )
-            if witness is None:
-                return None
-        return CyclicQuotientSingularity(a, runs=self.weights.runs_without(point, witness))
+        # the first index of a matching run, or its second if the first is the point
+        removed = next(
+            (
+                e
+                for start, w, count in self.weights.spans()
+                if w % a == d % a and w <= d
+                for e in range(start, start + min(count, 2))
+                if e != point
+            ),
+            None,
+        )
+        if removed is None:
+            return None
+        return CyclicQuotientSingularity(a, runs=self.weights.runs_without(point, removed))
 
     def member_canonical(self) -> bool:
         """True when every singularity induced on the general member is canonical.

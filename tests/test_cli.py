@@ -56,6 +56,11 @@ class TestAnalyze:
         status, out = invoke(capsys, "analyze", "--weights", "1,1,1", "--degree", "2")
         assert status == 0
         assert "volume: n/a (amplitude below 1)" in out
+        status, out = invoke(
+            capsys, "analyze", "--weights", "1,1,1", "--degree", "2", "--plurigenera", "2"
+        )
+        assert status == 0
+        assert "plurigenera:\n  n/a (amplitude below 1)\n" in out
 
 
 class TestReidTai:
@@ -145,6 +150,7 @@ class TestVerify:
              "--l takes an integer or a range like 5..9, got '0..z'"),
             (["--family", "volume", "--q", ""], "--q takes a ratio like 5/7, got ''"),
             (["--family", "volume", "--q", "1/2,x"], "--q takes a ratio like 5/7, got 'x'"),
+            (["--family", "volume", "--q", "5/0"], "volume must be a ratio of positive integers"),
         ],
     )
     def test_malformed_range_or_ratio_names_the_flag(self, capsys, argv, message):

@@ -67,6 +67,8 @@ class TestWeights:
             Weights((1, 0))
         with pytest.raises(ValueError):
             Weights((1, -2))
+        with pytest.raises(IndexError):
+            Weights((1, 2))[2]
 
     def test_parse_round_trip(self):
         w = Weights.parse("4,5,6,7,23")

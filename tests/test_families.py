@@ -21,6 +21,7 @@ from wph.families import (
     volume_witness,
 )
 from wph.hilbert import plurigenera_table, plurigenus
+from wph.hypersurface import WeightedHypersurface
 from wph.singularity import SingularityClass, classify_quotient
 
 
@@ -239,6 +240,8 @@ class TestVolumeWitness:
     def test_rejects_non_coprime(self):
         with pytest.raises(ParameterError):
             volume_witness(2, 4)
+        with pytest.raises(ParameterError, match="volume must be a ratio of positive integers"):
+            volume_witness(0, 5)
 
     def test_rejects_bad_overrides(self):
         with pytest.raises(ParameterError):
@@ -247,6 +250,8 @@ class TestVolumeWitness:
             volume_witness(1, 2, a=2, b=3)  # gcd(a, s) = 2
         with pytest.raises(ParameterError):
             volume_witness(1, 2, a=3, b=3)  # gcd(a, b) = 3
+        with pytest.raises(ParameterError, match="parameters give -4 unit weights"):
+            volume_witness(1, 2, a=1, b=3)  # m = a(rb - 1) - s - b - 1
 
     def test_rejects_b_that_admits_no_a(self):
         # r*b = 1 leaves m = -s - 2 unit weights for every a
@@ -350,6 +355,10 @@ class TestVerifyAll:
         everything = verify_all()
         by_family = [r for fid in FAMILY_IDS for r in verify_family(fid)]
         assert everything == by_family
+        # a member is its weights and degree: equal to the plain hypersurface
+        for r in everything:
+            x = r.hypersurface
+            assert x == WeightedHypersurface(x.weights, x.degree), str(x)
         assert [r.parameters["n"] for r in verify_family("thm4")] == list(range(7, 31))
         assert len(verify_family("prop")) == 25
 

@@ -90,6 +90,7 @@ class TestMonomialCount:
 
     def test_edge_degrees(self):
         assert monomial_count((2, 3), -1) == 0
+        assert monomial_count_enum((2, 3), -1) == 0
         assert monomial_count((2, 3), 0) == 1
         assert monomial_count((2, 3), 1) == 0
 
@@ -100,6 +101,11 @@ class TestMonomialCount:
 
     def test_accepts_weights_object(self):
         assert monomial_count(Weights((2, 3)), 6) == 2
+
+    def test_rejects_degenerate_weights(self):
+        for weights in [(0, 2), ()]:
+            with pytest.raises(ValueError):
+                monomial_count(weights, 3)
 
     def test_table_budget(self, monkeypatch):
         monkeypatch.setenv("WPH_TABLE_CAP", "10")
@@ -228,6 +234,8 @@ class TestVariablesPresent:
         assert variables_present((1, 1, 2, 5), 4) == {0, 1, 2}
         assert variables_present((2, 2, 2, 2, 3, 3, 3, 6, 6), 5) == {0, 1, 2, 3, 4, 5, 6}
         assert variables_present((1, 1, 2, 5), 0) == set()
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            variables_present((2, 3), -1)
 
     @given(small_weights, st.integers(0, 25))
     def test_membership_matches_count_definition(self, weights, t):
@@ -243,6 +251,10 @@ class TestPlurigenus:
         assert [plurigenus(x, m) for m in (1, 2, 3)] == [0, 0, 0]
         assert plurigenus(x, 4) == 1
         assert plurigenera_table(x, 4) == (0, 0, 0, 1)
+        with pytest.raises(ValueError, match="plurigenus index must be >= 1"):
+            plurigenus(x, 0)
+        with pytest.raises(ValueError, match="up_to must be >= 0"):
+            plurigenera_table(x, -1)
 
     def test_consecutive_family_k2(self):
         x = WeightedHypersurface(Weights((2, 2, 2, 2, 3, 3, 3)), 18)

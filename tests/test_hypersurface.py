@@ -14,8 +14,8 @@ from wph.hypersurface import WeightedHypersurface, singularity_report
 from wph.singularity import SingularityClass, ambient_canonical_bruteforce, classify_quotient
 
 
-def make(weights, degree, **kw):
-    return WeightedHypersurface(Weights(weights), degree, **kw)
+def make(weights, degree):
+    return WeightedHypersurface(Weights(weights), degree)
 
 
 def quasi_smooth_bruteforce(weights, degree):
@@ -154,12 +154,6 @@ class TestQuasiSmoothOracle:
 
 
 class TestMemberTypes:
-    def test_witness_removal(self):
-        x = make(
-            (1, 1, 1, 1, 5, 2, 3), 15, point_witnesses=((5, 4),)
-        )  # at the weight-2 point remove the weight-5 variable
-        assert x.member_type_at(5) == CyclicQuotientSingularity(2, (1, 1, 1, 1, 3))
-
     def test_generic_removal_matches_degree_residue(self):
         x46 = make((4, 5, 6, 7, 23), 46)
         # at the weight-6 point the lost direction has residue 46 mod 6 = 4
@@ -213,22 +207,21 @@ def canonical_by_index(weights, degree):
     return induced is not None and all(classify_quotient(q).is_canonical for _, q in induced)
 
 
-def member_type_by_index(weights, degree, point, witness=None):
-    """`member_type_at` read per coordinate: drop the point and the witness,
-    by default the first other index e with a_e = d mod a_point and a_e <= d."""
+def member_type_by_index(weights, degree, point):
+    """`member_type_at` read per coordinate: drop the point and the first
+    other index e with a_e = d mod a_point and a_e <= d."""
     a = weights[point]
-    if witness is None:
-        witness = next(
-            (
-                e
-                for e, w in enumerate(weights)
-                if e != point and w % a == degree % a and w <= degree
-            ),
-            None,
-        )
-        if witness is None:
-            return None
-    rest = tuple(w for i, w in enumerate(weights) if i not in (point, witness))
+    removed = next(
+        (
+            e
+            for e, w in enumerate(weights)
+            if e != point and w % a == degree % a and w <= degree
+        ),
+        None,
+    )
+    if removed is None:
+        return None
+    rest = tuple(w for i, w in enumerate(weights) if i not in (point, removed))
     return CyclicQuotientSingularity(a, rest)
 
 
@@ -278,16 +271,6 @@ class TestMemberTypeRuns:
         for point in range(len(entries)):
             assert x.member_type_at(point) == member_type_by_index(entries, degree, point)
 
-    @given(repeated_tuples, st.integers(1, 90), st.data())
-    def test_witness_removal_matches_index_removal(self, entries, degree, data):
-        n = len(entries)
-        point = data.draw(st.integers(0, n - 1))
-        witness = data.draw(st.integers(0, n - 1).filter(lambda e: e != point))
-        x = make(entries, degree, point_witnesses=((point, witness),))
-        assert x.member_type_at(point) == member_type_by_index(
-            entries, degree, point, witness
-        )
-
     @pytest.mark.parametrize(
         "r,s,text",
         [
@@ -302,10 +285,6 @@ class TestMemberTypeRuns:
         entries = x.weights.entries
         s_index = rep.parameters["unit_weights"] + 1
         assert x.member_type_at(s_index) == member_type_by_index(
-            entries, x.degree, s_index, s_index - 1
-        )
-        plain = WeightedHypersurface(x.weights, x.degree)
-        assert plain.member_type_at(s_index) == member_type_by_index(
             entries, x.degree, s_index
         )
 
@@ -340,11 +319,12 @@ class TestMemberCanonicalOracle:
 
 class TestSingularityReport:
     def test_x15_report(self):
-        x = make((1, 1, 1, 1, 5, 2, 3), 15, point_witnesses=((5, 4),))
+        x = make((1, 1, 1, 1, 5, 2, 3), 15)
         report = singularity_report(x)
         met = [p for p in report.points if p.meets_member]
         assert [p.index for p in met] == [5]
-        assert met[0].member_type == CyclicQuotientSingularity(2, (1, 1, 1, 1, 3))
+        # 15 mod 2 = 1: the first unit coordinate is the removed direction
+        assert met[0].member_type == CyclicQuotientSingularity(2, (1, 1, 1, 5, 3))
         assert met[0].member_class == SingularityClass.TERMINAL
         assert report.quasi_smooth and report.member_canonical is True
 
@@ -400,6 +380,13 @@ class TestSingularityReport:
         for p in report.points:
             expected = member_type_by_index(entries, degree, p.index) if p.meets_member else None
             assert p.member_type == expected
+        # the report cannot contradict itself: a quasi-smooth member has a type
+        # at every met point, and a canonical verdict covers every met point
+        met = [p for p in report.points if p.meets_member]
+        if report.quasi_smooth:
+            assert all(p.member_type is not None for p in met)
+        if report.member_canonical is True:
+            assert all(p.member_class.is_canonical for p in met)
         # the one class per order is the class of every point and stratum of that order
         w = Weights(entries)
         located = [(p.index, p.ambient_type.order) for p in report.points]

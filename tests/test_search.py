@@ -85,6 +85,10 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             search_records(2, 10, jobs=0)
 
+    def test_rejects_amplitude_below_one(self):
+        with pytest.raises(ValueError, match="amplitude must be >= 1"):
+            search_records(2, 12, amplitude=0)
+
 
 class TestDegreeDrivenGenerator:
     @pytest.mark.parametrize("member_dim", [2, 3, 4])

@@ -326,6 +326,9 @@ def test_parse_and_format():
         parse_quotient("2/3(1)")
     with pytest.raises(ValueError):
         parse_quotient("1/6()")
+    for order, weights in [(0, (1, 2)), (3, ()), (3, (1, -1))]:
+        with pytest.raises(ValueError):
+            CyclicQuotientSingularity(order, weights)
 
 
 def test_consecutive_weight_coordinate_points_canonical():
