@@ -4,9 +4,14 @@ A quotient 1/r(b_1, ..., b_m) is canonical if and only if
 
     (1/r) * sum_i ((j * b_i) mod r)  >=  1    for every j in [1, r-1],
 
-and terminal when the inequality is strict for every j.  The scan runs over
-all j, with no coprimality restriction, a block of consecutive j at a time in
-exact integers; a verdict-only scan stops after the first block holding a
+and terminal when the inequality is strict for every j.  The scan reads the
+total T(j) at j and at r - j together, so it visits only j in [1, r//2]:
+(r - j) * b = -j * b mod r gives T(r - j) = r * (coordinates j moves) - T(j).
+Residues b and r - b add up to r wherever they move, so each such pair folds
+into one term; pairs are the normal case, since every 3-fold terminal point
+is 1/r(a, -a, b) (the terminal lemma, Morrison-Stevens 1984).  There is no
+coprimality restriction on j; the j come a block at a time in exact
+integers, and a verdict-only scan stops after the first block holding a
 total below r.  Inputs where some multiplier acts as a quasi-reflection (at
 most one coordinate moved) are flagged for reporting but classified by the
 same rule.
@@ -25,7 +30,8 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import gcd
+from operator import add, sub
 from typing import Iterable
 
 from . import config
@@ -86,12 +92,15 @@ _CLASS_NAMES = {
 
 
 def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, int, bool]:
-    """One pass over the multipliers j in [1, r-1] of 1/r(b), `_BLOCK` at a time.
+    """One pass over j in [1, r//2], `_BLOCK` at a time, each read with r - j.
 
-    Returns the least total sum_i ((j * b_i) mod r), the first j attaining it,
-    and whether some j moves at most one coordinate.  A block's totals are
-    built a residue column at a time by `map`, so memory is O(_BLOCK) for any
-    r.  With `stop_below` the pass ends after the first block holding a total
+    Returns the least total T(j) over j in [1, r-1], the first j attaining
+    it, and whether some j moves at most one coordinate.  A class {rho,
+    r - rho} with c1 >= c2 copies adds (c1 - c2) * ((j * rho) mod r) + c2 * r
+    to T(j) (module docstring), its r-terms dropping at the multiples of
+    q = r / gcd(rho, r).  A block's column sums are built by `map`, so memory
+    is O(_BLOCK) for any r; with every residue prime to r no term drops.
+    With `stop_below` the pass ends after the first block holding a total
     below r, where the verdict is already known.
     """
     r = s.order
@@ -100,30 +109,56 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
     residues: dict[int, int] = {}
     for b, count in s.runs:
         residues[b % r] = residues.get(b % r, 0) + count
-    counts = residues.items()
-    # cnt * ((j * rho) mod r) == (j * rho * cnt) mod (r * cnt): one column per
-    # nonzero residue, read off an arithmetic progression
-    columns = [(rho * cnt, r * cnt) for rho, cnt in counts if rho]
-    best, best_j, reflection = r * sum(residues.values()), 0, False
-    for lo in range(1, r, _BLOCK):
-        hi = min(lo + _BLOCK, r)
-        totals = [0] * (hi - lo)
+    # T(j) = pairs + low(j) and T(r - j) = moved - high(j), where low and high
+    # are the column sums less and plus the terms of q at j = 0 mod q
+    columns, pairs, moved, periodic = [], 0, 0, []
+    for rho, c1 in residues.items():
+        if not rho:
+            continue
+        c2 = residues.get(r - rho, 0) if 2 * rho != r else 0
+        if c2 > c1 or c2 == c1 and rho < r - rho:
+            continue  # read with its mirror
+        if c1 > c2:
+            # cnt * ((j * rho) mod r) == (j * rho * cnt) mod (r * cnt)
+            columns.append((rho * (c1 - c2), r * (c1 - c2)))
+        pairs, moved = pairs + r * c2, moved + r * c1
+        q = r // gcd(rho, r)
+        if q < r:
+            periodic.append((q, r * c2, r * c1))
+    # j = 1 moves every coordinate that any j moves
+    best, best_j = second, second_j = r * sum(residues.values()), 0
+    reflection = pairs + moved <= r
+    half = r // 2 + 1
+    for lo in range(1, half, _BLOCK):
+        hi = min(lo + _BLOCK, half)
+        low = []
         for step, modulus in columns:
             column = map(modulus.__rmod__, range(lo * step, hi * step, step))
-            totals = list(map(add, totals, column))
-        low = min(totals)
-        if low < best:
-            best, best_j = low, lo + totals.index(low)
-        # moving at most one coordinate forces a total below r
-        if low < r:
+            low = list(map(add, low, column) if low else column)
+        low = low or [0] * (hi - lo)
+        high = low
+        if periodic:
+            high = low[:]
+            for q, p, m in periodic:
+                k = -lo % q
+                if p:
+                    low[k::q] = map(p.__rsub__, low[k::q])
+                high[k::q] = map(m.__add__, high[k::q])
+        least, most = pairs + min(low), moved - max(high)
+        if least < best:
+            best, best_j = least, lo + low.index(least - pairs)
+        # the first least T(r - j) is at the last j holding the most
+        if most <= second:
+            second, second_j = most, r - hi + 1 + high[::-1].index(moved - most)
+        if least < r or most < r:
             if stop_below:
                 break
-            if not reflection:
-                reflection = any(
-                    sum(cnt for rho, cnt in counts if (j * rho) % r) <= 1
-                    for j, total in enumerate(totals, lo)
-                    if total < r
-                )
+            if periodic and not reflection:
+                # r * (coordinates j moves) = T(j) + T(r - j)
+                floor = pairs + moved - r
+                reflection = any(map(floor.__le__, map(sub, high, low)))
+    if second < best:
+        best, best_j = second, second_j
     return best, best_j, reflection
 
 

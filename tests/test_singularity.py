@@ -39,6 +39,31 @@ repeated_quotients = st.builds(
 )
 
 
+@st.composite
+def shaped_quotients(draw):
+    """Quotients of the shapes the folded scan treats apart: complementary pairs
+    (b, r - b) with independent counts, r/2, residues sharing a factor with r
+    (terms periodic in j) and zero residues, at orders of both parities."""
+    r = draw(st.integers(2, 300))
+    runs = []
+    for shape in draw(st.lists(st.sampled_from(["pair", "half", "shared", "zero", "any"]),
+                               min_size=1, max_size=5)):
+        count = draw(st.integers(1, 4))
+        if shape == "pair":
+            b = draw(st.integers(1, r - 1))
+            runs += [(b, count), (r - b, draw(st.integers(1, 4)))]
+        elif shape == "half":
+            runs.append((r // 2, count))
+        elif shape == "shared":
+            f = draw(st.sampled_from([f for f in range(2, r + 1) if r % f == 0]))
+            runs.append((f * draw(st.integers(1, r // f)), count))
+        elif shape == "zero":
+            runs.append((r * draw(st.integers(0, 2)), count))
+        else:
+            runs.append((draw(st.integers(0, 2 * r)), count))
+    return CyclicQuotientSingularity(r, runs=runs)
+
+
 def test_reid_tai_sum_examples():
     assert reid_tai_sum(CyclicQuotientSingularity(2, (1, 1)), 1) == 1
     assert reid_tai_sum(CyclicQuotientSingularity(3, (1, 1)), 1) == Fraction(2, 3)
@@ -184,6 +209,11 @@ def test_quotient_report_on_runs_matches_plain_scan(q):
     assert_report_matches_plain_scan(q)
 
 
+@given(shaped_quotients())
+def test_quotient_report_on_shaped_quotients_matches_plain_scan(q):
+    assert_report_matches_plain_scan(q)
+
+
 def test_quotient_report_contents():
     rep = quotient_report(CyclicQuotientSingularity(3, (1, 1)))
     assert rep.sclass == SingularityClass.NOT_CANONICAL
@@ -216,13 +246,41 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize(
         "order",
-        [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, _next_prime(3 * _BLOCK)],
+        [
+            _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+            2 * _BLOCK + 2, _next_prime(3 * _BLOCK), 4 * _BLOCK + 2,
+        ],
     )
     def test_matches_plain_scan_across_blocks(self, order):
         rng = random.Random(order)
         for size in (2, 3, 5):
             weights = tuple(rng.randrange(order) for _ in range(size))
             assert_report_matches_plain_scan(CyclicQuotientSingularity(order, weights))
+        # with f the least prime factor of a composite r, residues f and r/f
+        # share it with r: their terms drop at j = 0 mod r/f and mod f, on both
+        # sides of a block edge
+        f = next(f for f in range(2, order + 1) if order % f == 0)
+        runs = ((f, 2), (order - f, 1), (order // f, 1), (rng.randrange(order), 1))
+        assert_report_matches_plain_scan(CyclicQuotientSingularity(order, runs=runs))
+
+    @pytest.mark.parametrize(
+        "order, weights, at",
+        [
+            (7, (1, 6, 3), 5),
+            (5, (2, 4, 4), 3),
+            (2 * _BLOCK + 1, (1, 2 * _BLOCK, 2), _BLOCK + 1),
+            (8460, (109, 6728, 6088), 4269),
+        ],
+    )
+    def test_least_total_only_past_half_the_order(self, order, weights, at):
+        # the least total lies past r/2 only: at r - 2; at r - 2 and r - 1, the
+        # first coming from the larger j; at r - _BLOCK, from the last j of block
+        # one; at r - 4191 and r - 2247, the first coming from the later block
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        assert totals.index(min(totals)) + 1 == at > order / 2
+        assert min(totals[: order // 2]) > min(totals)
+        assert quotient_report(q).at_multiplier == at
 
     def test_tied_minimum_keeps_the_first_block(self):
         # totals are r at j = p, 2p and r + (3j mod r) elsewhere
