@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import config
 from .core import (
@@ -164,7 +165,10 @@ class WeightedHypersurface:
         if h divides d, only the larger strata are met, unchanged (none exist
         when a single weight is divisible by h).  Premise: quasi-smoothness,
         decided first by the caller; clause (b) then makes every stratum of
-        order h lose the same residue, so these are the member's germs.
+        order h lose the same residue, so these are the member's germs.  Each
+        germ (h, sorted residue counts) is classified once per process, by a
+        bounded cache; `WPH_ORDER_CAP` is checked before the lookup, so a warm
+        cache never hides a lowered cap.
         """
         d = self.degree
         for h in strata_orders(self.weights):
@@ -175,10 +179,16 @@ class WeightedHypersurface:
                 residues[d % h] -= 1
             elif not residues[0]:
                 continue
-            germ = CyclicQuotientSingularity(h, runs=(+residues).items())
-            if not classify_quotient(germ).is_canonical:
+            config.require("WPH_ORDER_CAP", h, f"group order {h}")
+            if not _germ_class(h, tuple(sorted((+residues).items()))).is_canonical:
                 return False
         return True
+
+
+@lru_cache(maxsize=4096)
+def _germ_class(order: int, runs: tuple[tuple[int, int], ...]) -> SingularityClass:
+    """The class of 1/order(runs); `member_canonical` meets few distinct germs."""
+    return classify_quotient(CyclicQuotientSingularity(order, runs=runs))
 
 
 @dataclass(frozen=True)

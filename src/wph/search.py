@@ -10,23 +10,26 @@ minimum-volume records sit in ambients that are not canonical everywhere).
 Results are reported only up to the stated weight-sum bound; nothing here
 claims global minimality.
 
-Two cuts keep most tuples from ever becoming objects; neither changes the
-records.  Both rest on the singleton case of the quasi-smoothness criterion
-(see `wph.hypersurface`): for the value set {a_i} clause (a) says a_i | d and
-clause (b) needs some j with a_i | d - a_j, so every quasi-smooth member has
-each a_i dividing d or some d - a_j.  No linear cone escapes this, because
-amplitude >= 1 makes d larger than every weight.
+One generator cut keeps most tuples from ever becoming objects, without
+changing the records.  It is the singleton case of the quasi-smoothness
+criterion (see `wph.hypersurface`): for the value set {a_i} clause (a) says
+a_i | d and clause (b) needs some j with a_i | d - a_j, so every quasi-smooth
+member has each a_i dividing d or some d - a_j.  No linear cone escapes this,
+because amplitude >= 1 makes d larger than every weight.
 
-* Generator: the largest weight v is chosen from the degree.  With prefix
-  sum s, d = s + v + amplitude, so v | d iff v | s + amplitude and
-  v | d - a_j iff v | s + amplitude - a_j.  Only divisors of these (at most
-  one more than the prefix length) numbers are tried, in ascending order, so
-  the tuples still come in lexicographic order.  Each number lies in
+* The largest weight v is chosen from the degree.  With s the sum of the
+  other weights, d = s + v + amplitude, so v | d iff v | s + amplitude and
+  v | d - a_j iff v | s + amplitude - a_j.  Only divisors of these numbers
+  are tried, in ascending order.  Each number lies in
   [amplitude, amplitude + max_sum]; the divisor table is indexed by
   number - amplitude and keeps divisors <= max_sum, so its size does not
   grow with the amplitude.
-* Prefilter: the same condition for every weight is tested on raw ints
-  before `Weights` or `WeightedHypersurface` is built.
+* Every other weight is tested on raw ints.  The head (all but the two
+  largest weights u <= v) carries, for each of its values a > 1, the set
+  {b mod a : b in head} | {0}, built once per head; u gets its own set once
+  per (head, u), unless u | s + amplitude already lets it pass.  The tuple
+  passes iff d mod a lies in a's set or equals u mod a or v mod a.  Heads,
+  u and v ascend, so the tuples still come in lexicographic order.
 """
 
 from __future__ import annotations
@@ -95,40 +98,37 @@ def _divisor_table(max_sum: int, amplitude: int) -> list[list[int]]:
 def _degree_tuples(
     leading: int, length: int, max_sum: int, amplitude: int
 ) -> Iterator[tuple[int, ...]]:
-    """The tuples starting with `leading` whose largest weight v can pass the
-    singleton case of the quasi-smoothness criterion, in lexicographic order:
-    v divides s + amplitude or some s + amplitude - a_j, s the prefix sum."""
+    """The tuples starting with `leading` whose every weight passes the singleton
+    case of the quasi-smoothness criterion (module docstring), in lexicographic
+    order: the heads come from `_nondecreasing_tuples`, u and v ascend."""
     table = _divisor_table(max_sum, amplitude)
-    for middle in _nondecreasing_tuples(length - 2, max_sum - leading, leading, 1):
-        prefix = (leading,) + middle
-        s = sum(prefix)
-        lo, hi = prefix[-1], max_sum - s
-        keys = {s}.union(s - a for a in prefix)
-        for v in sorted({t for k in keys for t in table[k] if lo <= t <= hi}):
-            yield prefix + (v,)
-
-
-def _singleton_condition(weights: tuple[int, ...], degree: int) -> bool:
-    """Every a_i divides d or divides d - a_j for some j: the one-value case of
-    the quasi-smoothness criterion, hence necessary for `quasi_smooth` when d
-    exceeds every weight (no linear cone)."""
-    for a in set(weights):
-        r = degree % a
-        if r:
-            for b in weights:
-                if b % a == r:  # a | d - b
-                    break
-            else:
-                return False
-    return True
+    for middle in _nondecreasing_tuples(length - 3, max_sum - leading, leading, 2):
+        head = (leading,) + middle
+        t = sum(head)
+        # a value a > 1 of the head -> {b mod a : b in head} | {0}
+        head_sets = [(a, {b % a for b in head} | {0}) for a in set(head) if a > 1]
+        gaps = (0, *set(head))
+        for u in range(head[-1], (max_sum - t) // 2 + 1):
+            s = t + u
+            e = s + amplitude  # d - v
+            sets = head_sets
+            if u > 1 and e % u and u != head[-1]:  # else u passes, or has its set
+                sets = head_sets + [(u, {b % u for b in head} | {0})]
+            hi = max_sum - s
+            # divisors of d - v - g, so that v | d - g, for g = 0, u or a head weight
+            for v in sorted({w for g in (u, *gaps) for w in table[s - g] if u <= w <= hi}):
+                for a, residues in sets:
+                    r = (e + v) % a
+                    if r not in residues and r != u % a and r != v % a:
+                        break
+                else:
+                    yield head + (u, v)
 
 
 def _evaluate(
     weights: tuple[int, ...], amplitude: int, plurigenera_up_to: int
 ) -> SearchRecord | None:
     degree = sum(weights) + amplitude
-    if not _singleton_condition(weights, degree):
-        return None  # raw-int prefilter: no object is built for most tuples
     w = Weights(weights)
     if not well_formed(w):
         return None

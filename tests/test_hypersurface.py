@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wph.hypersurface
 from wph.core import CyclicQuotientSingularity, Weights, singular_strata, well_formed
 from wph.errors import BudgetError, NotWellFormedError
 from wph.families import volume_witness
@@ -315,6 +316,44 @@ class TestMemberCanonicalOracle:
                         ), (entries, degree)
                         checked += 1
         assert checked == 2600
+
+
+@pytest.fixture(scope="module")
+def quasi_smooth_members():
+    """Every well-formed, quasi-smooth member with 4-6 weights of sum <= 24
+    and amplitude 1-4 (1,869 of them, 1,106 not member-canonical): the pool
+    the germ-cache differential draws from."""
+    return [
+        (entries, sum(entries) + amplitude)
+        for length in (4, 5, 6)
+        for entries in combinations_with_replacement(range(1, 22), length)
+        if sum(entries) <= 24 and well_formed(Weights(entries))
+        for amplitude in (1, 2, 3, 4)
+        if make(entries, sum(entries) + amplitude).quasi_smooth()
+    ]
+
+
+class TestGermCache:
+    """`member_canonical` classifies each germ once per process."""
+
+    @given(data=st.data())
+    def test_cached_verdicts_match_uncached_ones(self, quasi_smooth_members, data):
+        entries, degree = data.draw(st.sampled_from(quasi_smooth_members))
+        x = make(entries, degree)
+        cached = x.member_canonical()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wph.hypersurface, "_germ_class", wph.hypersurface._germ_class.__wrapped__)
+            assert x.member_canonical() == cached
+        assert canonical_by_index(entries, degree) == cached  # no germ cache at all
+
+    def test_a_warm_cache_does_not_hide_a_lowered_order_cap(self, monkeypatch):
+        x = make((4, 5, 6, 7, 23), 46)
+        assert x.member_canonical()  # every germ of x is now cached
+        monkeypatch.setenv("WPH_ORDER_CAP", "6")
+        with pytest.raises(BudgetError, match="group order 7.*WPH_ORDER_CAP"):
+            x.member_canonical()
+        monkeypatch.delenv("WPH_ORDER_CAP")
+        assert x.member_canonical()
 
 
 class TestSingularityReport:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wph.hypersurface
 import wph.search
 from wph.core import Weights, well_formed
 from wph.errors import BudgetError
@@ -20,15 +21,29 @@ from wph.search import (
     SearchRecord,
     _degree_tuples,
     _nondecreasing_tuples,
-    _singleton_condition,
     enumerate_candidates,
     search_records,
 )
 
 
+def _singleton_condition(weights, degree):
+    """Every a_i divides d or divides d - a_j for some j: the one-value case of
+    the quasi-smoothness criterion, hence necessary for `quasi_smooth` when d
+    exceeds every weight (no linear cone).  The oracle of `_degree_tuples`."""
+    for a in set(weights):
+        r = degree % a
+        if r:
+            for b in weights:
+                if b % a == r:  # a | d - b
+                    break
+            else:
+                return False
+    return True
+
+
 def oracle_records(member_dim, max_sum, amplitude, up_to=0):
     """Every nondecreasing tuple through the full checks, with no generator
-    cut and no prefilter: the search as it was defined before either."""
+    cut: the search by its definition."""
     out = []
     for weights in _nondecreasing_tuples(member_dim + 2, max_sum, 1):
         w = Weights(weights)
@@ -104,8 +119,11 @@ class TestDegreeDrivenGenerator:
         assert records == oracle_records(2, 12, 10**6)
         assert len(records) == 8
 
-    @pytest.mark.parametrize("length,max_sum,amplitude", [(4, 30, 1), (5, 28, 2), (6, 24, 7)])
-    def test_generator_keeps_exactly_the_tuples_whose_top_weight_can_pass(
+    @pytest.mark.parametrize(
+        "length,max_sum,amplitude",
+        [(4, 30, 1), (5, 28, 2), (6, 24, 7), (4, 30, 10**6), (6, 30, 1)],
+    )
+    def test_generator_equals_the_enumeration_filtered_by_the_singleton_oracle(
         self, length, max_sum, amplitude
     ):
         generated = [
@@ -113,11 +131,11 @@ class TestDegreeDrivenGenerator:
             for lead in range(1, max_sum // length + 1)
             for t in _degree_tuples(lead, length, max_sum, amplitude)
         ]
-        expected = []
-        for t in _nondecreasing_tuples(length, max_sum, 1):
-            d, v = sum(t) + amplitude, t[-1]
-            if d % v == 0 or any((d - b) % v == 0 for b in t):
-                expected.append(t)
+        expected = [
+            t
+            for t in _nondecreasing_tuples(length, max_sum, 1)
+            if _singleton_condition(t, sum(t) + amplitude)
+        ]
         assert generated == expected  # same tuples, same lexicographic order
 
     def test_spare_room(self):
@@ -186,6 +204,14 @@ class TestDeterminismAndParallelism:
 
     def test_repeat_runs_identical(self):
         assert search_records(2, 9) == search_records(2, 9)
+
+    def test_cold_and_warm_germ_caches_give_the_same_records(self):
+        wph.hypersurface._germ_class.cache_clear()
+        cold = search_records(3, 45)
+        warm = search_records(3, 45)
+        assert wph.hypersurface._germ_class.cache_info().hits > 0
+        assert cold == warm == search_records(3, 45, jobs=2)
+        assert len(cold) == 23
 
     def test_serial_search_leaves_the_pool_unimported(self):
         # the pool's modules cost every `import wph.cli` 30-40 ms
