@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat, starmap
@@ -310,16 +309,15 @@ def strata_orders(w: Weights | Iterable[int]) -> list[int]:
     return sorted(orders)
 
 
-def order_residues(w: Weights | Iterable[int], h: int) -> Counter[int]:
-    """Residue mod h -> number of weights, with one residue-0 coordinate removed.
+def order_residues(w: Weights | Iterable[int], h: int) -> dict[int, int]:
+    """Residue mod h -> positive number of weights, one residue-0 weight removed.
 
     Every stratum of order h has the transverse type 1/h(a_0, ..., a_k
     omitted, ..., a_n) for any k on it.  The weights divisible by h, k among
     them, add nothing to a Reid-Tai sum, so these residues are the type of
     every stratum of order h: one germ per order, never one per index subset.
     """
-    residues: Counter[int] = Counter()
-    for v, count in Weights.coerce(w).runs:
-        residues[v % h] += count
-    residues[0] -= 1
-    return +residues
+    residues = {0: -1}
+    for v, count in Weights.coerce(w).multiplicities().items():
+        residues[v % h] = residues.get(v % h, 0) + count
+    return {r: count for r, count in residues.items() if count > 0}

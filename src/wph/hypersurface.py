@@ -32,10 +32,10 @@ the number of coordinates carrying one value.
 Sing P is the union of the sub-spaces P(a_i : h | a_i), one per order h > 1
 (Iano-Fletcher 2000, §8-10), and `core.order_residues` gives the germ of
 each order.  `member_canonical` removes a residue-d direction from that germ,
-never walking index subsets, on the premise of quasi-smoothness.
+never walking index subsets; it answers for any member, but speaks of the
+germs only of a quasi-smooth one, so its callers also require `quasi_smooth`.
 `singularity_report` keeps one ambient class per order (`classes`, from
-`singularity.order_classes`) and takes its member verdict from
-`member_canonical`, None unless quasi-smooth.
+`singularity.order_classes`); its member verdict is None unless quasi-smooth.
 """
 
 from __future__ import annotations
@@ -161,26 +161,26 @@ class WeightedHypersurface:
         One germ per stratum order h (`core.strata_orders`), not per index
         subset: `core.order_residues` gives the type of every stratum of order
         h.  If h does not divide d, the member contains them and loses a
-        direction of residue d mod h (False, not an error, when none exists);
-        if h divides d, only the larger strata are met, unchanged (none exist
-        when a single weight is divisible by h).  Premise: quasi-smoothness,
-        decided first by the caller; clause (b) then makes every stratum of
-        order h lose the same residue, so these are the member's germs.  Each
-        germ (h, sorted residue counts) is classified once per process, by a
-        bounded cache; `WPH_ORDER_CAP` is checked before the lookup, so a warm
-        cache never hides a lowered cap.
+        direction of residue d mod h (False when none exists); if h divides d,
+        only the larger strata are met, unchanged (none exist when a single
+        weight is divisible by h).  Any member gets a bool, but a verdict on
+        its germs only if it is quasi-smooth (clause (b) then makes every
+        stratum of order h lose the same residue), so every caller also
+        requires `quasi_smooth`.  Each germ (h, sorted residue counts) is
+        classified once per process, by a bounded cache; `WPH_ORDER_CAP` is
+        checked before the lookup, so a warm cache never hides a lowered cap.
         """
         d = self.degree
         for h in strata_orders(self.weights):
             residues = order_residues(self.weights, h)
             if d % h:
-                if not residues[d % h]:
+                residues[d % h] = residues.get(d % h, 0) - 1
+                if residues[d % h] < 0:
                     return False
-                residues[d % h] -= 1
-            elif not residues[0]:
+            elif 0 not in residues:
                 continue
             config.require("WPH_ORDER_CAP", h, f"group order {h}")
-            if not _germ_class(h, tuple(sorted((+residues).items()))).is_canonical:
+            if not _germ_class(h, tuple(sorted(p for p in residues.items() if p[1]))).is_canonical:
                 return False
         return True
 

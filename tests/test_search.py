@@ -134,7 +134,7 @@ class TestDegreeDrivenGenerator:
         expected = [
             t
             for t in _nondecreasing_tuples(length, max_sum, 1)
-            if _singleton_condition(t, sum(t) + amplitude)
+            if _singleton_condition(t, sum(t) + amplitude) and well_formed(t)
         ]
         assert generated == expected  # same tuples, same lexicographic order
 
@@ -170,6 +170,25 @@ class TestDegreeDrivenGenerator:
         assert rejected > 1000
 
     @pytest.mark.parametrize("member_dim", [2, 3, 4])
+    def test_member_canonical_answers_on_every_generated_tuple(self, member_dim):
+        # the search asks member canonicity before quasi-smoothness, so it must
+        # answer, never raise, on members that are not quasi-smooth
+        length, max_sum = member_dim + 2, SMALL_BOUNDS[member_dim]
+        not_quasi_smooth = 0
+        for amplitude in (1, 2, 3):
+            for lead in range(1, max_sum // length + 1):
+                for t in _degree_tuples(lead, length, max_sum, amplitude):
+                    x = WeightedHypersurface(Weights(t), sum(t) + amplitude)
+                    assert isinstance(x.member_canonical(), bool), t
+                    not_quasi_smooth += not x.quasi_smooth()
+        assert not_quasi_smooth > 50
+
+    def test_a_lowered_order_cap_still_stops_the_search(self, monkeypatch):
+        monkeypatch.setenv("WPH_ORDER_CAP", "6")
+        with pytest.raises(BudgetError, match="WPH_ORDER_CAP"):
+            search_records(3, 45)
+
+    @pytest.mark.parametrize("member_dim", [2, 3, 4])
     @pytest.mark.parametrize("amplitude", [1, 2, 3])
     def test_records_are_well_formed_hypersurfaces(self, member_dim, amplitude):
         records = search_records(member_dim, SMALL_BOUNDS[member_dim], amplitude)
@@ -196,6 +215,11 @@ class TestDeterminismAndParallelism:
         serial = search_records(2, 10, plurigenera_up_to=1)
         parallel = search_records(2, 10, plurigenera_up_to=1, jobs=2)
         assert serial == parallel
+
+    def test_parallel_merge_matches_serial_in_dimension_four(self):
+        serial = search_records(4, 40, plurigenera_up_to=1)
+        assert serial == search_records(4, 40, plurigenera_up_to=1, jobs=2)
+        assert len(serial) == 263
 
     def test_sorted_by_volume_then_weights(self):
         records = search_records(2, 10)
@@ -292,7 +316,44 @@ class TestFindMinVolume:
         assert search_records(3, 4) == []  # five positive weights cannot sum to 4
         assert search_records(2, 8, vanishing=3) == []  # needs min weight >= 4, sum >= 16
 
+    def test_rejects_negative_vanishing(self):
+        with pytest.raises(ValueError, match="vanishing must be >= 0"):
+            search_records(2, 10, vanishing=-1)
+
     def test_vanishing_filter_requires_enough_genera(self):
         record = SearchRecord((1, 1, 1, 1), 5, 1, Fraction(5), (0,))
         with pytest.raises(ValueError):
             record.vanishing_at_least(2)
+
+
+class TestVanishingCut:
+    """At amplitude 1 a vanishing search starts the leading weight at V + 1;
+    the record filter, run on the uncut enumeration, is its oracle."""
+
+    @pytest.mark.parametrize("member_dim, max_sum", [(3, 45), (4, 36), (5, 36), (6, 38)])
+    def test_records_match_the_uncut_filter(self, member_dim, max_sum):
+        uncut = list(enumerate_candidates(member_dim, max_sum, 1, 3))
+        for vanishing in (1, 2, 3):
+            expected = sorted(
+                (r for r in uncut if r.vanishing_at_least(vanishing)), key=lambda r: r.sort_key
+            )
+            for jobs in (1, 2):
+                got = search_records(member_dim, max_sum, 1, 3, vanishing, jobs)
+                assert got == expected, (vanishing, jobs)
+        assert any(r.vanishing_at_least(2) for r in uncut)
+
+    @pytest.mark.parametrize("amplitude", [2, 3])
+    def test_larger_amplitudes_are_not_cut(self, amplitude):
+        assert wph.search._batches(4, 36, amplitude, 2, 2)[0][0] == 1
+        uncut = list(enumerate_candidates(4, 36, amplitude, 2))
+        for vanishing in (1, 2):
+            expected = sorted(
+                (r for r in uncut if r.vanishing_at_least(vanishing)), key=lambda r: r.sort_key
+            )
+            assert expected and search_records(4, 36, amplitude, 2, vanishing) == expected
+
+    def test_the_cut_starts_past_the_vanishing_count(self):
+        assert [b[0] for b in wph.search._batches(10, 59, 1, 2, 2)] == [3, 4]
+        records = search_records(10, 59, vanishing=2)
+        assert len(records) == 576
+        assert min(r.weights[0] for r in records) == 3
