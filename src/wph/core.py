@@ -300,8 +300,12 @@ def strata_orders(w: Weights | Iterable[int]) -> list[int]:
     """Orders h > 1 of the singular strata, ascending: the gcd closure of the
     weight values.  Sing P is the union of the P(a_i : h | a_i), one for each
     such h (Iano-Fletcher 2000), and every h here is the order of some stratum."""
+    return _strata_orders(Weights.coerce(w).multiplicities())
+
+
+def _strata_orders(counts: dict[int, int]) -> list[int]:
     orders: set[int] = set()
-    for v in Weights.coerce(w).multiplicities():
+    for v in counts:
         if v > 1:
             orders |= {math.gcd(g, v) for g in orders}
             orders.add(v)
@@ -317,7 +321,11 @@ def order_residues(w: Weights | Iterable[int], h: int) -> dict[int, int]:
     them, add nothing to a Reid-Tai sum, so these residues are the type of
     every stratum of order h: one germ per order, never one per index subset.
     """
+    return _order_residues(Weights.coerce(w).multiplicities(), h)
+
+
+def _order_residues(counts: dict[int, int], h: int) -> dict[int, int]:
     residues = {0: -1}
-    for v, count in Weights.coerce(w).multiplicities().items():
+    for v, count in counts.items():
         residues[v % h] = residues.get(v % h, 0) + count
     return {r: count for r, count in residues.items() if count > 0}

@@ -49,9 +49,9 @@ from .core import (
     CyclicQuotientSingularity,
     StratumRecord,
     Weights,
-    order_residues,
+    _order_residues,
+    _strata_orders,
     singular_strata,
-    strata_orders,
 )
 from .hilbert import reaches, with_value
 from .singularity import SingularityClass, classify_quotient, order_classes, require_well_formed
@@ -160,23 +160,23 @@ class WeightedHypersurface:
 
         One germ per stratum order h (`core.strata_orders`), not per index
         subset: `core.order_residues` gives the type of every stratum of order
-        h.  If h does not divide d, the member contains them and loses a
-        direction of residue d mod h (False when none exists); if h divides d,
-        only the larger strata are met, unchanged (none exist when a single
-        weight is divisible by h).  Any member gets a bool, but a verdict on
-        its germs only if it is quasi-smooth (clause (b) then makes every
-        stratum of order h lose the same residue), so every caller also
-        requires `quasi_smooth`.  Each germ (h, sorted residue counts) is
-        classified once per process, by a bounded cache; `WPH_ORDER_CAP` is
-        checked before the lookup, so a warm cache never hides a lowered cap.
+        h, both from one multiplicity read per call.  If h does not divide d,
+        the member contains them and loses a direction of residue d mod h
+        (False when none exists); if h divides d, only the larger strata are
+        met, unchanged (none exist when a single weight is divisible by h).
+        Any member gets a bool, but a verdict on its germs only if it is
+        quasi-smooth (clause (b) then makes every stratum of order h lose the
+        same residue), so every caller also requires `quasi_smooth`.  A bounded
+        cache classifies each germ (h, sorted residue counts) once per process,
+        after the `WPH_ORDER_CAP` check, which a warm cache thus never skips.
         """
-        d = self.degree
-        for h in strata_orders(self.weights):
-            residues = order_residues(self.weights, h)
+        d, counts = self.degree, self.weights.multiplicities()
+        for h in _strata_orders(counts):
+            residues = _order_residues(counts, h)
             if d % h:
-                residues[d % h] = residues.get(d % h, 0) - 1
-                if residues[d % h] < 0:
+                if d % h not in residues:  # its counts are positive
                     return False
+                residues[d % h] -= 1
             elif 0 not in residues:
                 continue
             config.require("WPH_ORDER_CAP", h, f"group order {h}")

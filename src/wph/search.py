@@ -20,11 +20,10 @@ other weights sum to at least length - 1, so for every amplitude >= 1.
 
 * The largest weight v is chosen from the degree.  With s the sum of the
   other weights, d = s + v + amplitude, so v | d iff v | s + amplitude and
-  v | d - a_j iff v | s + amplitude - a_j.  Only divisors of these numbers
-  are tried, in ascending order.  Each number lies in
-  [amplitude, amplitude + max_sum]; the divisor table is indexed by
-  number - amplitude and keeps divisors <= max_sum, so its size does not
-  grow with the amplitude.
+  v | d - a_j iff v | s + amplitude - a_j.  Only divisors of these numbers,
+  which lie in [amplitude, amplitude + max_sum], are tried: the table, indexed
+  by number - amplitude, keeps divisors <= max_sum in descending order, so its
+  size does not grow with the amplitude and a scan stops at the first below u.
 * Every other weight is tested on raw ints.  The head (all but the two
   largest weights u <= v) carries, for each of its values a > 1, the set
   {b mod a : b in head} | {0}, built once per head; u gets its own set once
@@ -96,9 +95,9 @@ def _nondecreasing_tuples(
 
 def _divisor_table(max_sum: int, amplitude: int) -> list[list[int]]:
     """Entry k, for k in [0, max_sum]: the divisors <= max_sum of amplitude + k,
-    ascending.  Sized by the weight-sum bound, never by the degree."""
+    descending.  Sized by the weight-sum bound, never by the degree."""
     table: list[list[int]] = [[] for _ in range(max_sum + 1)]
-    for t in range(1, max_sum + 1):
+    for t in range(max_sum, 0, -1):
         for k in range(-amplitude % t, max_sum + 1, t):
             table[k].append(t)
     return table
@@ -132,7 +131,14 @@ def _degree_tuples(
                 sets = head_sets + [(u, {b % u for b in head} | {0})]
             hi = max_sum - s
             # divisors of d - v - b, so that v | d - b, for b = 0, u or a head weight
-            for v in sorted({w for b in (u, *gaps) for w in table[s - b] if u <= w <= hi}):
+            divisors: set[int] = set()
+            for b in (u, *gaps):
+                for w in table[s - b]:
+                    if w < u:
+                        break
+                    if w <= hi:
+                        divisors.add(w)
+            for v in sorted(divisors):
                 for a, residues in sets:
                     r = (e + v) % a
                     if r not in residues and r != u % a and r != v % a:
@@ -166,17 +172,18 @@ def _batches(
     member_dim: int, max_weight_sum: int, amplitude: int, up_to: int, vanishing: int = 0
 ) -> list[tuple[int, int, int, int, int]]:
     """One batch per leading weight; serial and pooled searches run the same.
-    At amplitude 1, P_m = N(m) for m < d: P_1..P_V vanish iff a_0 > V."""
+    A vanishing search drops a_0 if m * amplitude = lcm(a_0, amplitude) has m <= V
+    and is below length * a_0 + amplitude <= d: a power of x_0 gives P_m >= 1."""
     if member_dim < 2:
         raise ValueError("member dimension must be >= 2")
     if amplitude < 1:
         raise ValueError("amplitude must be >= 1")
     config.require("WPH_SEARCH_SUM_CAP", max_weight_sum, f"weight-sum bound {max_weight_sum}")
     length = member_dim + 2
-    first = vanishing + 1 if amplitude == 1 else 1
     return [
         (lead, length, max_weight_sum, amplitude, up_to)
-        for lead in range(first, max_weight_sum // length + 1)
+        for lead in range(1, max_weight_sum // length + 1)
+        if math.lcm(lead, amplitude) > min(vanishing * amplitude, length * lead + amplitude - 1)
     ]
 
 

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 import wph.hypersurface
 import wph.search
-from wph.core import Weights, well_formed
+from wph.core import CyclicQuotientSingularity, Weights, order_residues, strata_orders, well_formed
 from wph.errors import BudgetError
+from wph.families import vanishing_witness
 from wph.hilbert import plurigenera_table
 from wph.hypersurface import WeightedHypersurface
+from wph.singularity import classify_quotient
 from wph.search import (
     SearchRecord,
     _degree_tuples,
+    _divisor_table,
     _nondecreasing_tuples,
     enumerate_candidates,
     search_records,
@@ -54,6 +57,26 @@ def oracle_records(member_dim, max_sum, amplitude, up_to=0):
             genera = plurigenera_table(x, up_to)
             out.append(SearchRecord(weights, x.degree, amplitude, x.volume(), genera))
     return out
+
+
+def member_canonical_reference(weights, degree):
+    """The member-germ verdict rebuilt from the public per-order helpers: each
+    order h whose strata the member meets gives the germ `order_residues`
+    minus one residue-d direction when h does not divide d (False when there
+    is none), and every such germ must be canonical."""
+    for h in strata_orders(weights):
+        residues = order_residues(weights, h)
+        r = degree % h
+        if r:
+            if residues.get(r, 0) == 0:
+                return False
+            residues[r] -= 1
+        elif 0 not in residues:
+            continue  # the one weight divisible by h: its point is missed
+        germ = CyclicQuotientSingularity(h, runs=[(b, c) for b, c in residues.items() if c])
+        if not classify_quotient(germ).is_canonical:
+            return False
+    return True
 
 
 def well_formed_hypersurface(weights, degree):
@@ -121,7 +144,7 @@ class TestDegreeDrivenGenerator:
 
     @pytest.mark.parametrize(
         "length,max_sum,amplitude",
-        [(4, 30, 1), (5, 28, 2), (6, 24, 7), (4, 30, 10**6), (6, 30, 1)],
+        [(4, 30, 1), (5, 28, 2), (6, 24, 7), (4, 30, 10**6), (6, 30, 1), (4, 36, 2)],
     )
     def test_generator_equals_the_enumeration_filtered_by_the_singleton_oracle(
         self, length, max_sum, amplitude
@@ -137,6 +160,14 @@ class TestDegreeDrivenGenerator:
             if _singleton_condition(t, sum(t) + amplitude) and well_formed(t)
         ]
         assert generated == expected  # same tuples, same lexicographic order
+
+    @pytest.mark.parametrize("amplitude", [1, 7, 10**6])
+    def test_divisor_table_lists_each_entry_descending(self, amplitude):
+        max_sum = 60
+        table = _divisor_table(max_sum, amplitude)
+        assert len(table) == max_sum + 1
+        for k, divisors in enumerate(table):
+            assert divisors == [t for t in range(max_sum, 0, -1) if (amplitude + k) % t == 0]
 
     def test_spare_room(self):
         for spare in (0, 1, 2):
@@ -182,6 +213,23 @@ class TestDegreeDrivenGenerator:
                     assert isinstance(x.member_canonical(), bool), t
                     not_quasi_smooth += not x.quasi_smooth()
         assert not_quasi_smooth > 50
+
+    @pytest.mark.parametrize("member_dim", [2, 3, 4])
+    def test_member_canonical_matches_the_per_order_reference_on_generated_tuples(
+        self, member_dim
+    ):
+        # the search's own traffic, most of it not quasi-smooth, so beyond the
+        # index-subset oracles of tests/test_hypersurface.py
+        length, max_sum = member_dim + 2, 40
+        verdicts = []
+        for amplitude in (1, 2, 3):
+            for lead in range(1, max_sum // length + 1):
+                for t in _degree_tuples(lead, length, max_sum, amplitude):
+                    w, degree = Weights(t), sum(t) + amplitude
+                    verdict = WeightedHypersurface(w, degree).member_canonical()
+                    assert verdict == member_canonical_reference(w, degree), (t, amplitude)
+                    verdicts.append(verdict)
+        assert len(verdicts) > 400 and 0 < sum(verdicts) < len(verdicts)
 
     def test_a_lowered_order_cap_still_stops_the_search(self, monkeypatch):
         monkeypatch.setenv("WPH_ORDER_CAP", "6")
@@ -326,25 +374,40 @@ class TestFindMinVolume:
             record.vanishing_at_least(2)
 
 
+def assert_cut_matches_the_uncut_filter(member_dim, max_sum, amplitude):
+    uncut = list(enumerate_candidates(member_dim, max_sum, amplitude, 3))
+    for vanishing in (1, 2, 3):
+        expected = sorted(
+            (r for r in uncut if r.vanishing_at_least(vanishing)), key=lambda r: r.sort_key
+        )
+        for jobs in (1, 2):
+            got = search_records(member_dim, max_sum, amplitude, 3, vanishing, jobs)
+            assert got == expected, (vanishing, jobs)
+    return uncut
+
+
 class TestVanishingCut:
-    """At amplitude 1 a vanishing search starts the leading weight at V + 1;
-    the record filter, run on the uncut enumeration, is its oracle."""
+    """A vanishing search drops each leading weight a_0 with a power of x_0 of
+    degree m * amplitude < d for some m <= V (so P_m >= 1); at amplitude 1 it
+    starts the leading weight at V + 1.  The record filter, run on the uncut
+    enumeration, is its oracle."""
 
     @pytest.mark.parametrize("member_dim, max_sum", [(3, 45), (4, 36), (5, 36), (6, 38)])
     def test_records_match_the_uncut_filter(self, member_dim, max_sum):
-        uncut = list(enumerate_candidates(member_dim, max_sum, 1, 3))
-        for vanishing in (1, 2, 3):
-            expected = sorted(
-                (r for r in uncut if r.vanishing_at_least(vanishing)), key=lambda r: r.sort_key
-            )
-            for jobs in (1, 2):
-                got = search_records(member_dim, max_sum, 1, 3, vanishing, jobs)
-                assert got == expected, (vanishing, jobs)
+        uncut = assert_cut_matches_the_uncut_filter(member_dim, max_sum, 1)
         assert any(r.vanishing_at_least(2) for r in uncut)
 
+    @pytest.mark.parametrize("member_dim, max_sum", [(3, 45), (4, 36), (5, 36), (6, 38)])
     @pytest.mark.parametrize("amplitude", [2, 3])
-    def test_larger_amplitudes_are_not_cut(self, amplitude):
-        assert wph.search._batches(4, 36, amplitude, 2, 2)[0][0] == 1
+    def test_larger_amplitudes_match_the_uncut_filter(self, member_dim, max_sum, amplitude):
+        uncut = assert_cut_matches_the_uncut_filter(member_dim, max_sum, amplitude)
+        assert any(r.vanishing_at_least(1) for r in uncut)
+
+    @pytest.mark.parametrize("amplitude, first", [(2, 3), (3, 4)])
+    def test_larger_amplitudes_drop_leading_weights_with_a_low_power(self, amplitude, first):
+        # x_0 of weight 1 or 2 (amplitude 2), or 1, 2 or 3 (amplitude 3), has a
+        # power of degree m * amplitude with m <= 2 below d
+        assert wph.search._batches(4, 36, amplitude, 2, 2)[0][0] == first
         uncut = list(enumerate_candidates(4, 36, amplitude, 2))
         for vanishing in (1, 2):
             expected = sorted(
@@ -357,3 +420,15 @@ class TestVanishingCut:
         records = search_records(10, 59, vanishing=2)
         assert len(records) == 576
         assert min(r.weights[0] for r in records) == 3
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11, 12, 14])
+    def test_the_search_meets_the_thm3_member(self, n):
+        # up to the weight sum d - 1 of the member, at its own vanishing count
+        x = vanishing_witness(n).hypersurface
+        records = search_records(n, x.degree - 1, vanishing=(n - 2) // 3)
+        mine = [r for r in records if r.weights == tuple(x.weights)]
+        assert len(mine) == 1 and mine[0].volume == x.volume()
+        if (n + 1) % 3 == 0:  # l = 0: the least volume found
+            assert records[0] is mine[0]
+        else:
+            assert records[0].volume < x.volume()
