@@ -389,7 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=int, default=1)
     p.add_argument("--vanishing", type=int, default=0, metavar="V")
     p.add_argument("--plurigenera", type=int, default=None, metavar="M")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="processes to search on, this one included; serial where os.fork is missing; "
+        "an error is that of the first failing leading weight (default: 1)",
+    )
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_search)
 

@@ -1,9 +1,10 @@
 """Resource caps, overridable through environment variables.
 
-Every cap guards an exponential or table-building code path.  `require` is
-the one place that reads a cap, compares it and raises
-:class:`wph.errors.BudgetError`, which names the variable and the value
-needed, rather than silently truncating.
+Every cap guards an exponential or table-building code path.  `_cap` is
+the one place that reads a cap, and `require` the one that compares it and
+raises :class:`wph.errors.BudgetError`, which names the variable and the
+value needed, rather than silently truncating.  A hot loop may read a cap
+once with `_cap` and call `require` only for a value above it.
 """
 
 import os
@@ -22,14 +23,19 @@ DEFAULTS = {
 }
 
 
+def _cap(name: str) -> int:
+    """The cap `name`: its variable's value if set, else its default."""
+    raw = os.environ.get(name)
+    try:
+        return DEFAULTS[name] if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def require(name: str, needed: int, what: str) -> None:
     """Raise BudgetError if `needed` exceeds the cap `name`; `what` says what
     needs it, e.g. "group order 2000000"."""
-    raw = os.environ.get(name)
-    try:
-        cap = DEFAULTS[name] if raw is None else int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    cap = _cap(name)
     if needed > cap:
         raise BudgetError(
             f"{what}, above the cap {cap} (set {name} to at least {needed} to allow it)"

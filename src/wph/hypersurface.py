@@ -168,9 +168,11 @@ class WeightedHypersurface:
         quasi-smooth (clause (b) then makes every stratum of order h lose the
         same residue), so every caller also requires `quasi_smooth`.  A bounded
         cache classifies each germ (h, sorted residue counts) once per process,
-        after the `WPH_ORDER_CAP` check, which a warm cache thus never skips.
+        after the `WPH_ORDER_CAP` check, which a warm cache thus never skips;
+        the cap is read once per call.
         """
         d, counts = self.degree, self.weights.multiplicities()
+        order_cap = config._cap("WPH_ORDER_CAP")  # read once; `require` words the error
         for h in _strata_orders(counts):
             residues = _order_residues(counts, h)
             if d % h:
@@ -179,7 +181,8 @@ class WeightedHypersurface:
                 residues[d % h] -= 1
             elif 0 not in residues:
                 continue
-            config.require("WPH_ORDER_CAP", h, f"group order {h}")
+            if h > order_cap:
+                config.require("WPH_ORDER_CAP", h, f"group order {h}")
             if not _germ_class(h, tuple(sorted(p for p in residues.items() if p[1]))).is_canonical:
                 return False
         return True

@@ -37,6 +37,12 @@ gcds with one weight left out; a u with gcd(g, u) > 1 is skipped, and v must
 be coprime to g and to gcd(P, u).  `_evaluate` then asks `member_canonical`
 before `quasi_smooth`: both are needed, and the first rejects nearly all
 (dim 3, S = 80: 2,377 tuples, 23 member-canonical, 23 quasi-smooth).
+
+A search runs one batch per leading weight.  With jobs = N > 1 the calling
+process and up to N - 1 forked children take the batches in order from one
+pipe (`_fork_map`), so `jobs` counts the caller; where `os.fork` is missing
+the search is serial.  Either way a failing search raises the error of its
+first failing batch.
 """
 
 from __future__ import annotations
@@ -198,8 +204,91 @@ def enumerate_candidates(
         yield from _leading_records(*batch)
 
 
-def _leading_batch(args: tuple[int, int, int, int, int]) -> list[SearchRecord]:
-    return list(_leading_records(*args))
+def _fork_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] on `workers` processes: this one and
+    workers - 1 forked children.  Item indices go as 4-byte tokens on one task
+    pipe, in order; each process runs the item of every token it reads until
+    EOF, and after a failure only reads.  The caller writes what fits before
+    each of its own reads, so a full pipe never blocks it.  A child pickles its
+    results, or its first exception, back on its own pipe and leaves through
+    `os._exit`.  Raises the exception of the lowest-numbered failing item, or a
+    RuntimeError naming the exit status of a child that died unreported; every
+    child is killed if still running and reaped, whatever happens."""
+    import pickle  # only pooled searches pay for it
+    import signal
+
+    def work(tasks: int, feed=None) -> tuple[dict, tuple | None]:
+        done, failed = {}, None
+        while True:
+            if feed is not None and feed():
+                feed = None
+            token = os.read(tasks, 4)  # every write is one whole token
+            if not token:
+                return done, failed
+            i = int.from_bytes(token, "big")
+            if failed is None:
+                try:
+                    done[i] = fn(items[i])
+                except Exception as exc:
+                    failed = (i, exc)
+
+    tasks, tasks_w = os.pipe()
+    open_fds = [tasks, tasks_w]
+    children: dict[int, int] = {}  # unreaped pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            open_fds += (r, w)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(tasks_w)
+                    data = memoryview(pickle.dumps(work(tasks)))
+                    while data:
+                        data = data[os.write(w, data):]
+                    status = 0
+                finally:
+                    os._exit(status)  # never unwind into the caller's stack
+            children[pid] = r
+            os.close(w)
+            open_fds.remove(w)
+        tokens = [i.to_bytes(4, "big") for i in reversed(range(len(items)))]
+        os.set_blocking(tasks_w, False)
+
+        def feed() -> bool:
+            while tokens:
+                try:
+                    os.write(tasks_w, tokens[-1])  # below PIPE_BUF: whole or not at all
+                except BlockingIOError:
+                    return False
+                tokens.pop()
+            os.close(tasks_w)
+            open_fds.remove(tasks_w)
+            return True
+
+        done, failed = work(tasks, feed)
+        failures = [failed] if failed else []
+        for pid, r in list(children.items()):
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                child_done, child_failed = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(f"pool worker {pid} exited without reporting (status {status})") from None
+            done.update(child_done)
+            if child_failed:
+                failures.append(child_failed)
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return [done[i] for i in range(len(items))]
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in open_fds:
+            os.close(fd)
 
 
 def search_records(
@@ -213,27 +302,27 @@ def search_records(
     """All surviving records sorted by (volume, weights); optionally those whose
     first `vanishing` plurigenera are zero.  The result is independent of the
     worker count: partitions by leading weight merge into one sorted list.
-    At most min(jobs, usable CPUs, leading weights) worker processes run;
-    jobs or vanishing below their least values is a ValueError."""
+    `jobs` counts the calling process, which works too: at most
+    min(jobs, usable CPUs, leading weights) processes run, so jobs - 1 children
+    at most are forked, and none where `os.fork` is missing (the search is then
+    serial).  A failing search raises the error of its first failing leading
+    weight, as the serial search does.  jobs or vanishing below their least
+    values is a ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if vanishing < 0:
         raise ValueError(f"vanishing must be >= 0, got {vanishing}")
     up_to = max(plurigenera_up_to, vanishing)
     batches = _batches(member_dim, max_weight_sum, amplitude, up_to, vanishing)
-    if jobs == 1:
-        records = [r for batch in batches for r in _leading_records(*batch)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled searches pay for it
-
-        # the pool may start every worker up front, so ask for no more than
-        # the CPUs this process may run on and the batches there are
+    workers = 1
+    if jobs > 1 and hasattr(os, "fork"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = max(1, min(jobs, cpus or 1, len(batches)))
-        records = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_leading_batch, batches):
-                records.extend(batch)
+        workers = min(jobs, cpus or 1, len(batches))
+    if workers > 1:
+        parts = _fork_map(lambda batch: list(_leading_records(*batch)), batches, workers)
+        records = [r for part in parts for r in part]
+    else:
+        records = [r for batch in batches for r in _leading_records(*batch)]
     if vanishing:
         records = [r for r in records if r.vanishing_at_least(vanishing)]
     records.sort(key=lambda r: r.sort_key)

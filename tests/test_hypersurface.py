@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wph.config
 import wph.hypersurface
 from wph.core import CyclicQuotientSingularity, Weights, singular_strata, well_formed
 from wph.errors import BudgetError, NotWellFormedError
@@ -354,6 +355,21 @@ class TestGermCache:
             x.member_canonical()
         monkeypatch.delenv("WPH_ORDER_CAP")
         assert x.member_canonical()
+
+    def test_the_order_cap_is_read_once_per_call_and_checked_cold(self, monkeypatch):
+        reads = []
+        cap = wph.config._cap
+        monkeypatch.setattr(wph.config, "_cap", lambda name: reads.append(name) or cap(name))
+        x = make((4, 5, 6, 7, 23), 46)
+        assert x.member_canonical()  # a cold scan reads the cap through `require`
+        reads.clear()
+        hits = wph.hypersurface._germ_class.cache_info().hits
+        assert x.member_canonical()
+        assert reads == ["WPH_ORDER_CAP"] and wph.hypersurface._germ_class.cache_info().hits > hits + 1
+        wph.hypersurface._germ_class.cache_clear()
+        monkeypatch.setenv("WPH_ORDER_CAP", "6")
+        with pytest.raises(BudgetError, match=r"^group order 7, above the cap 6 \(set WPH_ORDER_CAP"):
+            x.member_canonical()
 
 
 class TestSingularityReport:

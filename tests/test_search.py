@@ -1,8 +1,10 @@
-import concurrent.futures
+import contextlib
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import wph.hypersurface
 import wph.search
 from wph.core import CyclicQuotientSingularity, Weights, order_residues, strata_orders, well_formed
+from wph.cli import run
 from wph.errors import BudgetError
 from wph.families import vanishing_witness
 from wph.hilbert import plurigenera_table
@@ -23,10 +26,29 @@ from wph.search import (
     SearchRecord,
     _degree_tuples,
     _divisor_table,
+    _fork_map,
     _nondecreasing_tuples,
     enumerate_candidates,
     search_records,
 )
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs `seconds` or longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _singleton_condition(weights, degree):
@@ -286,43 +308,110 @@ class TestDeterminismAndParallelism:
         assert len(cold) == 23
 
     def test_serial_search_leaves_the_pool_unimported(self):
-        # the pool's modules cost every `import wph.cli` 30-40 ms
+        # concurrent.futures and multiprocessing cost an import 20-40 ms, and
+        # only a pooled search needs pickle
         code = (
-            "import sys, wph.cli; wph.cli.run(['search', '--dim', '2', '--max-sum', '9']); "
-            "print(sorted(m for m in sys.modules if m.startswith('concurrent')), file=sys.stderr)"
+            "import sys, wph.cli\n"
+            "def loaded(*names):\n"
+            "    print(sorted(m for m in sys.modules if m.startswith(names)), file=sys.stderr)\n"
+            "loaded('concurrent', 'multiprocessing', 'pickle')\n"
+            "wph.cli.run(['search', '--dim', '2', '--max-sum', '9'])\n"
+            "loaded('concurrent', 'multiprocessing', 'pickle')\n"
+            "wph.cli.run(['search', '--dim', '2', '--max-sum', '9', '--jobs', '2'])\n"
+            "loaded('concurrent', 'multiprocessing')\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(wph.search.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout is then block-buffered, and
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert done.returncode == 0 and "(1,1,1,2) d=6 vol=3" in done.stdout
-        assert done.stderr == "[]\n"
+        # a forked child never flushes the output it inherits
+        assert done.returncode == 0 and done.stdout.count("(1,1,1,2) d=6 vol=3") == 2
+        assert done.stderr == "[]\n[]\n[]\n"
 
     def test_worker_count_is_clamped(self, monkeypatch):
-        requested = []
+        forks = []
+        fork = os.fork
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        def counted_fork():
+            pid = fork()
+            forks.append(pid)  # a child's own list is a copy
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # the pool is imported when a search asks for more than one job
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         records = search_records(2, 10, plurigenera_up_to=1, jobs=10_000)
         assert records == search_records(2, 10, plurigenera_up_to=1)
-        # two leading weights (1 and 2) can start at most two workers
-        cpus = (
-            len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity")
-            else os.cpu_count()
-        )
-        assert requested == [min(2, cpus)]
+        # two leading weights (1 and 2): this process and at most one child
+        assert len(forks) == min(2, CPUS) - 1
+
+    def test_without_fork_a_pooled_search_runs_serially(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert search_records(3, 45, jobs=2) == search_records(3, 45)
+
+    def test_a_pooled_budget_error_is_that_of_the_first_failing_batch(self, monkeypatch, capsys):
+        # leading weights 6, 7, 8, ... fail on group orders 6, 7, 8, ...
+        monkeypatch.setenv("WPH_ORDER_CAP", "4")
+        for jobs in (1, 2):
+            with pytest.raises(BudgetError, match=r"^group order 6, above the cap 4 "):
+                search_records(3, 80, vanishing=5, jobs=jobs)
+        errors = []
+        for jobs in ("1", "2"):
+            argv = ["search", "--dim", "3", "--max-sum", "80", "--vanishing", "5", "--jobs", jobs]
+            assert run(argv) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "group order 6," in errors[0]
+
+    def test_no_child_outlives_a_pooled_search(self, monkeypatch):
+        assert len(search_records(3, 45, jobs=2)) == 23
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setenv("WPH_ORDER_CAP", "4")
+        with pytest.raises(BudgetError):
+            search_records(3, 45, jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(CPUS < 2, reason="a pooled search forks only with two usable CPUs")
+    def test_a_child_that_dies_mid_batch_fails_the_search(self, monkeypatch):
+        caller, leading_records = os.getpid(), wph.search._leading_records
+
+        def dying(*batch):
+            if os.getpid() != caller:
+                os._exit(7)
+            time.sleep(0.05)  # leaves the child a batch to die in
+            return leading_records(*batch)
+
+        monkeypatch.setattr(wph.search, "_leading_records", dying)
+        with deadline(30), pytest.raises(RuntimeError, match=r"exited without reporting \(status 7\)"):
+            search_records(3, 45, jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_pool_deals_more_tokens_than_a_pipe_holds(self):
+        items = list(range(20_000))  # 80,000 bytes of tokens; a pipe holds 65,536
+        with deadline(60):  # more workers than CPUs, so they contend for tokens
+            assert _fork_map(lambda i: i * i, items, CPUS + 2) == [i * i for i in items]
+
+    def test_the_pool_reaps_every_child_when_one_dies_unreported(self):
+        caller = os.getpid()
+
+        def dying(i):
+            if os.getpid() != caller:
+                os._exit(7)
+            time.sleep(0.01)
+            return i
+
+        with deadline(60), pytest.raises(RuntimeError, match=r"exited without reporting \(status 7\)"):
+            _fork_map(dying, list(range(100)), 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_pool_raises_the_error_of_the_lowest_failing_item(self):
+        def failing(i):
+            if i in (300, 500, 700):
+                raise ValueError(i)
+            return i
+
+        with deadline(60), pytest.raises(ValueError, match="^300$"):
+            _fork_map(failing, list(range(1000)), 3)
 
 
 class TestLiteratureAnchors:
