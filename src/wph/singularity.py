@@ -9,12 +9,15 @@ total T(j) at j and at r - j together, so it visits only j in [1, r//2]:
 (r - j) * b = -j * b mod r gives T(r - j) = r * (coordinates j moves) - T(j).
 Residues b and r - b add up to r wherever they move, so each such pair folds
 into one term; pairs are the normal case, since every 3-fold terminal point
-is 1/r(a, -a, b) (the terminal lemma, Morrison-Stevens 1984).  There is no
-coprimality restriction on j; the j come a block at a time in exact
-integers, and a verdict-only scan stops after the first block holding a
-total below r.  Inputs where some multiplier acts as a quasi-reflection (at
-most one coordinate moved) are flagged for reporting but classified by the
-same rule.
+is 1/r(a, -a, b) (the terminal lemma, Morrison-Stevens 1984), whose least
+total is at the j that moves b by 1.  So the scan reads k = j * u mod r, u the
+unit residue of largest folded coefficient c (1/r(b) is 1/r(b / u)), where
+that term is c * k: a bound rising with k, and the scan stops once it passes
+the least total found (or r, for a verdict).  The k come in blocks of 64
+doubling to 4,096, in exact integers, and a verdict-only scan also stops after
+the first block holding a total below r.  Inputs where some multiplier acts as
+a quasi-reflection (at most one coordinate moved) are flagged for reporting,
+by a closed form in the periods r / gcd(b, r), but classified by the same rule.
 
 `order_classes` is the one place that classifies the ambient germ of each
 stratum order h (`core.strata_orders`), whose type `core.order_residues`
@@ -30,8 +33,9 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import add, sub
+from itertools import accumulate, compress
+from math import gcd, lcm
+from operator import add
 from typing import Iterable
 
 from . import config
@@ -92,26 +96,30 @@ _CLASS_NAMES = {
 
 
 def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, int, bool]:
-    """One pass over j in [1, r//2], `_BLOCK` at a time, each read with r - j.
+    """One pass over k in [1, r//2], each read with r - k, in growing blocks.
 
-    Returns the least total T(j) over j in [1, r-1], the first j attaining
+    Returns the least total T(j) over j in [1, r-1], the least j attaining
     it, and whether some j moves at most one coordinate.  A class {rho,
     r - rho} with c1 >= c2 copies adds (c1 - c2) * ((j * rho) mod r) + c2 * r
     to T(j) (module docstring), its r-terms dropping at the multiples of
-    q = r / gcd(rho, r).  A block's column sums are built by `map`, so memory
-    is O(_BLOCK) for any r; with every residue prime to r no term drops.
-    With `stop_below` the pass ends after the first block holding a total
-    below r, where the verdict is already known.
+    q = r / gcd(rho, r).  Past the first block of 64, k = j * u mod r for the
+    unit u of largest c = c1 - c2, so T >= base + c * k at k and r - k, `base`
+    being the r-terms that never drop; the scan stops before a block whose
+    start gives a bound above the least total (or above r, with `stop_below`).
+    Blocks double up to `_BLOCK`, their column sums built by `map`, so memory
+    is O(_BLOCK) for any r.  With `stop_below` the pass also ends after a block
+    holding a total below r, and finds neither the least j nor the flag.
     """
     r = s.order
-    config.require("WPH_ORDER_CAP", r, f"group order {r}")
+    if r > config._cap("WPH_ORDER_CAP"):
+        config.require("WPH_ORDER_CAP", r, f"group order {r}")
     # grouping the runs by residue keeps the pass O(r * distinct residues)
     residues: dict[int, int] = {}
     for b, count in s.runs:
         residues[b % r] = residues.get(b % r, 0) + count
-    # T(j) = pairs + low(j) and T(r - j) = moved - high(j), where low and high
-    # are the column sums less and plus the terms of q at j = 0 mod q
-    columns, pairs, moved, periodic = [], 0, 0, []
+    # T(k) = pairs + low(k) and T(r - k) = moved - high(k), where low and high
+    # are the column sums less and plus the terms of q at k = 0 mod q
+    columns, pairs, moved, periodic, c, u = [], 0, 0, [], 0, 1
     for rho, c1 in residues.items():
         if not rho:
             continue
@@ -119,18 +127,25 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
         if c2 > c1 or c2 == c1 and rho < r - rho:
             continue  # read with its mirror
         if c1 > c2:
-            # cnt * ((j * rho) mod r) == (j * rho * cnt) mod (r * cnt)
+            # cnt * ((k * rho) mod r) == (k * rho * cnt) mod (r * cnt)
             columns.append((rho * (c1 - c2), r * (c1 - c2)))
         pairs, moved = pairs + r * c2, moved + r * c1
         q = r // gcd(rho, r)
         if q < r:
             periodic.append((q, r * c2, r * c1))
-    # j = 1 moves every coordinate that any j moves
-    best, best_j = second, second_j = r * sum(residues.values()), 0
-    reflection = pairs + moved <= r
-    half = r // 2 + 1
-    for lo in range(1, half, _BLOCK):
-        hi = min(lo + _BLOCK, half)
+        elif c1 - c2 > c:
+            c, u = c1 - c2, rho
+    # T >= base + c * k: at k = 1 in any frame, since a unit column is at least c,
+    # and at every k (and r - k) in the frame of u, k = j * u mod r
+    half, inverse, base = r // 2 + 1, 1, 0
+    if half > 65:
+        inverse, base = pow(u, -1, r), pairs - sum(p for _, p, _ in periodic)
+        columns = [(step * inverse % modulus, modulus) for step, modulus in columns]
+    best, best_j = r * sum(residues.values()), 0
+    hi, size = 1, 64
+    # a report needs the bound at most best; a verdict, at most r and best >= r
+    while hi < half and base + c * hi <= (r if stop_below else best) <= best:
+        lo, hi, size = hi, min(hi + size, half), min(2 * size, _BLOCK)
         low = []
         for step, modulus in columns:
             column = map(modulus.__rmod__, range(lo * step, hi * step, step))
@@ -145,21 +160,25 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
                     low[k::q] = map(p.__rsub__, low[k::q])
                 high[k::q] = map(m.__add__, high[k::q])
         least, most = pairs + min(low), moved - max(high)
-        if least < best:
-            best, best_j = least, lo + low.index(least - pairs)
-        # the first least T(r - j) is at the last j holding the most
-        if most <= second:
-            second, second_j = most, r - hi + 1 + high[::-1].index(moved - most)
-        if least < r or most < r:
-            if stop_below:
-                break
-            if periodic and not reflection:
-                # r * (coordinates j moves) = T(j) + T(r - j)
-                floor = pairs + moved - r
-                reflection = any(map(floor.__le__, map(sub, high, low)))
-    if second < best:
-        best, best_j = second, second_j
-    return best, best_j, reflection
+        if stop_below:
+            best = min(best, least, most)
+            continue
+        for total, sums, offset, sign in ((least, low, pairs, 1), (most, high, moved, -1)):
+            # a tied k is j = sign * k / u mod r, at least k (or r + 1 - hi) if u = 1
+            floor = 1 if inverse > 1 else lo if sign > 0 else r + 1 - hi
+            if total < best or total == best and best_j > floor:
+                ties = compress(range(lo, hi), map((sign * (total - offset)).__eq__, sums))
+                j = min(map(r.__rmod__, map((sign * inverse).__mul__, ties)))
+                best, best_j = total, j if total < best else min(j, best_j)
+    if stop_below:
+        return best, best_j, False
+    # j fixes rho iff q | j, so some j < r moves at most one coordinate iff the q
+    # of all residues, or of all but one of count 1 (pre[i], suf[-i - 2]), have lcm < r
+    moving = [(r // gcd(rho, r), n) for rho, n in residues.items() if rho]
+    pre, suf = ([*accumulate((q for q, _ in m), lcm, initial=1)] for m in (moving, moving[::-1]))
+    return best, best_j, pre[-1] < r or any(
+        n == 1 and lcm(pre[i], suf[-i - 2]) < r for i, (_, n) in enumerate(moving)
+    )
 
 
 def _class_of(total: int, r: int) -> SingularityClass:

@@ -22,7 +22,7 @@ from wph.families import (
 )
 from wph.hilbert import plurigenera_table, plurigenus
 from wph.hypersurface import WeightedHypersurface
-from wph.singularity import SingularityClass, classify_quotient
+from wph.singularity import SingularityClass, classify_quotient, quotient_report
 
 
 class TestConsecutiveFamily:
@@ -223,6 +223,18 @@ class TestVolumeWitness:
         member = x.member_type_at(s_index)
         assert member == CyclicQuotientSingularity(7, (1,) * m + (rep.parameters["b"],))
         assert classify_quotient(member) == SingularityClass.TERMINAL
+
+    def test_member_point_of_the_pi_convergent_is_terminal(self):
+        # 1/33215(1^m, b) with m = 3,454,061,177: T(j) >= m * j, so the least
+        # total is m + b, at j = 1
+        rep = volume_witness(104348, 33215)
+        m, b = rep.parameters["unit_weights"], rep.parameters["b"]
+        member = rep.hypersurface.member_type_at(m + 1)
+        assert member == CyclicQuotientSingularity(33215, runs=((1, m), (b, 1)))
+        assert classify_quotient(member) == SingularityClass.TERMINAL
+        report = quotient_report(member)
+        assert (report.minimum, report.at_multiplier) == (Fraction(m + b, 33215), 1)
+        assert report.sclass == SingularityClass.TERMINAL and rep.passed
 
     @given(st.integers(1, 10_000), st.integers(1, 200))
     @example(1, 1)

@@ -18,7 +18,7 @@ import wph.search
 from wph.core import CyclicQuotientSingularity, Weights, order_residues, strata_orders, well_formed
 from wph.cli import run
 from wph.errors import BudgetError
-from wph.families import vanishing_witness
+from wph.families import consecutive_family, vanishing_witness
 from wph.hilbert import plurigenera_table
 from wph.hypersurface import WeightedHypersurface
 from wph.singularity import classify_quotient
@@ -518,6 +518,21 @@ class TestVanishingCut:
         mine = [r for r in records if r.weights == tuple(x.weights)]
         assert len(mine) == 1 and mine[0].volume == x.volume()
         if (n + 1) % 3 == 0:  # l = 0: the least volume found
+            assert records[0] is mine[0]
+        else:
+            assert records[0].volume < x.volume()
+
+    @pytest.mark.parametrize(
+        "k, l", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1)]
+    )
+    def test_the_search_meets_the_prop_member(self, k, l):
+        # dimension 3k + l - 1, up to the member's own weight sum, with its
+        # first k - 1 plurigenera vanishing (every weight is at least k)
+        x = consecutive_family(k, l).hypersurface
+        records = search_records(3 * k + l - 1, x.weights.total(), vanishing=k - 1)
+        mine = [r for r in records if r.weights == tuple(x.weights)]
+        assert len(mine) == 1 and mine[0].volume == x.volume()
+        if l == 0:  # the least volume found
             assert records[0] is mine[0]
         else:
             assert records[0].volume < x.volume()

@@ -1,9 +1,10 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wph.core import CyclicQuotientSingularity, Weights
@@ -61,6 +62,36 @@ def shaped_quotients(draw):
             runs.append((r * draw(st.integers(0, 2)), count))
         else:
             runs.append((draw(st.integers(0, 2 * r)), count))
+    return CyclicQuotientSingularity(r, runs=runs)
+
+
+@st.composite
+def frame_quotients(draw):
+    """Quotients past the first block of the scan (orders 129-5,000), where it
+    reads k = j * u mod r for the unit residue u of largest folded coefficient:
+    single residues with counts, +- pairs and zero residues; at composite orders,
+    half the draws take every residue from multiples of a proper divisor of r,
+    so that no residue is a unit and the scan keeps the plain frame."""
+    r = draw(st.integers(129, 5000))
+    divisors = [f for f in range(2, r) if r % f == 0]
+    plain = bool(divisors) and draw(st.booleans())
+
+    def residue():
+        if not plain:
+            return draw(st.integers(1, r - 1))
+        f = draw(st.sampled_from(divisors))
+        return f * draw(st.integers(1, r // f - 1))
+
+    runs = []
+    for shape in draw(st.lists(st.sampled_from(["single", "pair", "zero"]),
+                               min_size=1, max_size=4)):
+        count, b = draw(st.integers(1, 4)), residue()
+        if shape == "pair":
+            runs += [(b, count), (r - b, draw(st.integers(1, 4)))]
+        elif shape == "zero":
+            runs.append((r * draw(st.integers(0, 2)), count))
+        else:
+            runs.append((b + r * draw(st.integers(0, 1)), count))
     return CyclicQuotientSingularity(r, runs=runs)
 
 
@@ -214,6 +245,12 @@ def test_quotient_report_on_shaped_quotients_matches_plain_scan(q):
     assert_report_matches_plain_scan(q)
 
 
+@settings(max_examples=30, deadline=None)
+@given(frame_quotients())
+def test_quotient_report_past_the_first_block_matches_plain_scan(q):
+    assert_report_matches_plain_scan(q)
+
+
 def test_quotient_report_contents():
     rep = quotient_report(CyclicQuotientSingularity(3, (1, 1)))
     assert rep.sclass == SingularityClass.NOT_CANONICAL
@@ -232,21 +269,31 @@ def _next_prime(n):
     return n
 
 
-def _block(j):
-    return (j - 1) // _BLOCK
+def _block(k):
+    """The index of the scan block holding k: blocks of 64, 128, ..., `_BLOCK`,
+    then `_BLOCK` each."""
+    start, size, index = 1, 64, 0
+    while start + size <= k:
+        start, size, index = start + size, min(2 * size, _BLOCK), index + 1
+    return index
 
 
 # 1/(3p)(...) with p the first prime above _BLOCK: weights divisible by 3 vanish
-# exactly at j = p and 2p, which lie past the first block and in different blocks
+# exactly at j = p and 2p, which lie past the first block and in different
+# blocks; the only unit residue with more copies than its complement, if any,
+# is 1, so the scan reads these in its plain frame, k = j
 _P = _next_prime(_BLOCK)
 
 
 class TestBlockEdges:
-    """The blocked scan against the plain per-j scan where blocks start and end."""
+    """The blocked scan against the plain per-j scan where blocks start and end:
+    the scan reads k in [1, r//2] in blocks ending at k = 64, 192, 448, 960,
+    1984, 4032 and then every `_BLOCK`, and past the first it changes frame."""
 
     @pytest.mark.parametrize(
         "order",
         [
+            64, 129, 130, 131, 192, 385, 387, 448, 897, 899, 3969, 3971, 8065, 8067,
             _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
             2 * _BLOCK + 2, _next_prime(3 * _BLOCK), 4 * _BLOCK + 2,
         ],
@@ -274,8 +321,9 @@ class TestBlockEdges:
     )
     def test_least_total_only_past_half_the_order(self, order, weights, at):
         # the least total lies past r/2 only: at r - 2; at r - 2 and r - 1, the
-        # first coming from the larger j; at r - _BLOCK, from the last j of block
-        # one; at r - 4191 and r - 2247, the first coming from the later block
+        # first coming from the larger j; at r - _BLOCK, which the scan reads at
+        # k = 1 in the frame of u = 2; at r - 4191 and r - 2247, read at k = 21
+        # and k = 417 in the frame of u = 109, the first from the earlier k
         q = CyclicQuotientSingularity(order, weights)
         totals = assert_report_matches_plain_scan(q)
         assert totals.index(min(totals)) + 1 == at > order / 2
@@ -302,7 +350,8 @@ class TestBlockEdges:
             if sum(c for b, c in q.runs if (j * b) % q.order) <= 1
         ]
         assert reflecting == [_P, 2 * _P] and _block(_P) > 0
-        # the scan tests the flag in every block holding a total below r
+        # the flag is a closed form in the periods, whether or not a total
+        # below r comes before the reflecting j
         assert (min(totals[:_BLOCK]) < q.order) == early_below
         assert quotient_report(q).quasi_reflection
 
@@ -330,6 +379,88 @@ class TestBlockEdges:
         assert (rep.minimum, rep.at_multiplier) == (1, 1)
         # all 200,002 totals at once would take several MB
         assert peak < 1_000_000
+
+
+def _frame(q):
+    """The unit u of the scan's frame k = j * u mod r: the residue prime to r
+    whose count exceeds that of r - u by most (unique in the cases below)."""
+    counts = {}
+    for b, count in q.runs:
+        counts[b % q.order] = counts.get(b % q.order, 0) + count
+    c = {rho: n - counts.get(-rho % q.order, 0) for rho, n in counts.items()
+         if gcd(rho, q.order) == 1}
+    (u,) = [rho for rho in c if c[rho] == max(c.values())]
+    return u
+
+
+class TestUnitFrame:
+    """Past the first block the scan reads k = j * u mod r and stops once
+    base + c * k exceeds the least total; each case pins one part of that."""
+
+    @pytest.mark.parametrize(
+        "order, weights, same_block",
+        [
+            (784, (198, 243), True),
+            (1056, (21, 1009, 818), True),
+            (756, (367, 531, 488), False),
+            (1284, (171, 139, 123, 356), False),
+        ],
+    )
+    def test_tie_whose_least_j_comes_from_a_later_k(self, order, weights, same_block):
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        ties = [j for j, t in enumerate(totals, 1) if t == min(totals)]
+        u = _frame(q)
+        # the scan reads j at k or, mirrored, at r - k, whichever is at most r/2;
+        # an earlier tied k lies in the block of the least j, or only before it
+        at = {j: min(j * u % order, -j * u % order) for j in ties}
+        earlier = [_block(at[j]) for j in ties if at[j] < at[ties[0]]]
+        assert earlier and (_block(at[ties[0]]) in earlier) == same_block
+        assert quotient_report(q).at_multiplier == ties[0]
+
+    @pytest.mark.parametrize(
+        "order, weights", [(432, (356, 263, 165, 76)), (2290, (414, 105, 1771))]
+    )
+    def test_least_total_on_the_mirrored_side(self, order, weights):
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        j = totals.index(min(totals)) + 1
+        k = j * _frame(q) % order
+        assert k > order // 2 and _block(order - k) > 0
+        assert quotient_report(q).at_multiplier == j
+
+    @pytest.mark.parametrize(
+        "order, weights",
+        [(2310, (6, 10, 15, 2304, 35)), (4096, (2, 6, 4094, 1024)), (1001, (7, 11, 13, 994, 77))],
+    )
+    def test_no_unit_residue_keeps_the_plain_frame(self, order, weights):
+        assert all(gcd(b, order) > 1 for b in weights)
+        assert_report_matches_plain_scan(CyclicQuotientSingularity(order, weights))
+
+    @pytest.mark.parametrize(
+        "order, weights", [(987, (392, 784, 329, 657)), (1015, (735, 319, 290, 840))]
+    )
+    def test_mirrored_ties_in_the_plain_frame_keep_the_later_block(self, order, weights):
+        # no unit residue: the scan reads r - j at k = j, and the least tied j,
+        # past r/2, is the mirror of the largest tied k, in a later block
+        assert all(gcd(b, order) > 1 for b in weights)
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        ties = [j for j, t in enumerate(totals, 1) if t == min(totals)]
+        assert ties[0] > order / 2 and _block(order - ties[0]) > _block(order - ties[-1])
+        assert quotient_report(q).at_multiplier == ties[0]
+
+    @pytest.mark.parametrize("c", [1, 2, 12345, 999_982])
+    def test_terminal_lemma_point_below_the_order_cap(self, c):
+        # 1/r(1, -1, c) at the prime r = 999,983: the pair adds r at every j,
+        # and c adds (j * c) mod r, so the least total is r + 1 at j = 1/c mod r
+        r = 999_983
+        rep = quotient_report(CyclicQuotientSingularity(r, (1, r - 1, c)))
+        assert rep.sclass == SingularityClass.TERMINAL
+        assert (rep.minimum, rep.at_multiplier) == (Fraction(r + 1, r), pow(c, -1, r))
+        assert not rep.quasi_reflection
+        q = CyclicQuotientSingularity(r, (1, r - 1, c))
+        assert classify_quotient(q) == SingularityClass.TERMINAL
 
 
 class TestAmbient:
