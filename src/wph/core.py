@@ -321,11 +321,13 @@ def order_residues(w: Weights | Iterable[int], h: int) -> dict[int, int]:
     them, add nothing to a Reid-Tai sum, so these residues are the type of
     every stratum of order h: one germ per order, never one per index subset.
     """
-    return _order_residues(Weights.coerce(w).multiplicities(), h)
+    residues = _order_residues(Weights.coerce(w).multiplicities(), h)
+    return {r: count for r, count in residues.items() if count > 0}
 
 
 def _order_residues(counts: dict[int, int], h: int) -> dict[int, int]:
+    """`order_residues` unfiltered: residue 0 counts 0 when h divides one weight."""
     residues = {0: -1}
     for v, count in counts.items():
         residues[v % h] = residues.get(v % h, 0) + count
-    return {r: count for r, count in residues.items() if count > 0}
+    return residues

@@ -160,32 +160,38 @@ class WeightedHypersurface:
 
         One germ per stratum order h (`core.strata_orders`), not per index
         subset: `core.order_residues` gives the type of every stratum of order
-        h, both from one multiplicity read per call.  If h does not divide d,
-        the member contains them and loses a direction of residue d mod h
-        (False when none exists); if h divides d, only the larger strata are
-        met, unchanged (none exist when a single weight is divisible by h).
-        Any member gets a bool, but a verdict on its germs only if it is
-        quasi-smooth (clause (b) then makes every stratum of order h lose the
-        same residue), so every caller also requires `quasi_smooth`.  A bounded
-        cache classifies each germ (h, sorted residue counts) once per process,
-        after the `WPH_ORDER_CAP` check, which a warm cache thus never skips;
-        the cap is read once per call.
+        h.  If h does not divide d, the member contains them and loses a
+        direction of residue d mod h (False when none exists); if h divides d,
+        only the larger strata are met, unchanged (none exist when a single
+        weight is divisible by h).  Any member gets a bool, but a verdict on
+        its germs only if it is quasi-smooth (clause (b) then makes every
+        stratum of order h lose the same residue), so every caller also
+        requires `quasi_smooth`.  The walk, `_member_canonical`, reads the
+        multiplicities once; the search runs it on raw tuples.  `WPH_ORDER_CAP`
+        is read once per call here, once per batch in the search.  A bounded
+        cache classifies each germ (h, sorted residue counts) once per
+        process, after the cap check, which a warm cache thus never skips.
         """
-        d, counts = self.degree, self.weights.multiplicities()
-        order_cap = config._cap("WPH_ORDER_CAP")  # read once; `require` words the error
-        for h in _strata_orders(counts):
-            residues = _order_residues(counts, h)
-            if d % h:
-                if d % h not in residues:  # its counts are positive
-                    return False
-                residues[d % h] -= 1
-            elif 0 not in residues:
-                continue
-            if h > order_cap:
-                config.require("WPH_ORDER_CAP", h, f"group order {h}")
-            if not _germ_class(h, tuple(sorted(p for p in residues.items() if p[1]))).is_canonical:
+        return _member_canonical(
+            self.weights.multiplicities(), self.degree, config._cap("WPH_ORDER_CAP")
+        )
+
+
+def _member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
+    """The walk of `member_canonical` over weight multiplicities `counts`."""
+    for h in _strata_orders(counts):
+        residues = _order_residues(counts, h)  # nonzero residues count > 0
+        if d % h:
+            if d % h not in residues:
                 return False
-        return True
+            residues[d % h] -= 1
+        elif residues[0] <= 0:
+            continue  # a single weight is divisible by h
+        if h > order_cap:
+            config.require("WPH_ORDER_CAP", h, f"group order {h}")
+        if not _germ_class(h, tuple(sorted(p for p in residues.items() if p[1] > 0))).is_canonical:
+            return False
+    return True
 
 
 @lru_cache(maxsize=4096)

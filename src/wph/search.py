@@ -31,11 +31,11 @@ other weights sum to at least length - 1, so for every amplitude >= 1.
   passes iff d mod a lies in a's set or equals u mod a or v mod a.  Heads,
   u and v ascend, so the tuples still come in lexicographic order.
 
-Well-formedness is decided in the generator on raw ints, so only well-formed
-tuples become `Weights`: per head, g = gcd(head) and P = the product of its
-gcds with one weight left out; a u with gcd(g, u) > 1 is skipped, and v must
-be coprime to g and to gcd(P, u).  `_evaluate` then asks `member_canonical`
-before `quasi_smooth`: both are needed, and the first rejects nearly all
+Well-formedness is decided in the generator on raw ints: per head, g =
+gcd(head) and P = the product of its gcds with one weight left out; a u with
+gcd(g, u) > 1 is skipped, and v must be coprime to g and to gcd(P, u).
+`_evaluate` then runs the walk of `member_canonical` on the tuple's counts,
+so only member-canonical tuples become objects and reach `quasi_smooth`
 (dim 3, S = 80: 2,377 tuples, 23 member-canonical, 23 quasi-smooth).
 
 A search runs one batch per leading weight.  With jobs = N > 1 the calling
@@ -56,7 +56,7 @@ from typing import Iterator
 from . import config
 from .core import Weights
 from .hilbert import plurigenera_table
-from .hypersurface import WeightedHypersurface
+from .hypersurface import WeightedHypersurface, _member_canonical
 
 
 @dataclass(frozen=True)
@@ -155,21 +155,28 @@ def _degree_tuples(
 
 
 def _evaluate(
-    weights: tuple[int, ...], amplitude: int, plurigenera_up_to: int
+    weights: tuple[int, ...], amplitude: int, plurigenera_up_to: int, order_cap: int
 ) -> SearchRecord | None:
-    x = WeightedHypersurface(Weights(weights), sum(weights) + amplitude)
+    counts: dict[int, int] = {}
+    for a in weights:  # sorted, so in the order of `Weights.multiplicities`
+        counts[a] = counts.get(a, 0) + 1
+    degree = sum(weights) + amplitude
     # both are required; member canonicity rejects far more, and far cheaper
-    if not x.member_canonical() or not x.quasi_smooth():
+    if not _member_canonical(counts, degree, order_cap):
+        return None
+    x = WeightedHypersurface(Weights(weights), degree)
+    if not x.quasi_smooth():
         return None
     genera = plurigenera_table(x, plurigenera_up_to)
-    return SearchRecord(weights, x.degree, amplitude, x.volume(), genera)
+    return SearchRecord(weights, degree, amplitude, x.volume(), genera)
 
 
 def _leading_records(
     leading: int, length: int, max_sum: int, amplitude: int, up_to: int
 ) -> Iterator[SearchRecord]:
+    order_cap = config._cap("WPH_ORDER_CAP")  # once per batch; `require` words the error
     for weights in _degree_tuples(leading, length, max_sum, amplitude):
-        record = _evaluate(weights, amplitude, up_to)
+        record = _evaluate(weights, amplitude, up_to, order_cap)
         if record is not None:
             yield record
 

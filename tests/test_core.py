@@ -8,6 +8,7 @@ from wph.core import (
     CyclicQuotientSingularity,
     StratumRecord,
     Weights,
+    _order_residues,
     order_residues,
     singular_strata,
     strata_orders,
@@ -185,6 +186,23 @@ class TestOrderGerms:
         assert strata_orders(Weights((1, 1, 1))) == []
         assert strata_orders(Weights((6, 10, 15))) == [2, 3, 5, 6, 10, 15]
         assert order_residues(Weights((2, 2, 2, 2, 3, 3, 3, 6)), 3) == {2: 4, 0: 3}
+
+    def test_a_residue_zero_left_at_count_zero_is_dropped(self):
+        # 4 is the one weight divisible by h = 4, so residue 0 counts 0: the
+        # raw residues keep it, `order_residues` gives positive counts only
+        w = Weights((4, 5, 6, 7, 23))
+        assert _order_residues(w.multiplicities(), 4) == {0: 0, 1: 1, 2: 1, 3: 2}
+        assert order_residues(w, 4) == {1: 1, 2: 1, 3: 2}
+
+    @given(weight_tuples)
+    def test_order_residues_are_the_positive_raw_residues(self, entries):
+        w = Weights(entries)
+        for h in strata_orders(w):
+            raw = _order_residues(w.multiplicities(), h)
+            residues = order_residues(w, h)
+            assert residues == {r: c for r, c in raw.items() if c > 0}
+            assert min(residues.values(), default=1) > 0 and min(raw.values()) >= 0
+            assert sum(residues.values()) == sum(raw.values()) == len(w) - 1
 
     @given(weight_tuples)
     def test_orders_are_the_strata_orders(self, entries):

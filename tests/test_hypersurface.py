@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -12,7 +13,7 @@ import wph.hypersurface
 from wph.core import CyclicQuotientSingularity, Weights, singular_strata, well_formed
 from wph.errors import BudgetError, NotWellFormedError
 from wph.families import volume_witness
-from wph.hypersurface import WeightedHypersurface, singularity_report
+from wph.hypersurface import WeightedHypersurface, _member_canonical, singularity_report
 from wph.singularity import SingularityClass, ambient_canonical_bruteforce, classify_quotient
 
 
@@ -266,6 +267,12 @@ repeated_tuples = (
 )
 
 
+# up to 4 unit weights ahead of repeated values, at most 11 entries
+unit_padded_tuples = st.tuples(
+    st.integers(0, 4), repeated_tuples.filter(lambda entries: len(entries) <= 7)
+).map(lambda pair: (1,) * pair[0] + pair[1])
+
+
 class TestMemberTypeRuns:
     @given(repeated_tuples, st.integers(1, 90))
     def test_matches_index_removal(self, entries, degree):
@@ -300,6 +307,12 @@ class TestMemberCanonicalOracle:
         x = make(entries, degree)
         if x.quasi_smooth():
             assert x.member_canonical() == canonical_by_index(entries, degree)
+
+    @given(unit_padded_tuples, st.integers(1, 60))
+    def test_the_walk_on_raw_counts_matches_the_index_oracle_on_any_member(self, entries, degree):
+        # quasi-smooth or not, as the search asks it before `quasi_smooth`
+        walk = _member_canonical(Counter(entries), degree, wph.config._cap("WPH_ORDER_CAP"))
+        assert walk == make(entries, degree).member_canonical() == canonical_by_index(entries, degree)
 
     def test_matches_index_oracle_exhaustively(self):
         # multisets of length 3-5, weights <= 9; degrees sum+1..sum+3 and one

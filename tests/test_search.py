@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wph.config
 import wph.hypersurface
 import wph.search
 from wph.core import CyclicQuotientSingularity, Weights, order_residues, strata_orders, well_formed
@@ -20,10 +22,11 @@ from wph.cli import run
 from wph.errors import BudgetError
 from wph.families import consecutive_family, vanishing_witness
 from wph.hilbert import plurigenera_table
-from wph.hypersurface import WeightedHypersurface
+from wph.hypersurface import WeightedHypersurface, _member_canonical
 from wph.singularity import classify_quotient
 from wph.search import (
     SearchRecord,
+    _batches,
     _degree_tuples,
     _divisor_table,
     _fork_map,
@@ -241,14 +244,17 @@ class TestDegreeDrivenGenerator:
         self, member_dim
     ):
         # the search's own traffic, most of it not quasi-smooth, so beyond the
-        # index-subset oracles of tests/test_hypersurface.py
+        # index-subset oracles of tests/test_hypersurface.py; the search runs
+        # the walk on raw counts, the method runs it on `Weights`
         length, max_sum = member_dim + 2, 40
+        order_cap = wph.config.DEFAULTS["WPH_ORDER_CAP"]
         verdicts = []
         for amplitude in (1, 2, 3):
             for lead in range(1, max_sum // length + 1):
                 for t in _degree_tuples(lead, length, max_sum, amplitude):
                     w, degree = Weights(t), sum(t) + amplitude
-                    verdict = WeightedHypersurface(w, degree).member_canonical()
+                    verdict = _member_canonical(Counter(t), degree, order_cap)
+                    assert verdict == WeightedHypersurface(w, degree).member_canonical(), (t, amplitude)
                     assert verdict == member_canonical_reference(w, degree), (t, amplitude)
                     verdicts.append(verdict)
         assert len(verdicts) > 400 and 0 < sum(verdicts) < len(verdicts)
@@ -257,6 +263,16 @@ class TestDegreeDrivenGenerator:
         monkeypatch.setenv("WPH_ORDER_CAP", "6")
         with pytest.raises(BudgetError, match="WPH_ORDER_CAP"):
             search_records(3, 45)
+
+    def test_the_order_cap_is_read_once_per_batch(self, monkeypatch):
+        search_records(3, 45)  # warm: a cold germ lookup's Reid-Tai scan reads it too
+        reads = []
+        cap = wph.config._cap
+        monkeypatch.setattr(wph.config, "_cap", lambda name: reads.append(name) or cap(name))
+        assert len(search_records(3, 45)) == 23
+        batches = _batches(3, 45, 1, 0)
+        tuples = sum(len(list(_degree_tuples(*batch[:4]))) for batch in batches)
+        assert reads.count("WPH_ORDER_CAP") == len(batches) < tuples
 
     @pytest.mark.parametrize("member_dim", [2, 3, 4])
     @pytest.mark.parametrize("amplitude", [1, 2, 3])
@@ -358,6 +374,21 @@ class TestDeterminismAndParallelism:
             assert run(argv) == 3
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] and "group order 6," in errors[0]
+
+    def test_a_warm_germ_cache_does_not_hide_a_lowered_order_cap(self, monkeypatch):
+        wph.hypersurface._germ_class.cache_clear()
+        monkeypatch.setenv("WPH_ORDER_CAP", "4")
+        with pytest.raises(BudgetError) as cold:
+            search_records(3, 80, vanishing=5)
+        monkeypatch.delenv("WPH_ORDER_CAP")
+        search_records(3, 80, vanishing=5)  # classifies every germ the search meets
+        assert wph.hypersurface._germ_class.cache_info().currsize > 0
+        monkeypatch.setenv("WPH_ORDER_CAP", "4")
+        for jobs in (1, 2):
+            with pytest.raises(BudgetError) as warm:
+                search_records(3, 80, vanishing=5, jobs=jobs)
+            assert str(warm.value) == str(cold.value)
+        assert str(cold.value).startswith("group order 6, above the cap 4 ")
 
     def test_no_child_outlives_a_pooled_search(self, monkeypatch):
         assert len(search_records(3, 45, jobs=2)) == 23
