@@ -40,7 +40,7 @@ STATUS_BUDGET = 3
 
 # destination -> flag of every count option; a negative count is a usage error
 COUNT_FLAGS = {"plurigenera": "--plurigenera", "up_to": "--up-to", "vanishing": "--vanishing",
-               "decimal": "--decimal"}
+               "decimal": "--decimal", "max_sum": "--max-sum"}
 
 
 @dataclass

@@ -20,16 +20,16 @@ other weights sum to at least length - 1, so for every amplitude >= 1.
 
 * The largest weight v is chosen from the degree.  With s the sum of the
   other weights, d = s + v + amplitude, so v | d iff v | s + amplitude and
-  v | d - a_j iff v | s + amplitude - a_j.  Only divisors of these numbers,
-  which lie in [amplitude, amplitude + max_sum], are tried: the table, indexed
-  by number - amplitude, keeps divisors <= max_sum in descending order, so its
-  size does not grow with the amplitude and a scan stops at the first below u.
-* Every other weight is tested on raw ints.  The head (all but the two
-  largest weights u <= v) carries, for each of its values a > 1, the set
-  {b mod a : b in head} | {0}, built once per head; u gets its own set once
-  per (head, u), unless u | s + amplitude already lets it pass.  The tuple
-  passes iff d mod a lies in a's set or equals u mod a or v mod a.  Heads,
-  u and v ascend, so the tuples still come in lexicographic order.
+  v | d - a_j iff v | s + amplitude - a_j.  Entry k of the divisor table is
+  the bitset of the divisors <= max_sum of amplitude + k, so a (head, u)
+  ORs its entries at s - b, for b = 0, u and the head values.
+* Every other weight is tested on bitsets over n = d - amplitude in
+  [0, max_sum], so none grows with the amplitude.  For each value a > 1 of
+  the head (all but the two largest weights u <= v), and for u, the union of
+  the classes n + amplitude = b mod a, b in head or 0, is built once per head
+  (per (head, u) for u); unless a | s + amplitude (so d = v mod a), the
+  candidates v, at bit s + v, keep only that union and the class of u mod a.
+  They are read lowest bit first: the tuples come in lexicographic order.
 
 Well-formedness is decided in the generator on raw ints: per head, g =
 gcd(head) and P = the product of its gcds with one weight left out; a u with
@@ -99,14 +99,19 @@ def _nondecreasing_tuples(
             yield (v,) + rest
 
 
-def _divisor_table(max_sum: int, amplitude: int) -> list[list[int]]:
-    """Entry k, for k in [0, max_sum]: the divisors <= max_sum of amplitude + k,
-    descending.  Sized by the weight-sum bound, never by the degree."""
-    table: list[list[int]] = [[] for _ in range(max_sum + 1)]
-    for t in range(max_sum, 0, -1):
-        for k in range(-amplitude % t, max_sum + 1, t):
-            table[k].append(t)
-    return table
+def _divisor_masks(max_sum: int, amplitude: int) -> list[int]:
+    """Entry k in [0, max_sum]: bit w iff w <= max_sum divides amplitude + k."""
+    masks = [0] * (max_sum + 1)
+    for w in range(1, max_sum + 1):
+        for k in range(-amplitude % w, max_sum + 1, w):
+            masks[k] |= 1 << w
+    return masks
+
+
+def _residue_classes(a: int, max_sum: int, amplitude: int) -> list[int]:
+    """Class r in [0, a): bit n in [0, max_sum] iff n + amplitude = r mod a."""
+    every = sum(1 << n for n in range(0, max_sum + 1, a))
+    return [every << (r - amplitude) % a & (2 << max_sum) - 1 for r in range(a)]
 
 
 def _degree_tuples(
@@ -115,12 +120,21 @@ def _degree_tuples(
     """Well-formed tuples starting with `leading` whose every weight passes the
     singleton test (module docstring), in lexicographic order: the heads come
     from `_nondecreasing_tuples`, u and v ascend."""
-    table = _divisor_table(max_sum, amplitude)
+    divisors = _divisor_masks(max_sum, amplitude)
+    classes: dict[int, list[int]] = {}  # built once per value a
+
+    def residues(a: int, values: tuple[int, ...]) -> int:  # the classes of 0 and values
+        by = classes.get(a) or classes.setdefault(a, _residue_classes(a, max_sum, amplitude))
+        mask = by[0]
+        for b in values:
+            mask |= by[b % a]
+        return mask
+
     for middle in _nondecreasing_tuples(length - 3, max_sum - leading, leading, 2):
         head = (leading,) + middle
         t = sum(head)
-        # a value a > 1 of the head -> {b mod a : b in head} | {0}
-        head_sets = [(a, {b % a for b in head} | {0}) for a in set(head) if a > 1]
+        # a value a > 1 of the head -> {b mod a : b in head} | {0}, as a mask
+        head_sets = [(a, residues(a, head), classes[a]) for a in set(head) if a > 1]
         gaps = (0, *set(head))
         g = math.gcd(*head)
         # the product of the gcds > 1 of the head with one weight left out
@@ -132,26 +146,22 @@ def _degree_tuples(
             coprime_to = g * math.gcd(dropped, u)
             s = t + u
             e = s + amplitude  # d - v
-            sets = head_sets
-            if u > 1 and e % u and u != head[-1]:  # else u passes, or has its set
-                sets = head_sets + [(u, {b % u for b in head} | {0})]
-            hi = max_sum - s
-            # divisors of d - v - b, so that v | d - b, for b = 0, u or a head weight
-            divisors: set[int] = set()
-            for b in (u, *gaps):
-                for w in table[s - b]:
-                    if w < u:
-                        break
-                    if w <= hi:
-                        divisors.add(w)
-            for v in sorted(divisors):
-                for a, residues in sets:
-                    r = (e + v) % a
-                    if r not in residues and r != u % a and r != v % a:
-                        break
-                else:
-                    if math.gcd(coprime_to, v) == 1:
-                        yield head + (u, v)
+            # v in [u, max_sum - s] with v | d - b (b = 0, u or a head value), at bit s + v
+            found = divisors[t]
+            for b in gaps:
+                found |= divisors[s - b]
+            found = (found & (1 << max_sum - s + 1) - (1 << u)) << s
+            for a, kept, by_residue in head_sets:
+                if e % a:  # else d = v mod a, and every v passes
+                    found &= kept | by_residue[u % a]
+            if found and u > 1 and e % u and u != head[-1]:  # else u passes, or has its set
+                found &= residues(u, head)
+            while found:
+                low = found & -found
+                found ^= low
+                v = low.bit_length() - 1 - s
+                if math.gcd(coprime_to, v) == 1:
+                    yield head + (u, v)
 
 
 def _evaluate(

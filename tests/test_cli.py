@@ -293,6 +293,9 @@ class TestSearch:
         status, out = invoke(capsys, "search", "--dim", "3", "--max-sum", "4", "--csv")
         assert status == 1
         assert out.startswith("weights,d,volume,")
+        status, out = invoke(capsys, "search", "--dim", "3", "--max-sum", "0")
+        assert status == 1  # the least bound is an empty search, not a usage error
+        assert "record_count: 0" in out
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
@@ -321,6 +324,7 @@ class TestCountFlags:
             (["analyze", "--weights", "2,3,5", "--degree", "11", "--decimal", "-3"],
              "--decimal must be >= 0, got -3"),
             (["reid-tai", "1/5(1,4)", "--decimal", "-3"], "--decimal must be >= 0, got -3"),
+            (["search", "--dim", "3", "--max-sum", "-5"], "--max-sum must be >= 0, got -5"),
         ],
     )
     def test_negative_count_is_a_usage_error_naming_the_flag(self, capsys, argv, message):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import os
 import signal
@@ -28,9 +29,10 @@ from wph.search import (
     SearchRecord,
     _batches,
     _degree_tuples,
-    _divisor_table,
+    _divisor_masks,
     _fork_map,
     _nondecreasing_tuples,
+    _residue_classes,
     enumerate_candidates,
     search_records,
 )
@@ -169,7 +171,11 @@ class TestDegreeDrivenGenerator:
 
     @pytest.mark.parametrize(
         "length,max_sum,amplitude",
-        [(4, 30, 1), (5, 28, 2), (6, 24, 7), (4, 30, 10**6), (6, 30, 1), (4, 36, 2)],
+        [
+            (4, 30, 1), (5, 28, 2), (6, 24, 7), (4, 30, 10**6), (6, 30, 1), (4, 36, 2),
+            # the cut holds for every amplitude > 1 - length, not only those searched
+            (4, 30, 0), (5, 28, -1), (6, 24, -2),
+        ],
     )
     def test_generator_equals_the_enumeration_filtered_by_the_singleton_oracle(
         self, length, max_sum, amplitude
@@ -186,13 +192,22 @@ class TestDegreeDrivenGenerator:
         ]
         assert generated == expected  # same tuples, same lexicographic order
 
-    @pytest.mark.parametrize("amplitude", [1, 7, 10**6])
-    def test_divisor_table_lists_each_entry_descending(self, amplitude):
+    @pytest.mark.parametrize("amplitude", [1, 7, 10**6, 0, -1])
+    def test_bitset_tables_match_their_definitions(self, amplitude):
         max_sum = 60
-        table = _divisor_table(max_sum, amplitude)
-        assert len(table) == max_sum + 1
-        for k, divisors in enumerate(table):
-            assert divisors == [t for t in range(max_sum, 0, -1) if (amplitude + k) % t == 0]
+        masks = _divisor_masks(max_sum, amplitude)
+        assert len(masks) == max_sum + 1
+        for k, mask in enumerate(masks):
+            assert mask.bit_length() <= max_sum + 1  # sized by max_sum, not the degree
+            assert mask == sum(1 << w for w in range(1, max_sum + 1) if (amplitude + k) % w == 0)
+        for a in (1, 2, 5, 12, 60):
+            classes = _residue_classes(a, max_sum, amplitude)
+            assert len(classes) == a
+            for r, mask in enumerate(classes):
+                assert mask.bit_length() <= max_sum + 1
+                assert mask == sum(
+                    1 << n for n in range(max_sum + 1) if (n + amplitude) % a == r
+                )
 
     def test_spare_room(self):
         for spare in (0, 1, 2):
@@ -306,6 +321,15 @@ class TestDeterminismAndParallelism:
         serial = search_records(4, 40, plurigenera_up_to=1)
         assert serial == search_records(4, 40, plurigenera_up_to=1, jobs=2)
         assert len(serial) == 263
+
+    def test_dimension_four_anchor_is_unchanged_byte_for_byte(self):
+        serial = search_records(4, 80)
+        assert len(serial) == 564
+        assert serial == search_records(4, 80, jobs=2)
+        lines = "\n".join(map(str, serial)).encode()
+        assert hashlib.sha256(lines).hexdigest() == (
+            "211d4404ead698e0b0c876ae85c0f11651b480861c239f204f27725097dfc3a9"
+        )
 
     def test_sorted_by_volume_then_weights(self):
         records = search_records(2, 10)
