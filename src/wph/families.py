@@ -55,14 +55,13 @@ class FamilyReport:
         return all(c.passed for c in self.checks)
 
 
-def _consecutive_weights(k: int, l: int) -> tuple[tuple[int, ...], int]:
+def _consecutive_weights(k: int, l: int) -> tuple[Weights, int]:
     if k < 2:
         raise ParameterError("k must be >= 2 (the weights are not well-formed below that)")
     if l < 0:
         raise ParameterError("l must be >= 0")
-    weights = (k,) * (k + 2) + (k + 1,) * (2 * k - 1) + (k * (k + 1),) * l
-    degree = (l + 3) * k * (k + 1)
-    return weights, degree
+    runs = ((k, k + 2), (k + 1, 2 * k - 1), (k * (k + 1), l))
+    return Weights(runs=runs[: 3 if l else 2]), (l + 3) * k * (k + 1)
 
 
 def _consecutive_member(
@@ -70,8 +69,7 @@ def _consecutive_member(
 ) -> tuple[WeightedHypersurface, tuple[Check, ...]]:
     """The (k, l) member as a dimension-n witness, with the four checks that
     `thm3` and `thm4` share."""
-    weights, degree = _consecutive_weights(k, l)
-    x = WeightedHypersurface(Weights(weights), degree)
+    x = WeightedHypersurface(*_consecutive_weights(k, l))
     return x, (
         Check("weights are well-formed", well_formed(x.weights)),
         Check("ambient space is canonical", ambient_canonical(x.weights)),
@@ -82,8 +80,7 @@ def _consecutive_member(
 
 def consecutive_family(k: int, l: int) -> FamilyReport:
     """Family on consecutive weights k, k+1 (and their product); id "prop"."""
-    weights, degree = _consecutive_weights(k, l)
-    x = WeightedHypersurface(Weights(weights), degree)
+    x = WeightedHypersurface(*_consecutive_weights(k, l))
     closed_form = Fraction(l + 3, k ** (k + 1 + l) * (k + 1) ** (2 * k - 2 + l))
     checks = (
         Check("weights are well-formed", well_formed(x.weights)),
@@ -102,7 +99,7 @@ def consecutive_family(k: int, l: int) -> FamilyReport:
         Check("general member is quasi-smooth", x.quasi_smooth()),
     )
     return FamilyReport(
-        "prop", {"k": k, "l": l, "d": degree}, x, checks
+        "prop", {"k": k, "l": l, "d": x.degree}, x, checks
     )
 
 
@@ -143,10 +140,10 @@ def degree_bound_witness(n: int) -> FamilyReport:
     x, checks = _consecutive_member(n, k, l)
 
     obstruction = k * (k + 1)
-    # the weight-obstruction variables are the only run of that value
-    absent = all(
-        obstruction not in present for present in values_present_below(x.weights, obstruction)
-    )
+    # the weight-obstruction variables are the only run of that value; a variable
+    # appears in no degree below its weight, so this holds by the weights alone
+    # for every n (ROADMAP item 9 replaces it with a non-birationality check)
+    absent = not values_present_below(x.weights, obstruction).get(obstruction)
     bound = Fraction(n * (n - 3), 9)
     checks += (
         Check(
@@ -187,8 +184,9 @@ def ample_witness(n: int) -> FamilyReport:
     ]
     singular = [i for i, a in enumerate(x.weights) if a > 1]
     all_missed = len(missed) == len(singular)
-    # the top variable is the only one of weight d
-    top_absent = all(d not in present for present in values_present_below(x.weights, d))
+    # the top variable is the only one of weight d; it appears in no degree below
+    # d, so this holds by the weights alone for every n (ROADMAP item 9 replaces it)
+    top_absent = not values_present_below(x.weights, d).get(d)
     checks = (
         Check("amplitude is 1", x.amplitude == 1),
         Check("member dimension is n", x.dimension == n, f"dimension={x.dimension}"),

@@ -7,7 +7,8 @@ alpha >= 1, the m-th plurigenus is N(m*alpha) - N(m*alpha - d).
 
 Nothing here expands the weights: the count table divides by (1 - t^v)^c
 once per run (v, c), and variable presence, which depends only on the value
-a_i, is read from a reachability table, the kernel `quasi_smooth` also uses.
+a_i, is read from a reachability table, the kernel `quasi_smooth` also uses;
+presence below a degree is one int mask per value, bit t for degree t.
 
 A reachability table of a value set whose first value is a has a entries:
 entry r is the least realisable degree = r mod a, or inf when there is none
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd, inf
-from operator import mul
+from operator import mul, or_
 from typing import TYPE_CHECKING, Iterable
 
 from . import config
@@ -145,15 +146,18 @@ def _values_up_to(w: "Weights | Iterable[int]", t: int) -> tuple[list[int], list
     return values, reduce(with_value, values, [])
 
 
-def values_present_below(w: "Weights | Iterable[int]", top: int) -> list[set[int]]:
-    """[{a_i : i in variables_present(w, t)} for t in range(top)], from one table.
+def values_present_below(w: "Weights | Iterable[int]", top: int) -> dict[int, int]:
+    """Value v < top -> int mask, bit t set iff a variable of value v appears in degree t < top.
 
-    Value v appears in degree t exactly when t >= v and t - v is realisable;
-    no count table and no index set is built.
-    """
+    That is when t - v >= 0 is realisable: the mask is the realisable degrees shifted
+    by v, and those are the comb of bits 0, a, 2a, ... (a the least value) shifted by
+    each table entry, so no Python work is done per degree."""
     config.require("WPH_TABLE_CAP", top, f"presence in {top} degrees")
     values, table = _values_up_to(w, top - 1)
-    return [{v for v in values if v <= t and reaches(table, t - v)} for t in range(top)]
+    a = len(table)
+    comb = ((1 << a * (top // a + 1)) - 1) // ((1 << a) - 1) if a else 0
+    reach = reduce(or_, (comb << least for least in table if least < top), 0)
+    return {v: reach << v & (1 << top) - 1 for v in values}
 
 
 def variables_present(w: "Weights | Iterable[int]", t: int) -> set[int]:

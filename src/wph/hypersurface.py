@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import config
 from .core import (
@@ -55,6 +54,7 @@ from .core import (
 )
 from .hilbert import reaches, with_value
 from .singularity import SingularityClass, classify_quotient, order_classes, require_well_formed
+from .singularity import _germ_class  # the one germ cache, shared with order_classes
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,9 @@ class WeightedHypersurface:
         stratum of order h lose the same residue), so every caller also
         requires `quasi_smooth`.  The walk, `_member_canonical`, reads the
         multiplicities once; the search runs it on raw tuples.  `WPH_ORDER_CAP`
-        is read once per call here, once per batch in the search.  A bounded
-        cache classifies each germ (h, sorted residue counts) once per
-        process, after the cap check, which a warm cache thus never skips.
+        is read once per call here, once per batch in the search.  The one
+        zero-blind germ cache, `singularity._germ_class` (h, sorted nonzero
+        residue counts), is read after the cap check, which it never skips.
         """
         return _member_canonical(
             self.weights.multiplicities(), self.degree, config._cap("WPH_ORDER_CAP")
@@ -189,15 +189,10 @@ def _member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
             continue  # a single weight is divisible by h
         if h > order_cap:
             config.require("WPH_ORDER_CAP", h, f"group order {h}")
-        if not _germ_class(h, tuple(sorted(p for p in residues.items() if p[1] > 0))).is_canonical:
+        runs = tuple(sorted(p for p in residues.items() if p[0] and p[1] > 0))
+        if not _germ_class(h, runs).is_canonical:
             return False
     return True
-
-
-@lru_cache(maxsize=4096)
-def _germ_class(order: int, runs: tuple[tuple[int, int], ...]) -> SingularityClass:
-    """The class of 1/order(runs); `member_canonical` meets few distinct germs."""
-    return classify_quotient(CyclicQuotientSingularity(order, runs=runs))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ stratum order h (`core.strata_orders`), whose type `core.order_residues`
 gives: every stratum of order h has it.  `ambient_canonical` and
 `hypersurface.singularity_report` read its table, and
 `ambient_canonical_bruteforce`, their oracle, classifies every singular
-stratum by index.
+stratum by index.  Its verdicts and those of `hypersurface.member_canonical`
+come from one bounded cache, `_germ_class`, keyed by the nonzero residues.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import add
@@ -42,10 +44,10 @@ from . import config
 from .core import (
     CyclicQuotientSingularity,
     Weights,
-    order_residues,
+    _order_residues,
+    _strata_orders,
     parse_runs,
     singular_strata,
-    strata_orders,
     well_formed,
 )
 from .errors import NotWellFormedError
@@ -241,12 +243,23 @@ def require_well_formed(w: Weights) -> None:
 
 def order_classes(w: Weights | Iterable[int]) -> dict[int, SingularityClass]:
     """Stratum order h -> the class of every stratum of order h (module docstring),
-    largest h first, so a `WPH_ORDER_CAP` breach names an order enough for all."""
-    weights = Weights.coerce(w)
-    return {
-        h: classify_quotient(CyclicQuotientSingularity(h, runs=order_residues(weights, h).items()))
-        for h in reversed(strata_orders(weights))
-    }
+    largest h first, so a `WPH_ORDER_CAP` breach names an order enough for all; the
+    cap is checked before each read of `_germ_class`, the one zero-blind cache."""
+    counts, cap, classes = Weights.coerce(w).multiplicities(), config._cap("WPH_ORDER_CAP"), {}
+    for h in reversed(_strata_orders(counts)):
+        if h > cap:
+            config.require("WPH_ORDER_CAP", h, f"group order {h}")
+        residues = _order_residues(counts, h).items()
+        classes[h] = _germ_class(h, tuple(sorted(p for p in residues if p[0] and p[1] > 0)))
+    return classes
+
+
+@lru_cache(maxsize=4096)
+def _germ_class(order: int, runs: tuple[tuple[int, int], ...]) -> SingularityClass:
+    """The class of 1/order(runs), keyed by the sorted nonzero (residue, count)
+    runs: a zero residue adds nothing to any Reid-Tai total.  The one cache of
+    germ verdicts; key () is the all-zero germ.  Callers check the order cap."""
+    return classify_quotient(CyclicQuotientSingularity(order, runs=runs or ((0, 1),)))
 
 
 def ambient_canonical(w: Weights | Iterable[int]) -> bool:

@@ -82,6 +82,11 @@ def values_by_index(weights, t):
     return {weights[i] for i in variables_present(weights, t)}
 
 
+def per_degree(masks, top):
+    """The masks of `values_present_below` read back as one value set per degree t < top."""
+    return [{v for v, mask in masks.items() if mask >> t & 1} for t in range(top)]
+
+
 class TestMonomialCount:
     def test_examples(self):
         assert monomial_count((1, 1), 5) == 6
@@ -159,26 +164,37 @@ class TestCountTable:
         ]
         for weights, top in members:
             counts = table_by_entry(tuple(weights), top - 1)
-            present = values_present_below(weights, top)
-            assert len(present) == top
-            for t, values in enumerate(present):
+            masks = values_present_below(weights, top)
+            assert top not in masks and all(mask >> top == 0 for mask in masks.values())
+            for t, values in enumerate(per_degree(masks, top)):
                 assert values == values_by_index(weights, t)
                 assert values == {a for a in weights.multiplicities() if a <= t and counts[t - a]}
 
     @given(repeated_tuples, st.integers(0, 40))
     def test_values_match_per_degree_on_repeated_tuples(self, weights, top):
         counts = table_by_entry(weights, max(top - 1, 0))
-        present = values_present_below(weights, top)
-        assert len(present) == top
-        for t, values in enumerate(present):
+        masks = values_present_below(weights, top)
+        assert masks.keys() == {a for a in weights if a < top}
+        for t, values in enumerate(per_degree(masks, top)):
             assert values == values_by_index(weights, t)
             assert values == {a for a in weights if a <= t and counts[t - a]}
 
+    @given(small_weights, st.integers(0, 30))
+    def test_mask_bits_match_enumeration(self, weights, top):
+        # bit t of the mask of v is set iff v <= t and some monomial has degree t - v
+        masks = values_present_below(weights, top)
+        for v in set(weights):
+            for t in range(top + 3):
+                expected = t < top and v <= t and monomial_count_enum(weights, t - v) > 0
+                assert bool(masks.get(v, 0) >> t & 1) == expected, (v, t)
+
     def test_invariants(self):
-        # one table serves every degree below `top`, and degree 0 has no variable
-        assert values_present_below((2, 3), 0) == []
-        assert values_present_below((2, 3), 1) == [set()]
-        assert len(values_present_below((2, 3), 10)) == 10
+        # one table serves every degree below `top`, degree 0 has no variable,
+        # and only values below `top` have a mask
+        assert values_present_below((2, 3), 0) == {}
+        assert values_present_below((2, 3), 1) == {}
+        assert values_present_below((2, 3), 10) == {2: 0b1111110100, 3: 0b1111101000}
+        assert values_present_below((1, 1, 2, 5), 3) == {1: 0b110, 2: 0b100}
 
     def test_monotone_under_adding_weights(self):
         base = [monomial_count((2, 5), m) for m in range(31)]
@@ -226,7 +242,7 @@ class TestRunTable:
         assert genera == tuple(math.comb(j + 997565, j) for j in (1, 2, 3))
         assert elapsed < 0.1, elapsed
         assert monomial_count(x.weights, 2) == math.comb(997567, 2)
-        assert values_present_below(x.weights, 4) == [set(), {1}, {1}, {1}]
+        assert per_degree(values_present_below(x.weights, 4), 4) == [set(), {1}, {1}, {1}]
 
 
 class TestVariablesPresent:

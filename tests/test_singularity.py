@@ -13,9 +13,11 @@ from wph.errors import BudgetError, NotWellFormedError
 from wph.singularity import (
     _BLOCK,
     SingularityClass,
+    _germ_class,
     ambient_canonical,
     ambient_canonical_bruteforce,
     classify_quotient,
+    order_classes,
     parse_quotient,
     quotient_report,
     reid_tai_sum,
@@ -502,6 +504,53 @@ class TestAmbient:
         if not well_formed(w):
             return
         assert ambient_canonical(w) == ambient_canonical_bruteforce(w)
+
+
+def germ_key(q: CyclicQuotientSingularity) -> tuple[tuple[int, int], ...]:
+    """The key of q in `_germ_class`: its nonzero residues mod r with their counts, sorted."""
+    residues = {}
+    for b, count in q.runs:
+        residues[b % q.order] = residues.get(b % q.order, 0) + count
+    return tuple(sorted((b, count) for b, count in residues.items() if b))
+
+
+# germs of zero residues only, the residue r itself among them (unreduced)
+zero_germs = st.builds(
+    lambda order, count: CyclicQuotientSingularity(order, runs=((0, count), (order, 1))),
+    st.integers(2, 40),
+    st.integers(1, 5),
+)
+
+
+class TestGermCache:
+    """`_germ_class`, the one cache of germ verdicts, keyed without zero residues."""
+
+    @given(quotients | repeated_quotients | shaped_quotients() | zero_germs)
+    def test_cached_verdict_is_the_uncached_one(self, q):
+        key = germ_key(q)
+        cold = _germ_class(q.order, key)
+        assert cold == _germ_class(q.order, key) == classify_quotient(q)
+        assert cold == _germ_class.__wrapped__(q.order, key)
+
+    def test_an_all_zero_germ_has_the_empty_key(self):
+        q = CyclicQuotientSingularity(6, runs=((0, 3), (12, 2)))
+        assert germ_key(q) == ()
+        assert _germ_class(6, ()) == classify_quotient(q) == SingularityClass.NOT_CANONICAL
+        assert order_classes((2, 2, 2)) == {2: SingularityClass.NOT_CANONICAL}
+
+    def test_a_warm_cache_does_not_hide_a_lowered_order_cap(self, monkeypatch):
+        # orders 6 and 7: with the cap at 5 both breach, and the largest is named
+        w = Weights((1, 1, 7, 6))
+        assert not ambient_canonical(w)  # 1/6(1, 1, 1) is not canonical; both germs cached
+        hits = _germ_class.cache_info().hits
+        classes = order_classes(w)
+        assert list(classes) == [7, 6] and _germ_class.cache_info().hits == hits + 2
+        monkeypatch.setenv("WPH_ORDER_CAP", "5")
+        for call in (order_classes, ambient_canonical):
+            with pytest.raises(BudgetError, match=r"^group order 7, above the cap 5 \(set WPH_"):
+                call(w)
+        monkeypatch.delenv("WPH_ORDER_CAP")
+        assert order_classes(w) == classes
 
 
 def test_parse_and_format():
