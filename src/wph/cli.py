@@ -33,6 +33,8 @@ from .hilbert import plurigenera_table
 from .hypersurface import WeightedHypersurface, singularity_report
 from .singularity import parse_quotient, quotient_report
 
+_json_str = json.encoder.encode_basestring_ascii
+
 STATUS_OK = 0
 STATUS_FAILED_CHECK = 1
 STATUS_USAGE = 2
@@ -49,19 +51,10 @@ class OutputDocument:
     inputs: dict
     results: dict
     checks: list = field(default_factory=list)
-    version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "version": self.version,
-                "inputs": self.inputs,
-                "results": self.results,
-                "checks": self.checks,
-            },
-            indent=2,
-        )
+        return _render_json({"command": self.command, "version": __version__,
+                             "inputs": self.inputs, "results": self.results, "checks": self.checks})
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -78,6 +71,29 @@ class OutputDocument:
             detail = f": {check['detail']}" if check.get("detail") else ""
             lines.append(f"[{tag}] {check['name']}{detail}")
         return "\n".join(lines)
+
+
+def _render_json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` of a document's str, int, bool, None, list, tuple
+    and str-keyed dict values (else TypeError), with strings escaped in C."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):  # _json_str rejects a key that is no str
+        items = [f"{_json_str(k)}: {_render_json(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        try:  # a list of strings in one pass of the C escaper
+            items = list(map(_json_str, value))
+        except TypeError:
+            items = [_render_json(v, inner) for v in value]
+    else:
+        raise TypeError(f"{type(value).__name__} is not rendered as JSON")
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    return f"{left}{inner}{(',' + inner).join(items)}{indent}{right}" if items else left + right
 
 
 def _fmt(value) -> str:
@@ -283,6 +299,8 @@ def _cmd_construct_volume(args) -> tuple[OutputDocument, int]:
 def _cmd_search(args) -> tuple[OutputDocument | str, int]:
     from .search import search_records
 
+    if args.csv and (args.json_global or args.json_local):
+        raise ParameterError("--csv and --json each choose the output format; drop one")
     up_to = args.plurigenera if args.plurigenera is not None else args.vanishing
     if up_to < args.vanishing:
         raise ParameterError("--plurigenera must be at least --vanishing")
@@ -331,10 +349,14 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
 # ------------------------------------------------------------------ driver
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `wph` parser, built on first use and shared by every `run` call:
     each `parse_args` returns a fresh namespace, so no call sees another's."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="wph",
         description="exact arithmetic for weighted projective hypersurfaces",
@@ -397,12 +419,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_search)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with a leading subcommand sent straight to
+    its parser; any other argv, or one with arguments left over, goes the long way."""
+    subparsers = _parsers()[1]
+    if argv and argv[0] in subparsers:
+        start = argparse.Namespace(json_global=False, subcommand=argv[0])
+        args, extra = subparsers[argv[0]].parse_known_args(argv[1:], start)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return STATUS_OK if exc.code in (0, None) else STATUS_USAGE
     try:

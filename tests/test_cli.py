@@ -1,11 +1,22 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from wph.cli import build_parser, run, truncate_decimal
+import wph.cli
+from wph.cli import OutputDocument, _parse, _render_json, build_parser, run, truncate_decimal
 from fractions import Fraction
+
+from test_perfbench_digests import WORKLOADS  # the benchmark's calls, read only
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -270,6 +281,94 @@ class TestParserReuse:
         assert capsys.readouterr().out == (GOLDEN / "search-d2.out").read_text()
 
 
+def _parse_outcome(parse, argv):
+    """(namespace or SystemExit code, stdout, stderr) of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+DISPATCH_ARGVS = {
+    "golden": [case["argv"] for case in json.loads((GOLDEN / "cases.json").read_text())],
+    **{name: workload.calls(1, False) for name, workload in WORKLOADS.items()},
+    "edge": [
+        [],
+        ["-h"],
+        ["--json"],
+        ["--", "analyze"],
+        ["frobnicate", "--json"],
+        ["--json", "analyze", "--weights", "2,3,5", "--degree", "11"],
+        ["analyze", "-h"],
+        ["analyze", "--weights", "2,3,5", "--degree", "11", "--bogus"],
+        ["analyze", "--weigh", "2,3,5", "--deg", "11"],
+        ["analyze", "--weights=2,3,5", "--degree", "11", "--json"],
+        ["analyze", "--weights", "2,3,5"],
+        ["reid-tai", "--", "1/6(2,2,3)"],
+        ["reid-tai", "1/6(2,2,3)", "1/5(1,4)"],
+        ["search", "--dim", "2", "--max-sum", "-3"],
+        ["search", "--dim", "two", "--max-sum", "12"],
+        ["verify", "--family", "bogus"],
+    ],
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("group", sorted(DISPATCH_ARGVS))
+    def test_direct_dispatch_parses_as_the_full_parser(self, group):
+        assert DISPATCH_ARGVS[group]
+        for argv in DISPATCH_ARGVS[group]:
+            direct = _parse_outcome(_parse, argv)
+            assert direct == _parse_outcome(build_parser().parse_args, argv), argv
+            assert isinstance(direct[0], argparse.Namespace) or direct[0] in (0, 2), argv
+
+    def test_module_entry_point(self):
+        # `python -m wph.cli` runs main(); a leading --json takes the top-level parser
+        # argparse wraps the usage line at $COLUMNS; the corpus was written at 80
+        env = dict(os.environ, PYTHONPATH=str(Path(wph.cli.__file__).parents[1]), COLUMNS="80")
+        argv = [sys.executable, "-m", "wph.cli"]
+        done = subprocess.run([*argv, "--json", "reid-tai", "1/6(2,2,3)", "--decimal", "4"],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (GOLDEN / "reid-tai-canonical-json.out").read_text()
+        done = subprocess.run([*argv, "frobnicate"], capture_output=True, text=True, env=env, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (GOLDEN / "error-unknown-subcommand.err").read_text()
+
+
+TEXT = st.one_of(
+    st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é", "数", "😀", "\u2028", 'a"b\\c']),
+    st.text(),
+)
+LEAVES = st.one_of(TEXT, st.integers(), st.integers(-(10**40), 10**40), st.booleans(), st.none())
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(TEXT), st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(TEXT, inner)
+    ),
+    max_leaves=40,
+)
+
+
+class TestRenderJson:
+    @given(VALUES)
+    @example({"": [], "{}": {}, 'é"\\\n': ("x", -(2**70), True, None), "f": [False, ["a", 1]]})
+    def test_matches_json_dumps_with_indent(self, value):
+        assert _render_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [{"a": 1.5}, {1: "a"}, [Fraction(1, 2)], {"a": ["s", 0.5]}, [{"b": {(1,): 2}}]]
+    )
+    def test_other_types_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            _render_json(value)
+        with pytest.raises(TypeError):
+            OutputDocument("analyze", {}, {"value": value}).to_json()
+
+
 class TestSearch:
     def test_small_search_text(self, capsys):
         status, out = invoke(capsys, "search", "--dim", "2", "--max-sum", "4")
@@ -301,6 +400,16 @@ class TestSearch:
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
         assert run(["search", "--dim", "2", "--max-sum", "12", "--jobs", jobs]) == 2
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--dim", "2", "--max-sum", "12", "--csv", "--json"],
+        ["--json", "search", "--dim", "2", "--max-sum", "12", "--csv"],
+    ])
+    def test_csv_with_json_is_a_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --csv and --json each choose the output format; drop one\n"
 
     def test_plurigenera_must_cover_vanishing(self, capsys):
         assert run(
