@@ -10,15 +10,14 @@ labelled.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import __version__
+from . import __version__, search
 from .core import Weights
 from .errors import BudgetError, NotWellFormedError, ParameterError
 from .families import (
@@ -45,12 +44,11 @@ COUNT_FLAGS = {"plurigenera": "--plurigenera", "up_to": "--up-to", "vanishing": 
                "decimal": "--decimal", "max_sum": "--max-sum"}
 
 
-@dataclass
-class OutputDocument:
+class OutputDocument(NamedTuple):
     command: str
     inputs: dict
     results: dict
-    checks: list = field(default_factory=list)
+    checks: list | tuple = ()
 
     def to_json(self) -> str:
         return _render_json({"command": self.command, "version": __version__,
@@ -297,14 +295,12 @@ def _cmd_construct_volume(args) -> tuple[OutputDocument, int]:
 
 
 def _cmd_search(args) -> tuple[OutputDocument | str, int]:
-    from .search import search_records
-
     if args.csv and (args.json_global or args.json_local):
         raise ParameterError("--csv and --json each choose the output format; drop one")
     up_to = args.plurigenera if args.plurigenera is not None else args.vanishing
     if up_to < args.vanishing:
         raise ParameterError("--plurigenera must be at least --vanishing")
-    records = search_records(
+    records = search.search_records(
         args.dim,
         args.max_sum,
         amplitude=args.amplitude,
@@ -314,6 +310,7 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
     )
     status = STATUS_OK if records else STATUS_FAILED_CHECK
     if args.csv:
+        import csv  # only --csv output needs it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         header = (

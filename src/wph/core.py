@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat, starmap
 from operator import mul
@@ -82,8 +81,32 @@ def parse_runs(text: str) -> Runs:
     return runs
 
 
-@dataclass(frozen=True, init=False)
-class Weights:
+class _Value:
+    """Immutable value: equal (to its own type only), hashed and printed by its annotated fields."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:  # __init__ fills __dict__
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Weights(_Value):
     """Ordered weights (a_0, ..., a_n), stored as runs of equal values.
 
     `runs` holds (value, count) pairs in coordinate order, adjacent values
@@ -193,8 +216,7 @@ class Weights:
         return out
 
 
-@dataclass(frozen=True, init=False)
-class CyclicQuotientSingularity:
+class CyclicQuotientSingularity(_Value):
     """Cyclic quotient of type 1/r(b_1, ..., b_m).
 
     The cyclic group of order r acts diagonally on affine m-space with the
@@ -232,15 +254,14 @@ class CyclicQuotientSingularity:
         return f"1/{self.order}({_format_runs(self.runs)})"
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(_Value):
     """A set of coordinate indices whose weights share a common factor > 1."""
 
     indices: tuple[int, ...]
     order: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(sorted(self.indices)))
+    def __init__(self, indices: Iterable[int], order: int) -> None:
+        self.__dict__.update(indices=tuple(sorted(indices)), order=order)
         if not self.indices:
             raise ValueError("stratum needs at least one index")
         if self.order <= 1:

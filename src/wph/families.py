@@ -23,10 +23,9 @@ a report whose named checks are all computed in exact arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import CyclicQuotientSingularity, Weights, well_formed
 from .errors import ParameterError
@@ -35,15 +34,13 @@ from .hypersurface import WeightedHypersurface
 from .singularity import SingularityClass, classify_quotient, ambient_canonical
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     family: str
     parameters: dict[str, int]
     hypersurface: WeightedHypersurface

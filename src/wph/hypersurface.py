@@ -40,14 +40,15 @@ germs only of a quasi-smooth one, so its callers also require `quasi_smooth`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from . import config
 from .core import (
     CyclicQuotientSingularity,
     StratumRecord,
     Weights,
+    _Value,
     _order_residues,
     _strata_orders,
     singular_strata,
@@ -57,16 +58,15 @@ from .singularity import SingularityClass, classify_quotient, order_classes, req
 from .singularity import _germ_class  # the one germ cache, shared with order_classes
 
 
-@dataclass(frozen=True)
-class WeightedHypersurface:
+class WeightedHypersurface(_Value):
     """General hypersurface of degree `degree` in the space with `weights`; the
     two are the whole object, and every local type is derived from them."""
 
     weights: Weights
     degree: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", Weights.coerce(self.weights))
+    def __init__(self, weights: Weights | Iterable[int], degree: int) -> None:
+        self.__dict__.update(weights=Weights.coerce(weights), degree=degree)
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if len(self.weights) < 3:
@@ -195,8 +195,7 @@ def _member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     """One coordinate point with weight > 1: ambient type and member incidence."""
 
     index: int
@@ -206,8 +205,7 @@ class PointRecord:
     member_class: SingularityClass | None
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     points: tuple[PointRecord, ...]
     strata: tuple[StratumRecord, ...]  # the singular strata on two or more coordinates
     classes: dict[int, SingularityClass]  # stratum order -> ambient class of its germ

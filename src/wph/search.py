@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import config
 from .core import Weights
@@ -59,8 +58,7 @@ from .hilbert import plurigenera_table
 from .hypersurface import WeightedHypersurface, _member_canonical
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """One surviving candidate; well-formed, quasi-smooth, member-canonical."""
 
     weights: tuple[int, ...]

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import config
 from .core import (
@@ -210,8 +209,7 @@ def classify_quotient(s: CyclicQuotientSingularity) -> SingularityClass:
     return _class_of(_scan(s, stop_below=True)[0], s.order)
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(NamedTuple):
     """Classification of one quotient plus the attained minimum for display.
 
     `quasi_reflection` flags a multiplier that moves at most one coordinate:

@@ -338,6 +338,15 @@ class TestDispatch:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (GOLDEN / "error-unknown-subcommand.err").read_text()
 
+    def test_import_loads_no_module_it_does_not_use(self):
+        # every call of `wph` pays for its imports; these would add start-up for nothing
+        # (csv loads with `search --csv`, pickle with a pooled search). -S keeps site's own
+        # imports out of the count.
+        env = dict(os.environ, PYTHONPATH=str(Path(wph.cli.__file__).parents[1]))
+        code = "import sys, wph.cli; print(sorted({'dataclasses', 'inspect', 'csv', 'pickle'} & set(sys.modules)))"
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
 
 TEXT = st.one_of(
     st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é", "数", "😀", "\u2028", 'a"b\\c']),
@@ -383,6 +392,12 @@ class TestSearch:
         lines = out.strip().splitlines()
         assert lines[0] == "weights,d,volume,P_1,well_formed,member_canonical,quasi_smooth"
         assert lines[1] == '"1,1,1,2",6,3,3,true,true,true'
+
+    def test_search_reads_search_records_from_its_module_at_call_time(self, capsys, monkeypatch):
+        # perfbench's traced run wraps wph.search.search_records in place
+        monkeypatch.setattr("wph.search.search_records", lambda *args, **kwargs: [])
+        assert run(["search", "--dim", "2", "--max-sum", "4"]) == 1
+        assert "record_count: 0" in capsys.readouterr().out
 
     def test_empty_search_exits_one(self, capsys):
         # five positive weights cannot sum to 4

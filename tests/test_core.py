@@ -15,6 +15,9 @@ from wph.core import (
     well_formed,
 )
 from wph.errors import BudgetError
+from wph.families import Check, verify_family
+from wph.hypersurface import WeightedHypersurface, singularity_report
+from wph.search import search_records
 from wph.singularity import classify_quotient, quotient_report
 
 weight_tuples = st.lists(st.integers(1, 12), min_size=2, max_size=7).map(tuple)
@@ -174,7 +177,75 @@ class TestSingularStrata:
         with pytest.raises(ValueError):
             StratumRecord((), 2)
         with pytest.raises(ValueError):
+            StratumRecord(iter(()), 2)
+        with pytest.raises(ValueError):
             StratumRecord((0,), 1)
+        with pytest.raises(ValueError):
+            StratumRecord((0,), 0)
+        assert StratumRecord(iter((4, 0, 2)), 2).indices == (0, 2, 4)
+        assert StratumRecord(indices=[3, 1], order=2) == StratumRecord((1, 3), 2)
+
+
+VALUES = {
+    "Weights": lambda: Weights((4, 5, 6, 7, 23)),
+    "CyclicQuotientSingularity": lambda: CyclicQuotientSingularity(6, (2, 2, 3)),
+    "StratumRecord": lambda: StratumRecord((3, 1), 2),
+    "WeightedHypersurface": lambda: WeightedHypersurface((4, 5, 6, 7, 23), 46),
+}
+RECORDS = {
+    "Check": lambda: Check("c", True),
+    "FamilyReport": lambda: verify_family("prop", k=[2], l=[2])[0],
+    "SearchRecord": lambda: search_records(2, 5)[0],
+    "QuotientReport": lambda: quotient_report(CyclicQuotientSingularity(6, (2, 2, 3))),
+    "SingularityReport": lambda: singularity_report(WeightedHypersurface((4, 5, 6, 7, 23), 46)),
+    "PointRecord": lambda: singularity_report(WeightedHypersurface((4, 5, 6, 7, 23), 46)).points[0],
+}
+
+
+class TestValueSemantics:
+    """Value types compare by type and fields and hash by their fields; report
+    records are named tuples.  Neither can be assigned to."""
+
+    @pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+    def test_values_are_immutable_and_equal_values_hash_equally(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(b, name))
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b and repr(a) == repr(b)
+
+    @pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+    def test_a_value_equals_no_tuple_and_no_other_type(self, make):
+        a = make()
+        fields = tuple(getattr(a, name) for name in a._fields)
+        assert a != fields and fields != a
+
+        class Other(type(a)):
+            pass
+
+        other = object.__new__(Other)
+        other.__dict__.update(a.__dict__)
+        assert other._fields == a._fields and other == other
+        assert a != other and other != a
+
+    def test_distinct_fields_make_distinct_values(self):
+        assert Weights((1, 2)) != Weights((2, 1))
+        assert WeightedHypersurface((1, 1, 2), 4) != WeightedHypersurface((1, 1, 2), 6)
+        assert StratumRecord((1,), 2) != StratumRecord((1,), 3)
+
+    def test_a_member_coerces_its_weights(self):
+        x = WeightedHypersurface((4, 5, 6, 7, 23), 46)
+        assert type(x.weights) is Weights and x == WeightedHypersurface(Weights(x.weights), 46)
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+    def test_records_are_immutable_named_tuples(self, make):
+        record = make()
+        assert record == tuple(record) == make() and len(record) == len(record._fields)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
 
 class TestOrderGerms:
