@@ -39,10 +39,6 @@ STATUS_FAILED_CHECK = 1
 STATUS_USAGE = 2
 STATUS_BUDGET = 3
 
-# destination -> flag of every count option; a negative count is a usage error
-COUNT_FLAGS = {"plurigenera": "--plurigenera", "up_to": "--up-to", "vanishing": "--vanishing",
-               "decimal": "--decimal", "max_sum": "--max-sum"}
-
 
 class OutputDocument(NamedTuple):
     command: str
@@ -346,14 +342,64 @@ def _cmd_search(args) -> tuple[OutputDocument | str, int]:
 # ------------------------------------------------------------------ driver
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The `wph` parser, built on first use and shared by every `run` call:
-    each `parse_args` returns a fresh namespace, so no call sees another's."""
-    return _parsers()[0]
+# subparsers copy their own namespace over the global one, so the postfix --json that
+# every subcommand takes has a separate destination
+_JSON = {"--json": dict(dest="json_local", action="store_true", default=False,
+                        help="structured output")}
+
+# subcommand -> (help, handler, arguments after _JSON): each argument's `add_argument`
+# keywords, and count=True on a count, which must not be negative
+COMMANDS = {
+    "analyze": ("full report for one hypersurface", _cmd_analyze, {
+        "--weights": dict(required=True, help="comma-separated, e.g. 4,5,6,7,23"),
+        "--degree": dict(type=int, required=True),
+        "--plurigenera": dict(type=int, default=0, metavar="M", count=True),
+        "--decimal": dict(type=int, default=0, metavar="K", count=True),
+    }),
+    "plurigenera": ("table of P_1..P_M", _cmd_plurigenera, {
+        "--weights": dict(required=True),
+        "--degree": dict(type=int, required=True),
+        "--up-to": dict(dest="up_to", type=int, required=True, metavar="M", count=True),
+    }),
+    "reid-tai": ("classify a cyclic quotient singularity", _cmd_reid_tai, {
+        "singularity": dict(help='literal such as "1/6(2,2,3)"'),
+        "--decimal": dict(type=int, default=0, metavar="K", count=True),
+    }),
+    "verify": ("run family verifiers", _cmd_verify, {
+        "--family": dict(choices=FAMILY_IDS),
+        "--all": dict(action="store_true", default=False, help="default ranges of every family"),
+        "--k": dict(help="prop: k value or range like 2..6"),
+        "--l": dict(help="prop: l value or range"),
+        "--n": dict(help="thm3/thm4/ample: n value or range"),
+        "--q": dict(help="volume: comma-separated ratios like 1/2,5/7"),
+    }),
+    "construct-volume": ("build a member of assigned volume", _cmd_construct_volume, {
+        "ratio": dict(help="target volume, e.g. 5/7"),
+        "--a": dict(type=int),
+        "--b": dict(type=int),
+    }),
+    "search": ("enumerate low-volume candidates", _cmd_search, {
+        "--dim": dict(type=int, required=True),
+        "--max-sum": dict(dest="max_sum", type=int, required=True, count=True),
+        "--amplitude": dict(type=int, default=1),
+        "--vanishing": dict(type=int, default=0, metavar="V", count=True),
+        "--plurigenera": dict(type=int, default=None, metavar="M", count=True),
+        "--jobs": dict(
+            type=int, default=1, metavar="N",
+            help="processes to search on, this one included; serial where os.fork is missing; "
+            "an error is that of the first failing leading weight (default: 1)",
+        ),
+        "--csv": dict(action="store_true", default=False),
+    }),
+}
+COUNT_FLAGS = {kw.get("dest", flag.lstrip("-")): flag for _, _, arguments in COMMANDS.values()
+               for flag, kw in arguments.items() if kw.get("count")}
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
+    """The `wph` parser, built from COMMANDS on first use and shared by every call:
+    each `parse_args` returns a fresh namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="wph",
         description="exact arithmetic for weighted projective hypersurfaces",
@@ -361,73 +407,49 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     parser.add_argument(
         "--json", dest="json_global", action="store_true", help="structured output"
     )
-    # subparsers copy their own namespace over the global one, so the
-    # postfix position needs a separate destination
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", dest="json_local", action="store_true", help="structured output"
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("analyze", help="full report for one hypersurface", parents=[common])
-    p.add_argument("--weights", required=True, help="comma-separated, e.g. 4,5,6,7,23")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--plurigenera", type=int, default=0, metavar="M")
-    p.add_argument("--decimal", type=int, default=0, metavar="K")
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("plurigenera", help="table of P_1..P_M", parents=[common])
-    p.add_argument("--weights", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--up-to", dest="up_to", type=int, required=True, metavar="M")
-    p.set_defaults(handler=_cmd_plurigenera)
-
-    p = sub.add_parser("reid-tai", help="classify a cyclic quotient singularity", parents=[common])
-    p.add_argument("singularity", help='literal such as "1/6(2,2,3)"')
-    p.add_argument("--decimal", type=int, default=0, metavar="K")
-    p.set_defaults(handler=_cmd_reid_tai)
-
-    p = sub.add_parser("verify", help="run family verifiers", parents=[common])
-    p.add_argument("--family", choices=FAMILY_IDS)
-    p.add_argument("--all", action="store_true", help="default ranges of every family")
-    p.add_argument("--k", help="prop: k value or range like 2..6")
-    p.add_argument("--l", help="prop: l value or range")
-    p.add_argument("--n", help="thm3/thm4/ample: n value or range")
-    p.add_argument("--q", help="volume: comma-separated ratios like 1/2,5/7")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("construct-volume", help="build a member of assigned volume", parents=[common])
-    p.add_argument("ratio", help="target volume, e.g. 5/7")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.set_defaults(handler=_cmd_construct_volume)
-
-    p = sub.add_parser("search", help="enumerate low-volume candidates", parents=[common])
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--max-sum", dest="max_sum", type=int, required=True)
-    p.add_argument("--amplitude", type=int, default=1)
-    p.add_argument("--vanishing", type=int, default=0, metavar="V")
-    p.add_argument("--plurigenera", type=int, default=None, metavar="M")
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="processes to search on, this one included; serial where os.fork is missing; "
-        "an error is that of the first failing leading weight (default: 1)",
-    )
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=_cmd_search)
-
-    return parser, sub.choices
+    for name, (summary, handler, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kw in {**_JSON, **arguments}.items():
+            p.add_argument(flag, **{key: value for key, value in kw.items() if key != "count"})
+        p.set_defaults(handler=handler)
+    return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, with a leading subcommand sent straight to
-    its parser; any other argv, or one with arguments left over, goes the long way."""
-    subparsers = _parsers()[1]
-    if argv and argv[0] in subparsers:
-        start = argparse.Namespace(json_global=False, subcommand=argv[0])
-        args, extra = subparsers[argv[0]].parse_known_args(argv[1:], start)
-        if not extra:
-            return args
+    """`build_parser().parse_args(argv)`. An argv that starts with a subcommand and gives
+    its exact option strings, values that do not start with "-" and its positional is
+    read from COMMANDS; argparse reads any other, and alone prints help and errors."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        arguments = {**_JSON, **command[2]}
+        values = {"json_global": False, "subcommand": argv[0], "handler": command[1]}
+        for name, kw in arguments.items():
+            values[kw.get("dest", name.lstrip("-"))] = kw.get("default")
+        wanted = {name for name, kw in arguments.items() if kw.get("required") or name[0] != "-"}
+        tokens = iter(argv[1:])
+        for token in tokens:  # a bare token is the positional while that is still wanted
+            name = token if token[:1] == "-" else next((n for n in wanted if n[0] != "-"), None)
+            kw = arguments.get(name)
+            if kw is None:
+                break  # -h, --, --flag=value, an abbreviation, an unknown or extra token
+            if "action" in kw:
+                value = True
+            else:
+                value = next(tokens, None) if name[0] == "-" else token
+                if value is None or value[:1] == "-":
+                    break  # missing, or an option or a negative number
+                try:
+                    value = kw.get("type", str)(value)
+                except ValueError:
+                    break
+                if "choices" in kw and value not in kw["choices"]:
+                    break
+            values[kw.get("dest", name.lstrip("-"))] = value
+            wanted.discard(name)
+        else:
+            if not wanted:
+                return argparse.Namespace(**values)
     return build_parser().parse_args(argv)
 
 

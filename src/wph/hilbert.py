@@ -189,8 +189,6 @@ def plurigenera_table(x: "WeightedHypersurface", up_to: int) -> tuple[int, ...]:
     """(P_1, ..., P_up_to), sharing one count table."""
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    if up_to == 0:
-        return ()
     alpha = x.amplitude
     if alpha < 1:
         raise ValueError(f"amplitude {alpha} < 1: plurigenus formula not applicable")

@@ -285,7 +285,7 @@ _QUOTIENT_RE = re.compile(r"^\s*1\s*/\s*(\d+)\s*\(\s*([0-9,^\s]*?)\s*\)\s*$")
 
 
 def parse_quotient(text: str) -> CyclicQuotientSingularity:
-    """Parse a literal such as "1/6(2,2,3)" (runs abbreviate as "1^4,b")."""
+    """Parse a faithful literal such as "1/6(2,2,3)" (runs abbreviate as "1^4,b")."""
     m = _QUOTIENT_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse quotient singularity from {text!r}")
@@ -293,4 +293,8 @@ def parse_quotient(text: str) -> CyclicQuotientSingularity:
     body = m.group(2)
     if not body:
         raise ValueError(f"quotient {text!r} lists no weights")
-    return CyclicQuotientSingularity(order, runs=parse_runs(body))
+    s = CyclicQuotientSingularity(order, runs=parse_runs(body))
+    if (g := gcd(order, *(b for b, _ in s.runs))) > 1:  # then j = r/g acts as the identity
+        faithful = CyclicQuotientSingularity(order // g, runs=[(b // g, c) for b, c in s.runs])
+        raise ValueError(f"quotient {text!r} is not faithful (gcd {g}); write {faithful}")
+    return s

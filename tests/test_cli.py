@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wph.cli
@@ -94,6 +95,12 @@ class TestReidTai:
 
 
 class TestPlurigenera:
+    def test_empty_table_still_checks_the_amplitude(self, capsys):
+        assert run(["plurigenera", "--weights", "1,2,3,4", "--degree", "5", "--up-to", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: amplitude -5 < 1: plurigenus formula not applicable\n")
+
     def test_table(self, capsys):
         status, out = invoke(
             capsys, "plurigenera", "--weights", "2,2,2,2,3,3,3", "--degree", "18",
@@ -312,8 +319,82 @@ DISPATCH_ARGVS = {
         ["search", "--dim", "2", "--max-sum", "-3"],
         ["search", "--dim", "two", "--max-sum", "12"],
         ["verify", "--family", "bogus"],
+        # abbreviations, --flag=value, --, -h
+        ["analyze", "--weights", "2,3,5", "--deg", "11"],
+        ["verify", "--a"],
+        ["verify", "--al", "--family", "thm3"],
+        ["verify", "--family=thm3", "--n=5"],
+        ["construct-volume", "5/7", "--"],
+        ["construct-volume", "--", "5/7"],
+        ["verify", "--help"],
+        # negative and non-decimal ints, empty strings, repeated options
+        ["construct-volume", "1/2", "--a", "-7"],
+        ["search", "--dim", "2", "--max-sum", "1_0"],
+        ["analyze", "--weights", "2,3,5", "--degree", " 11"],
+        ["search", "--dim", "0x2", "--max-sum", "12"],
+        ["analyze", "--weights", "", "--degree", "11"],
+        ["search", "--dim", "", "--max-sum", "12"],
+        ["reid-tai", ""],
+        ["analyze", "--weights", "1,1", "--weights", "2,3,5", "--degree", "9", "--degree", "11",
+         "--json", "--json"],
+        # extra or missing positionals and values, bad choices, store_true given a value
+        ["analyze", "--weights", "2,3,5", "--degree", "11", "extra"],
+        ["construct-volume", "5/7", "1/2"],
+        ["construct-volume", "--a", "7"],
+        ["analyze", "--weights", "2,3,5", "--degree"],
+        ["analyze", "--weights", "-h", "--degree", "11"],
+        ["verify", "--family", "prop", "--k", "--", "2"],
+        ["search", "--dim", "2", "--max-sum", "--csv"],
+        ["verify", "--family", ""],
+        ["verify", "--family", "Thm3"],
+        ["verify", "--all=1"],
+        ["verify", "--all", "1"],
+        ["search", "--dim", "2", "--max-sum", "12", "--csv", "yes"],
     ],
 }
+
+# values each kind of table argument reads, and hazards: values argparse reads its own way
+INT_TEXTS, INT_HAZARDS = ["0", "3", "12"], ["-3", "1_0", " 7", "", "0x1f", "+4", "٣", "x"]
+STR_TEXTS, STR_HAZARDS = ["2,3,5", "1/6(2,2,3)", "5/7", "2..6", "thm3"], ["", "-1", "--", "-h"]
+STRAY_TOKENS = ["--deg", "--a", "--al", "--weights=2,3,5", "--all=1", "--json=1", "--", "-h",
+                "--help", "-", "--bogus", "extra", ""]
+
+
+def _table_item(flag, kw, hazard):
+    """One argument of a table as argv tokens: a flag, a flag and its value, or a positional."""
+    if "action" in kw:
+        return st.just([flag, "1"] if hazard else [flag])
+    if "choices" in kw:
+        texts = st.sampled_from(["bogus", "", "Thm3"] if hazard else kw["choices"])
+    elif "type" in kw:
+        texts = st.sampled_from(INT_HAZARDS if hazard else INT_TEXTS)
+    else:
+        texts = st.sampled_from(STR_TEXTS)
+        if hazard:
+            texts = st.sampled_from(STR_HAZARDS) | st.text(max_size=3)
+    return texts.map(lambda text: [flag, text] if flag[0] == "-" else [text])
+
+
+@st.composite
+def table_argvs(draw):
+    """A valid argv of one subcommand's table, repeats included, in any order, and then
+    perhaps one hazard: an argument's bad value, a stray token or lone flag, or a
+    dropped argument."""
+    name = draw(st.sampled_from(sorted(wph.cli.COMMANDS)))
+    arguments = {**wph.cli._JSON, **wph.cli.COMMANDS[name][2]}
+    required = [flag for flag, kw in arguments.items() if kw.get("required") or flag[0] != "-"]
+    optional = [flag for flag in arguments if flag not in required]
+    flags = draw(st.permutations(required + draw(st.lists(st.sampled_from(optional), max_size=4))))
+    hazard = draw(st.sampled_from(["none", "value", "stray", "drop"]))
+    bad = draw(st.integers(0, len(flags) - 1)) if hazard == "value" and flags else None
+    items = [draw(_table_item(flag, arguments[flag], i == bad)) for i, flag in enumerate(flags)]
+    if hazard == "stray":
+        stray = draw(st.sampled_from(STRAY_TOKENS + list(arguments)))
+        items.insert(draw(st.integers(0, len(items))), [stray])
+    if hazard == "drop" and items:
+        del items[draw(st.integers(0, len(items) - 1))]
+    tokens = [token for item in items for token in item]
+    return draw(st.sampled_from([[name], [name], [name], ["--json", name], []])) + tokens
 
 
 class TestDispatch:
@@ -324,6 +405,37 @@ class TestDispatch:
             direct = _parse_outcome(_parse, argv)
             assert direct == _parse_outcome(build_parser().parse_args, argv), argv
             assert isinstance(direct[0], argparse.Namespace) or direct[0] in (0, 2), argv
+
+    @settings(max_examples=300)
+    @given(table_argvs())
+    def test_parse_matches_the_full_parser_on_drawn_argvs(self, argv):
+        assert _parse_outcome(_parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+    def test_valid_calls_build_no_parser(self):
+        # a fresh process pays for every ArgumentParser it builds; help and errors still build one
+        env = dict(os.environ, PYTHONPATH=str(Path(wph.cli.__file__).parents[1]), COLUMNS="80")
+        code = textwrap.dedent("""
+            import argparse, contextlib, io, wph.cli
+            built = []
+            init = argparse.ArgumentParser.__init__
+            argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)
+            calls = [["analyze", "--weights", "2,3,5", "--degree", "11", "--json"],
+                     ["plurigenera", "--weights", "2,3,5", "--degree", "11", "--up-to", "2"],
+                     ["reid-tai", "1/6(2,2,3)", "--decimal", "4"],
+                     ["verify", "--json", "--family", "prop", "--k", "2", "--l", "0"],
+                     ["construct-volume", "5/7", "--a", "2"],
+                     ["search", "--dim", "2", "--max-sum", "6", "--csv"]]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                valid = [wph.cli.run(argv) for argv in calls], len(built)
+                cached = wph.cli.build_parser.cache_info().currsize
+                rest = wph.cli.run(["reid-tai", "-h"]), wph.cli.run(["analyze", "--deg", "11"])
+            print(valid, cached, rest, len(built) > 0)
+        """)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "([0, 0, 0, 0, 0, 0], 0) 0 (0, 2) True\n"
 
     def test_module_entry_point(self):
         # `python -m wph.cli` runs main(); a leading --json takes the top-level parser

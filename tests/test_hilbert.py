@@ -294,6 +294,11 @@ class TestPlurigenus:
         with pytest.raises(ValueError):
             plurigenera_table(cubic, 3)
 
+    def test_empty_table_still_checks_the_amplitude(self):
+        with pytest.raises(ValueError, match=r"^amplitude -5 < 1"):
+            plurigenera_table(WeightedHypersurface(Weights((1, 2, 3, 4)), 5), 0)
+        assert plurigenera_table(WeightedHypersurface(Weights((1, 2, 3, 4)), 11), 0) == ()
+
     @given(st.lists(st.integers(1, 9), min_size=3, max_size=6).map(tuple), st.integers(1, 6))
     def test_nonnegative_and_early_table_identity(self, weights, m):
         degree = sum(weights) + 1

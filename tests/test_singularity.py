@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -567,6 +568,19 @@ def test_parse_and_format():
     for order, weights in [(0, (1, 2)), (3, ()), (3, (1, -1))]:
         with pytest.raises(ValueError):
             CyclicQuotientSingularity(order, weights)
+
+
+@pytest.mark.parametrize(
+    "text, faithful",
+    [("1/4(2,2)", "1/2(1,1)"), ("1/4(0,2)", "1/2(0,1)"), ("1/12(3,9,6^2)", "1/4(1,3,2,2)"),
+     ("1/4(0,0)", "1/1(0,0)")],
+)
+def test_parse_rejects_a_group_that_is_not_faithful(text, faithful):
+    # j = r/g fixes every coordinate, so the scan would read T(j) = 0 as NotCanonical
+    message = rf"is not faithful \(gcd \d+\); write {re.escape(faithful)}$"
+    with pytest.raises(ValueError, match=message):
+        parse_quotient(text)
+    assert str(parse_quotient(faithful)) == faithful
 
 
 def test_consecutive_weight_coordinate_points_canonical():
