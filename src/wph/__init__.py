@@ -43,7 +43,7 @@ from .hypersurface import (
     WeightedHypersurface,
     singularity_report,
 )
-from .search import SearchRecord, enumerate_candidates, search_records
+from .search import SearchRecord, search_records
 from .singularity import (
     QuotientReport,
     SingularityClass,
@@ -77,7 +77,6 @@ __all__ = [
     "classify_quotient",
     "consecutive_family",
     "degree_bound_witness",
-    "enumerate_candidates",
     "monomial_count",
     "monomial_count_enum",
     "parse_quotient",

@@ -417,17 +417,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`. An argv that starts with a subcommand and gives
-    its exact option strings, values that do not start with "-" and its positional is
-    read from COMMANDS; argparse reads any other, and alone prints help and errors."""
-    command = COMMANDS.get(argv[0]) if argv else None
+    """`build_parser().parse_args(argv)`. An argv that starts with a subcommand, perhaps
+    after one --json, and gives its exact option strings, values that do not start with
+    "-" and its positional is read from COMMANDS; argparse reads any other, and alone
+    prints help and errors."""
+    lead = argv[:1] == ["--json"]
+    command = COMMANDS.get(argv[lead]) if len(argv) > lead else None
     if command is not None:
         arguments = {**_JSON, **command[2]}
-        values = {"json_global": False, "subcommand": argv[0], "handler": command[1]}
+        values = {"json_global": lead, "subcommand": argv[lead], "handler": command[1]}
         for name, kw in arguments.items():
             values[kw.get("dest", name.lstrip("-"))] = kw.get("default")
         wanted = {name for name, kw in arguments.items() if kw.get("required") or name[0] != "-"}
-        tokens = iter(argv[1:])
+        tokens = iter(argv[lead + 1:])
         for token in tokens:  # a bare token is the positional while that is still wanted
             name = token if token[:1] == "-" else next((n for n in wanted if n[0] != "-"), None)
             kw = arguments.get(name)

@@ -317,14 +317,10 @@ def singular_strata(w: Weights | Iterable[int]) -> list[StratumRecord]:
     return found
 
 
-def strata_orders(w: Weights | Iterable[int]) -> list[int]:
-    """Orders h > 1 of the singular strata, ascending: the gcd closure of the
-    weight values.  Sing P is the union of the P(a_i : h | a_i), one for each
-    such h (Iano-Fletcher 2000), and every h here is the order of some stratum."""
-    return _strata_orders(Weights.coerce(w).multiplicities())
-
-
-def _strata_orders(counts: dict[int, int]) -> list[int]:
+def strata_orders(counts: dict[int, int]) -> list[int]:
+    """Orders h > 1 of the singular strata, ascending, from the weights'
+    multiplicities: the gcd closure of the weight values.  Sing P is the union of
+    the P(a_i : h | a_i), one for each such h (Iano-Fletcher 2000)."""
     orders: set[int] = set()
     for v in counts:
         if v > 1:
@@ -334,20 +330,16 @@ def _strata_orders(counts: dict[int, int]) -> list[int]:
     return sorted(orders)
 
 
-def order_residues(w: Weights | Iterable[int], h: int) -> dict[int, int]:
-    """Residue mod h -> positive number of weights, one residue-0 weight removed.
+def order_residues(counts: dict[int, int], h: int) -> dict[int, int]:
+    """Residue mod h -> number of weights, one residue-0 weight removed, from
+    the weights' multiplicities.
 
     Every stratum of order h has the transverse type 1/h(a_0, ..., a_k
     omitted, ..., a_n) for any k on it.  The weights divisible by h, k among
     them, add nothing to a Reid-Tai sum, so these residues are the type of
     every stratum of order h: one germ per order, never one per index subset.
+    The dict is raw: residue 0 stays, with count 0, when h divides one weight.
     """
-    residues = _order_residues(Weights.coerce(w).multiplicities(), h)
-    return {r: count for r, count in residues.items() if count > 0}
-
-
-def _order_residues(counts: dict[int, int], h: int) -> dict[int, int]:
-    """`order_residues` unfiltered: residue 0 counts 0 when h divides one weight."""
     residues = {0: -1}
     for v, count in counts.items():
         residues[v % h] = residues.get(v % h, 0) + count

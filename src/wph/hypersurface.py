@@ -49,9 +49,9 @@ from .core import (
     StratumRecord,
     Weights,
     _Value,
-    _order_residues,
-    _strata_orders,
+    order_residues,
     singular_strata,
+    strata_orders,
 )
 from .hilbert import reaches, with_value
 from .singularity import SingularityClass, classify_quotient, order_classes, require_well_formed
@@ -179,8 +179,8 @@ class WeightedHypersurface(_Value):
 
 def _member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
     """The walk of `member_canonical` over weight multiplicities `counts`."""
-    for h in _strata_orders(counts):
-        residues = _order_residues(counts, h)  # nonzero residues count > 0
+    for h in strata_orders(counts):
+        residues = order_residues(counts, h)  # nonzero residues count > 0
         if d % h:
             if d % h not in residues:
                 return False

@@ -208,17 +208,6 @@ def _batches(
     ]
 
 
-def enumerate_candidates(
-    member_dim: int,
-    max_weight_sum: int,
-    amplitude: int = 1,
-    plurigenera_up_to: int = 0,
-) -> Iterator[SearchRecord]:
-    """Stream surviving candidates in deterministic (lexicographic) order."""
-    for batch in _batches(member_dim, max_weight_sum, amplitude, plurigenera_up_to):
-        yield from _leading_records(*batch)
-
-
 def _fork_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items] on `workers` processes: this one and
     workers - 1 forked children.  Item indices go as 4-byte tokens on one task

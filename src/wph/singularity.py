@@ -43,26 +43,13 @@ from . import config
 from .core import (
     CyclicQuotientSingularity,
     Weights,
-    _order_residues,
-    _strata_orders,
+    order_residues,
     parse_runs,
     singular_strata,
+    strata_orders,
     well_formed,
 )
 from .errors import NotWellFormedError
-
-__all__ = [
-    "CyclicQuotientSingularity",
-    "SingularityClass",
-    "QuotientReport",
-    "reid_tai_sum",
-    "classify_quotient",
-    "quotient_report",
-    "order_classes",
-    "ambient_canonical",
-    "ambient_canonical_bruteforce",
-    "parse_quotient",
-]
 
 # multipliers per block of the Reid-Tai scan
 _BLOCK = 4096
@@ -244,10 +231,10 @@ def order_classes(w: Weights | Iterable[int]) -> dict[int, SingularityClass]:
     largest h first, so a `WPH_ORDER_CAP` breach names an order enough for all; the
     cap is checked before each read of `_germ_class`, the one zero-blind cache."""
     counts, cap, classes = Weights.coerce(w).multiplicities(), config._cap("WPH_ORDER_CAP"), {}
-    for h in reversed(_strata_orders(counts)):
+    for h in reversed(strata_orders(counts)):
         if h > cap:
             config.require("WPH_ORDER_CAP", h, f"group order {h}")
-        residues = _order_residues(counts, h).items()
+        residues = order_residues(counts, h).items()
         classes[h] = _germ_class(h, tuple(sorted(p for p in residues if p[0] and p[1] > 0)))
     return classes
 

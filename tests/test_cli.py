@@ -299,8 +299,10 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+GOLDEN_ARGVS = [case["argv"] for case in json.loads((GOLDEN / "cases.json").read_text())]
 DISPATCH_ARGVS = {
-    "golden": [case["argv"] for case in json.loads((GOLDEN / "cases.json").read_text())],
+    "golden": GOLDEN_ARGVS,
+    "golden-leading-json": [["--json", *argv] for argv in GOLDEN_ARGVS],
     **{name: workload.calls(1, False) for name, workload in WORKLOADS.items()},
     "edge": [
         [],
@@ -424,7 +426,9 @@ class TestDispatch:
                      ["reid-tai", "1/6(2,2,3)", "--decimal", "4"],
                      ["verify", "--json", "--family", "prop", "--k", "2", "--l", "0"],
                      ["construct-volume", "5/7", "--a", "2"],
-                     ["search", "--dim", "2", "--max-sum", "6", "--csv"]]
+                     ["search", "--dim", "2", "--max-sum", "6", "--csv"],
+                     ["--json", "reid-tai", "1/6(2,2,3)"],
+                     ["--json", "search", "--dim", "2", "--max-sum", "6", "--json"]]
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 valid = [wph.cli.run(argv) for argv in calls], len(built)
@@ -435,10 +439,10 @@ class TestDispatch:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=30)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "([0, 0, 0, 0, 0, 0], 0) 0 (0, 2) True\n"
+        assert done.stdout == "([0, 0, 0, 0, 0, 0, 0, 0], 0) 0 (0, 2) True\n"
 
     def test_module_entry_point(self):
-        # `python -m wph.cli` runs main(); a leading --json takes the top-level parser
+        # `python -m wph.cli` runs main(); a leading --json is the documented global form
         # argparse wraps the usage line at $COLUMNS; the corpus was written at 80
         env = dict(os.environ, PYTHONPATH=str(Path(wph.cli.__file__).parents[1]), COLUMNS="80")
         argv = [sys.executable, "-m", "wph.cli"]

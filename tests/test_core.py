@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,6 @@ from wph.core import (
     CyclicQuotientSingularity,
     StratumRecord,
     Weights,
-    _order_residues,
     order_residues,
     singular_strata,
     strata_orders,
@@ -27,6 +27,11 @@ repeated_tuples = (
     .map(lambda runs: tuple(a for a, count in runs for _ in range(count)))
     .filter(lambda entries: len(entries) >= 2)
 )
+
+
+def positive(residues):
+    """The residues of positive count: the runs of an order's germ."""
+    return {r: count for r, count in residues.items() if count > 0}
 
 
 def point_types(entries):
@@ -114,8 +119,8 @@ class TestWeights:
             ((10**9 + 2,), 5),
         ]
         assert w.runs_without(10**9 + 1) == [(1, 10**9 + 1), (5, 1)]
-        assert strata_orders(w) == [5, 7]
-        assert order_residues(w, 7) == {1: 10**9 + 1, 5: 1}
+        assert strata_orders(w.multiplicities()) == [5, 7]
+        assert order_residues(w.multiplicities(), 7) == {0: 0, 1: 10**9 + 1, 5: 1}
 
 
 class TestWellFormed:
@@ -250,35 +255,37 @@ class TestValueSemantics:
 
 class TestOrderGerms:
     def test_examples(self):
-        w = Weights((4, 5, 6, 7, 23))
-        assert strata_orders(w) == [2, 4, 5, 6, 7, 23]
-        assert order_residues(w, 2) == {1: 3, 0: 1}
-        assert order_residues(w, 4) == {1: 1, 2: 1, 3: 2}
-        assert strata_orders(Weights((1, 1, 1))) == []
-        assert strata_orders(Weights((6, 10, 15))) == [2, 3, 5, 6, 10, 15]
-        assert order_residues(Weights((2, 2, 2, 2, 3, 3, 3, 6)), 3) == {2: 4, 0: 3}
+        counts = Weights((4, 5, 6, 7, 23)).multiplicities()
+        assert strata_orders(counts) == [2, 4, 5, 6, 7, 23]
+        assert order_residues(counts, 2) == {0: 1, 1: 3}
+        assert strata_orders(Weights((1, 1, 1)).multiplicities()) == []
+        assert strata_orders(Weights((6, 10, 15)).multiplicities()) == [2, 3, 5, 6, 10, 15]
+        assert order_residues(Weights((2, 2, 2, 2, 3, 3, 3, 6)).multiplicities(), 3) == {0: 3, 2: 4}
 
     def test_a_residue_zero_left_at_count_zero_is_dropped(self):
         # 4 is the one weight divisible by h = 4, so residue 0 counts 0: the
-        # raw residues keep it, `order_residues` gives positive counts only
-        w = Weights((4, 5, 6, 7, 23))
-        assert _order_residues(w.multiplicities(), 4) == {0: 0, 1: 1, 2: 1, 3: 2}
-        assert order_residues(w, 4) == {1: 1, 2: 1, 3: 2}
+        # raw residues keep it, and every germ built from them drops it
+        counts = Weights((4, 5, 6, 7, 23)).multiplicities()
+        assert order_residues(counts, 4) == {0: 0, 1: 1, 2: 1, 3: 2}
+        assert positive(order_residues(counts, 4)) == {1: 1, 2: 1, 3: 2}
 
     @given(weight_tuples)
     def test_order_residues_are_the_positive_raw_residues(self, entries):
+        # the positive counts are the residues of the weights less any one on a
+        # stratum of order h; residue 0 alone may count 0
         w = Weights(entries)
-        for h in strata_orders(w):
-            raw = _order_residues(w.multiplicities(), h)
-            residues = order_residues(w, h)
-            assert residues == {r: c for r, c in raw.items() if c > 0}
-            assert min(residues.values(), default=1) > 0 and min(raw.values()) >= 0
-            assert sum(residues.values()) == sum(raw.values()) == len(w) - 1
+        for h in strata_orders(w.multiplicities()):
+            raw = order_residues(w.multiplicities(), h)
+            assert min(raw.values()) >= 0 and all(raw[r] for r in raw if r)
+            k = next(i for i, a in enumerate(entries) if a % h == 0)
+            rest = entries[:k] + entries[k + 1 :]
+            assert positive(raw) == dict(Counter(a % h for a in rest))
+            assert sum(raw.values()) == len(w) - 1
 
     @given(weight_tuples)
     def test_orders_are_the_strata_orders(self, entries):
         w = Weights(entries)
-        assert strata_orders(w) == sorted({s.order for s in singular_strata(w)})
+        assert strata_orders(w.multiplicities()) == sorted({s.order for s in singular_strata(w)})
 
     @given(weight_tuples)
     def test_every_stratum_index_matches_its_order_germ(self, entries):
@@ -286,8 +293,8 @@ class TestOrderGerms:
         # class and the Reid-Tai minimum of the one germ of order h
         w = Weights(entries)
         germs = {
-            h: CyclicQuotientSingularity(h, runs=order_residues(w, h).items())
-            for h in strata_orders(w)
+            h: CyclicQuotientSingularity(h, runs=positive(order_residues(w.multiplicities(), h)).items())
+            for h in strata_orders(w.multiplicities())
         }
         for stratum in singular_strata(w):
             germ = germs[stratum.order]

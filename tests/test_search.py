@@ -33,7 +33,6 @@ from wph.search import (
     _fork_map,
     _nondecreasing_tuples,
     _residue_classes,
-    enumerate_candidates,
     search_records,
 )
 
@@ -73,7 +72,7 @@ def _singleton_condition(weights, degree):
 
 def oracle_records(member_dim, max_sum, amplitude, up_to=0):
     """Every nondecreasing tuple through the full checks, with no generator
-    cut: the search by its definition."""
+    cut, sorted by (volume, weights): the search by its definition."""
     out = []
     for weights in _nondecreasing_tuples(member_dim + 2, max_sum, 1):
         w = Weights(weights)
@@ -83,22 +82,23 @@ def oracle_records(member_dim, max_sum, amplitude, up_to=0):
         if x.quasi_smooth() and x.member_canonical():
             genera = plurigenera_table(x, up_to)
             out.append(SearchRecord(weights, x.degree, amplitude, x.volume(), genera))
-    return out
+    return sorted(out, key=lambda r: r.sort_key)
 
 
 def member_canonical_reference(weights, degree):
-    """The member-germ verdict rebuilt from the public per-order helpers: each
-    order h whose strata the member meets gives the germ `order_residues`
-    minus one residue-d direction when h does not divide d (False when there
-    is none), and every such germ must be canonical."""
-    for h in strata_orders(weights):
-        residues = order_residues(weights, h)
+    """The member-germ verdict rebuilt from the per-order helpers: each order h
+    whose strata the member meets gives the germ `order_residues` minus one
+    residue-d direction when h does not divide d (False when there is none),
+    and every such germ must be canonical."""
+    counts = Weights(weights).multiplicities()
+    for h in strata_orders(counts):
+        residues = order_residues(counts, h)
         r = degree % h
         if r:
             if residues.get(r, 0) == 0:
                 return False
             residues[r] -= 1
-        elif 0 not in residues:
+        elif residues[0] == 0:
             continue  # the one weight divisible by h: its point is missed
         germ = CyclicQuotientSingularity(h, runs=[(b, c) for b, c in residues.items() if c])
         if not classify_quotient(germ).is_canonical:
@@ -121,30 +121,31 @@ SMALL_BOUNDS = {2: 30, 3: 32, 4: 26}
 
 class TestEnumeration:
     def test_surface_example(self):
-        records = list(enumerate_candidates(2, 4))
+        records = search_records(2, 4)
+        assert records == oracle_records(2, 4, 1)
         assert [r.weights for r in records] == [(1, 1, 1, 1)]
         assert records[0].degree == 5
         assert records[0].volume == 5
 
     def test_amplitude_one_identity(self):
-        for record in enumerate_candidates(3, 10):
+        for record in search_records(3, 10):
             assert record.volume == Fraction(
                 record.degree, Weights(record.weights).product()
             )
             assert record.degree == sum(record.weights) + 1
 
     def test_weights_nondecreasing_and_bounded(self):
-        for record in enumerate_candidates(2, 8):
+        for record in search_records(2, 8):
             assert list(record.weights) == sorted(record.weights)
             assert sum(record.weights) <= 8
 
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
-            list(enumerate_candidates(1, 5))
+            search_records(1, 5)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            list(enumerate_candidates(2, 10_000))
+            search_records(2, 10_000)
 
     def test_rejects_jobs_below_one(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -160,12 +161,12 @@ class TestDegreeDrivenGenerator:
     @pytest.mark.parametrize("amplitude", [1, 2, 3])
     def test_records_match_the_unfiltered_enumeration(self, member_dim, amplitude):
         max_sum = SMALL_BOUNDS[member_dim]
-        assert list(enumerate_candidates(member_dim, max_sum, amplitude, 2)) == (
+        assert search_records(member_dim, max_sum, amplitude, 2) == (
             oracle_records(member_dim, max_sum, amplitude, 2)
         )
 
     def test_huge_amplitude(self):
-        records = list(enumerate_candidates(2, 12, 10**6))
+        records = search_records(2, 12, 10**6)
         assert records == oracle_records(2, 12, 10**6)
         assert len(records) == 8
 
@@ -519,11 +520,9 @@ class TestFindMinVolume:
 
 
 def assert_cut_matches_the_uncut_filter(member_dim, max_sum, amplitude):
-    uncut = list(enumerate_candidates(member_dim, max_sum, amplitude, 3))
+    uncut = search_records(member_dim, max_sum, amplitude, 3)
     for vanishing in (1, 2, 3):
-        expected = sorted(
-            (r for r in uncut if r.vanishing_at_least(vanishing)), key=lambda r: r.sort_key
-        )
+        expected = [r for r in uncut if r.vanishing_at_least(vanishing)]
         for jobs in (1, 2):
             got = search_records(member_dim, max_sum, amplitude, 3, vanishing, jobs)
             assert got == expected, (vanishing, jobs)
@@ -533,8 +532,8 @@ def assert_cut_matches_the_uncut_filter(member_dim, max_sum, amplitude):
 class TestVanishingCut:
     """A vanishing search drops each leading weight a_0 with a power of x_0 of
     degree m * amplitude < d for some m <= V (so P_m >= 1); at amplitude 1 it
-    starts the leading weight at V + 1.  The record filter, run on the uncut
-    enumeration, is its oracle."""
+    starts the leading weight at V + 1.  The record filter, run on the search
+    with no vanishing count (so no cut), is its oracle."""
 
     @pytest.mark.parametrize("member_dim, max_sum", [(3, 45), (4, 36), (5, 36), (6, 38)])
     def test_records_match_the_uncut_filter(self, member_dim, max_sum):
@@ -552,11 +551,9 @@ class TestVanishingCut:
         # x_0 of weight 1 or 2 (amplitude 2), or 1, 2 or 3 (amplitude 3), has a
         # power of degree m * amplitude with m <= 2 below d
         assert wph.search._batches(4, 36, amplitude, 2, 2)[0][0] == first
-        uncut = list(enumerate_candidates(4, 36, amplitude, 2))
+        uncut = search_records(4, 36, amplitude, 2)
         for vanishing in (1, 2):
-            expected = sorted(
-                (r for r in uncut if r.vanishing_at_least(vanishing)), key=lambda r: r.sort_key
-            )
+            expected = [r for r in uncut if r.vanishing_at_least(vanishing)]
             assert expected and search_records(4, 36, amplitude, 2, vanishing) == expected
 
     def test_the_cut_starts_past_the_vanishing_count(self):
