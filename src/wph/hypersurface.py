@@ -31,9 +31,10 @@ the number of coordinates carrying one value.
 
 Sing P is the union of the sub-spaces P(a_i : h | a_i), one per order h > 1
 (Iano-Fletcher 2000, §8-10), and `core.order_residues` gives the germ of
-each order.  `member_canonical` removes a residue-d direction from that germ,
-never walking index subsets; it answers for any member, but speaks of the
-germs only of a quasi-smooth one, so its callers also require `quasi_smooth`.
+each order.  `member_canonical` (walk: `singularity.member_canonical`) takes
+a residue-d direction from that germ, never walking index subsets; it answers
+for any member, but speaks of the germs only of a quasi-smooth one, so its
+callers also require `quasi_smooth`.
 `singularity_report` keeps one ambient class per order (`classes`, from
 `singularity.order_classes`); its member verdict is None unless quasi-smooth.
 """
@@ -44,18 +45,15 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import config
-from .core import (
-    CyclicQuotientSingularity,
-    StratumRecord,
-    Weights,
-    _Value,
-    order_residues,
-    singular_strata,
-    strata_orders,
-)
+from .core import CyclicQuotientSingularity, StratumRecord, Weights, _Value, singular_strata
 from .hilbert import reaches, with_value
-from .singularity import SingularityClass, classify_quotient, order_classes, require_well_formed
-from .singularity import _germ_class  # the one germ cache, shared with order_classes
+from .singularity import (
+    SingularityClass,
+    classify_quotient,
+    member_canonical,
+    order_classes,
+    require_well_formed,
+)
 
 
 class WeightedHypersurface(_Value):
@@ -166,33 +164,12 @@ class WeightedHypersurface(_Value):
         weight is divisible by h).  Any member gets a bool, but a verdict on
         its germs only if it is quasi-smooth (clause (b) then makes every
         stratum of order h lose the same residue), so every caller also
-        requires `quasi_smooth`.  The walk, `_member_canonical`, reads the
-        multiplicities once; the search runs it on raw tuples.  `WPH_ORDER_CAP`
-        is read once per call here, once per batch in the search.  The one
-        zero-blind germ cache, `singularity._germ_class` (h, sorted nonzero
-        residue counts), is read after the cap check, which it never skips.
+        requires `quasi_smooth`.  The walk, `singularity.member_canonical`,
+        reads the multiplicities once; the search runs it on raw tuples.
+        `WPH_ORDER_CAP` is read once per call here, once per batch in the
+        search, and checked before every read of the one germ cache.
         """
-        return _member_canonical(
-            self.weights.multiplicities(), self.degree, config._cap("WPH_ORDER_CAP")
-        )
-
-
-def _member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
-    """The walk of `member_canonical` over weight multiplicities `counts`."""
-    for h in strata_orders(counts):
-        residues = order_residues(counts, h)  # nonzero residues count > 0
-        if d % h:
-            if d % h not in residues:
-                return False
-            residues[d % h] -= 1
-        elif residues[0] <= 0:
-            continue  # a single weight is divisible by h
-        if h > order_cap:
-            config.require("WPH_ORDER_CAP", h, f"group order {h}")
-        runs = tuple(sorted(p for p in residues.items() if p[0] and p[1] > 0))
-        if not _germ_class(h, runs).is_canonical:
-            return False
-    return True
+        return member_canonical(self.weights.multiplicities(), self.degree, config._cap("WPH_ORDER_CAP"))
 
 
 class PointRecord(NamedTuple):

@@ -38,11 +38,11 @@ gcd(g, u) > 1 is skipped, and v must be coprime to g and to gcd(P, u).
 so only member-canonical tuples become objects and reach `quasi_smooth`
 (dim 3, S = 80: 2,377 tuples, 23 member-canonical, 23 quasi-smooth).
 
-A search runs one batch per leading weight.  With jobs = N > 1 the calling
-process and up to N - 1 forked children take the batches in order from one
-pipe (`_fork_map`), so `jobs` counts the caller; where `os.fork` is missing
-the search is serial.  Either way a failing search raises the error of its
-first failing batch.
+A search runs one batch per leading weight.  With jobs = N > 1 this process
+and up to N - 1 forked children take them in order from one pipe, filled
+before the first fork (`_fork_map`: one batch a token up to PIPE_BUF // 4),
+so `jobs` counts the caller; where `os.fork` is missing the search is serial.
+Either way a failing search raises the error of its first failing batch.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from typing import Iterator, NamedTuple
 from . import config
 from .core import Weights
 from .hilbert import plurigenera_table
-from .hypersurface import WeightedHypersurface, _member_canonical
+from .hypersurface import WeightedHypersurface
+from .singularity import member_canonical
 
 
 class SearchRecord(NamedTuple):
@@ -170,7 +171,7 @@ def _evaluate(
         counts[a] = counts.get(a, 0) + 1
     degree = sum(weights) + amplitude
     # both are required; member canonicity rejects far more, and far cheaper
-    if not _member_canonical(counts, degree, order_cap):
+    if not member_canonical(counts, degree, order_cap):
         return None
     x = WeightedHypersurface(Weights(weights), degree)
     if not x.quasi_smooth():
@@ -210,36 +211,39 @@ def _batches(
 
 def _fork_map(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items] on `workers` processes: this one and
-    workers - 1 forked children.  Item indices go as 4-byte tokens on one task
-    pipe, in order; each process runs the item of every token it reads until
-    EOF, and after a failure only reads.  The caller writes what fits before
-    each of its own reads, so a full pipe never blocks it.  A child pickles its
-    results, or its first exception, back on its own pipe and leaves through
-    `os._exit`.  Raises the exception of the lowest-numbered failing item, or a
-    RuntimeError naming the exit status of a child that died unreported; every
-    child is killed if still running and reaped, whatever happens."""
+    workers - 1 forked children.  Before the first fork one write puts every
+    4-byte task token on a pipe, whole, since an empty pipe takes PIPE_BUF
+    bytes at once, and closes it: token i stands for the run of
+    ceil(len(items) / (PIPE_BUF // 4)) items from item i, a single item up to
+    PIPE_BUF // 4 items.  Each process runs the items of every token it reads
+    until EOF, and after a failure only reads.  A child pickles its results, or
+    its first exception, back on its own pipe and leaves through `os._exit`.
+    Raises the exception of the lowest-numbered failing item, or a RuntimeError
+    naming the exit status of a child that died unreported; every child is
+    killed if still running and reaped, whatever happens."""
     import pickle  # only pooled searches pay for it
     import signal
 
-    def work(tasks: int, feed=None) -> tuple[dict, tuple | None]:
+    def work() -> tuple[dict, tuple | None]:
         done, failed = {}, None
-        while True:
-            if feed is not None and feed():
-                feed = None
-            token = os.read(tasks, 4)  # every write is one whole token
-            if not token:
-                return done, failed
-            i = int.from_bytes(token, "big")
-            if failed is None:
-                try:
-                    done[i] = fn(items[i])
-                except Exception as exc:
-                    failed = (i, exc)
+        while token := os.read(tasks, 4):  # the pipe holds whole tokens only
+            first = int.from_bytes(token, "big")
+            for i in range(first, min(first + run, len(items))):
+                if failed is None:
+                    try:
+                        done[i] = fn(items[i])
+                    except Exception as exc:
+                        failed = (i, exc)
+        return done, failed
 
     tasks, tasks_w = os.pipe()
     open_fds = [tasks, tasks_w]
     children: dict[int, int] = {}  # unreaped pid -> read end of its result pipe
     try:
+        run = -(-len(items) // (os.fpathconf(tasks_w, "PC_PIPE_BUF") // 4)) or 1
+        os.write(tasks_w, b"".join(i.to_bytes(4, "big") for i in range(0, len(items), run)))
+        os.close(tasks_w)
+        open_fds.remove(tasks_w)
         for _ in range(workers - 1):
             r, w = os.pipe()
             open_fds += (r, w)
@@ -247,8 +251,7 @@ def _fork_map(fn, items: list, workers: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    os.close(tasks_w)
-                    data = memoryview(pickle.dumps(work(tasks)))
+                    data = memoryview(pickle.dumps(work()))
                     while data:
                         data = data[os.write(w, data):]
                     status = 0
@@ -257,21 +260,7 @@ def _fork_map(fn, items: list, workers: int) -> list:
             children[pid] = r
             os.close(w)
             open_fds.remove(w)
-        tokens = [i.to_bytes(4, "big") for i in reversed(range(len(items)))]
-        os.set_blocking(tasks_w, False)
-
-        def feed() -> bool:
-            while tokens:
-                try:
-                    os.write(tasks_w, tokens[-1])  # below PIPE_BUF: whole or not at all
-                except BlockingIOError:
-                    return False
-                tokens.pop()
-            os.close(tasks_w)
-            open_fds.remove(tasks_w)
-            return True
-
-        done, failed = work(tasks, feed)
+        done, failed = work()
         failures = [failed] if failed else []
         for pid, r in list(children.items()):
             data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))

@@ -24,8 +24,9 @@ stratum order h (`core.strata_orders`), whose type `core.order_residues`
 gives: every stratum of order h has it.  `ambient_canonical` and
 `hypersurface.singularity_report` read its table, and
 `ambient_canonical_bruteforce`, their oracle, classifies every singular
-stratum by index.  Its verdicts and those of `hypersurface.member_canonical`
-come from one bounded cache, `_germ_class`, keyed by the nonzero residues.
+stratum by index.  `member_canonical` walks the same orders for the general
+member (`hypersurface.member_canonical`, the search); both read one bounded
+cache, `_germ_class`, keyed by nonzero residues, through `_order_class`.
 """
 
 from __future__ import annotations
@@ -228,15 +229,32 @@ def require_well_formed(w: Weights) -> None:
 
 def order_classes(w: Weights | Iterable[int]) -> dict[int, SingularityClass]:
     """Stratum order h -> the class of every stratum of order h (module docstring),
-    largest h first, so a `WPH_ORDER_CAP` breach names an order enough for all; the
-    cap is checked before each read of `_germ_class`, the one zero-blind cache."""
-    counts, cap, classes = Weights.coerce(w).multiplicities(), config._cap("WPH_ORDER_CAP"), {}
-    for h in reversed(strata_orders(counts)):
-        if h > cap:
-            config.require("WPH_ORDER_CAP", h, f"group order {h}")
-        residues = order_residues(counts, h).items()
-        classes[h] = _germ_class(h, tuple(sorted(p for p in residues if p[0] and p[1] > 0)))
-    return classes
+    largest h first, so a `WPH_ORDER_CAP` breach names an order enough for all."""
+    counts, cap = Weights.coerce(w).multiplicities(), config._cap("WPH_ORDER_CAP")
+    return {h: _order_class(h, order_residues(counts, h), cap) for h in reversed(strata_orders(counts))}
+
+
+def member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
+    """The walk of `WeightedHypersurface.member_canonical` (its docstring) over
+    weight multiplicities `counts`, for the member of degree d."""
+    for h in strata_orders(counts):
+        residues = order_residues(counts, h)  # nonzero residues count > 0
+        if d % h:
+            if d % h not in residues:
+                return False
+            residues[d % h] -= 1
+        elif residues[0] <= 0:
+            continue  # a single weight is divisible by h
+        if not _order_class(h, residues, order_cap).is_canonical:
+            return False
+    return True
+
+
+def _order_class(h: int, residues: dict[int, int], cap: int) -> SingularityClass:
+    """The class of 1/h(residues), read from `_germ_class` once `cap` admits h."""
+    if h > cap:
+        config.require("WPH_ORDER_CAP", h, f"group order {h}")
+    return _germ_class(h, tuple(sorted(p for p in residues.items() if p[0] and p[1] > 0)))
 
 
 @lru_cache(maxsize=4096)

@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wph.config
-import wph.hypersurface
+import wph.singularity
 from wph.core import CyclicQuotientSingularity, Weights, singular_strata, well_formed
 from wph.errors import BudgetError, NotWellFormedError
 from wph.families import volume_witness
-from wph.hypersurface import WeightedHypersurface, _member_canonical, singularity_report
+from wph.hypersurface import WeightedHypersurface, singularity_report
 from wph.singularity import SingularityClass, ambient_canonical_bruteforce, classify_quotient
 
 
@@ -311,7 +311,7 @@ class TestMemberCanonicalOracle:
     @given(unit_padded_tuples, st.integers(1, 60))
     def test_the_walk_on_raw_counts_matches_the_index_oracle_on_any_member(self, entries, degree):
         # quasi-smooth or not, as the search asks it before `quasi_smooth`
-        walk = _member_canonical(Counter(entries), degree, wph.config._cap("WPH_ORDER_CAP"))
+        walk = wph.singularity.member_canonical(Counter(entries), degree, wph.config._cap("WPH_ORDER_CAP"))
         assert walk == make(entries, degree).member_canonical() == canonical_by_index(entries, degree)
 
     def test_matches_index_oracle_exhaustively(self):
@@ -356,7 +356,7 @@ class TestGermCache:
         x = make(entries, degree)
         cached = x.member_canonical()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wph.hypersurface, "_germ_class", wph.hypersurface._germ_class.__wrapped__)
+            mp.setattr(wph.singularity, "_germ_class", wph.singularity._germ_class.__wrapped__)
             assert x.member_canonical() == cached
         assert canonical_by_index(entries, degree) == cached  # no germ cache at all
 
@@ -376,10 +376,10 @@ class TestGermCache:
         x = make((4, 5, 6, 7, 23), 46)
         assert x.member_canonical()  # a cold scan reads the cap through `require`
         reads.clear()
-        hits = wph.hypersurface._germ_class.cache_info().hits
+        hits = wph.singularity._germ_class.cache_info().hits
         assert x.member_canonical()
-        assert reads == ["WPH_ORDER_CAP"] and wph.hypersurface._germ_class.cache_info().hits > hits + 1
-        wph.hypersurface._germ_class.cache_clear()
+        assert reads == ["WPH_ORDER_CAP"] and wph.singularity._germ_class.cache_info().hits > hits + 1
+        wph.singularity._germ_class.cache_clear()
         monkeypatch.setenv("WPH_ORDER_CAP", "6")
         with pytest.raises(BudgetError, match=r"^group order 7, above the cap 6 \(set WPH_ORDER_CAP"):
             x.member_canonical()

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import math
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -16,15 +17,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wph.config
-import wph.hypersurface
 import wph.search
+import wph.singularity
 from wph.core import CyclicQuotientSingularity, Weights, order_residues, strata_orders, well_formed
 from wph.cli import run
 from wph.errors import BudgetError
 from wph.families import consecutive_family, vanishing_witness
 from wph.hilbert import plurigenera_table
-from wph.hypersurface import WeightedHypersurface, _member_canonical
-from wph.singularity import classify_quotient
+from wph.hypersurface import WeightedHypersurface
+from wph.singularity import classify_quotient, member_canonical
 from wph.search import (
     SearchRecord,
     _batches,
@@ -35,6 +36,7 @@ from wph.search import (
     _residue_classes,
     search_records,
 )
+from test_hypersurface import induced_by_index  # the index-subset oracle
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
@@ -269,7 +271,7 @@ class TestDegreeDrivenGenerator:
             for lead in range(1, max_sum // length + 1):
                 for t in _degree_tuples(lead, length, max_sum, amplitude):
                     w, degree = Weights(t), sum(t) + amplitude
-                    verdict = _member_canonical(Counter(t), degree, order_cap)
+                    verdict = member_canonical(Counter(t), degree, order_cap)
                     assert verdict == WeightedHypersurface(w, degree).member_canonical(), (t, amplitude)
                     assert verdict == member_canonical_reference(w, degree), (t, amplitude)
                     verdicts.append(verdict)
@@ -341,10 +343,10 @@ class TestDeterminismAndParallelism:
         assert search_records(2, 9) == search_records(2, 9)
 
     def test_cold_and_warm_germ_caches_give_the_same_records(self):
-        wph.hypersurface._germ_class.cache_clear()
+        wph.singularity._germ_class.cache_clear()
         cold = search_records(3, 45)
         warm = search_records(3, 45)
-        assert wph.hypersurface._germ_class.cache_info().hits > 0
+        assert wph.singularity._germ_class.cache_info().hits > 0
         assert cold == warm == search_records(3, 45, jobs=2)
         assert len(cold) == 23
 
@@ -401,13 +403,13 @@ class TestDeterminismAndParallelism:
         assert errors[0] == errors[1] and "group order 6," in errors[0]
 
     def test_a_warm_germ_cache_does_not_hide_a_lowered_order_cap(self, monkeypatch):
-        wph.hypersurface._germ_class.cache_clear()
+        wph.singularity._germ_class.cache_clear()
         monkeypatch.setenv("WPH_ORDER_CAP", "4")
         with pytest.raises(BudgetError) as cold:
             search_records(3, 80, vanishing=5)
         monkeypatch.delenv("WPH_ORDER_CAP")
         search_records(3, 80, vanishing=5)  # classifies every germ the search meets
-        assert wph.hypersurface._germ_class.cache_info().currsize > 0
+        assert wph.singularity._germ_class.cache_info().currsize > 0
         monkeypatch.setenv("WPH_ORDER_CAP", "4")
         for jobs in (1, 2):
             with pytest.raises(BudgetError) as warm:
@@ -441,10 +443,34 @@ class TestDeterminismAndParallelism:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_the_pool_deals_more_tokens_than_a_pipe_holds(self):
-        items = list(range(20_000))  # 80,000 bytes of tokens; a pipe holds 65,536
+    def test_the_pool_runs_more_items_than_it_deals_tokens(self):
+        items = list(range(20_000))  # where PIPE_BUF is 4,096: 1,000 tokens of 20 items
         with deadline(60):  # more workers than CPUs, so they contend for tokens
             assert _fork_map(lambda i: i * i, items, CPUS + 2) == [i * i for i in items]
+
+    def test_the_pool_cannot_deadlock_when_its_readers_are_slow(self, monkeypatch):
+        # the caller is preempted before each of its first three token reads and
+        # each child before its first: a caller still feeding the pipe after the
+        # fork then waits on an empty pipe that only it could fill
+        caller, read, reads = os.getpid(), os.read, Counter()
+
+        def slow_read(fd, n):
+            if n == 4:
+                me = os.getpid()
+                reads[me] += 1
+                if reads[me] <= (3 if me == caller else 1):
+                    time.sleep(0.5 if me == caller else 0.2)
+            return read(fd, n)
+
+        monkeypatch.setattr(wph.search.os, "read", slow_read)
+        items = list(range(20_000))
+        with deadline(30):
+            assert _fork_map(lambda i: i * i, items, 3) == [i * i for i in items]
+
+    def test_searches_at_the_default_caps_deal_one_batch_per_token(self):
+        # the most batches a search has: dimension 2 (length 4), amplitude 1, no cut
+        most = len(_batches(2, wph.config.DEFAULTS["WPH_SEARCH_SUM_CAP"], 1, 0))
+        assert most == 125 <= select.PIPE_BUF // 4
 
     def test_the_pool_reaps_every_child_when_one_dies_unreported(self):
         caller = os.getpid()
@@ -461,13 +487,21 @@ class TestDeterminismAndParallelism:
             os.waitpid(-1, os.WNOHANG)
 
     def test_the_pool_raises_the_error_of_the_lowest_failing_item(self):
-        def failing(i):
-            if i in (300, 500, 700):
-                raise ValueError(i)
-            return i
+        run = -(-20_000 // (select.PIPE_BUF // 4))  # the items a token stands for at 20,000
+        assert run > 3
+        # one item a token; then a run per token, the lowest failure followed by
+        # another in its own run and by failures in later runs
+        for count, failures in (
+            (1000, {300, 500, 700}),
+            (20_000, {600 * run + 7, 201 * run, 200 * run + 3, 200 * run + 1}),
+        ):
+            def failing(i):
+                if i in failures:
+                    raise ValueError(i)
+                return i
 
-        with deadline(60), pytest.raises(ValueError, match="^300$"):
-            _fork_map(failing, list(range(1000)), 3)
+            with deadline(60), pytest.raises(ValueError, match=f"^{min(failures)}$"):
+                _fork_map(failing, list(range(count)), 3)
 
 
 class TestLiteratureAnchors:
@@ -489,6 +523,35 @@ class TestLiteratureAnchors:
         assert len(records) == 23
         assert records[0].weights == (4, 5, 6, 7, 23)
         assert str(records[0]) == "(4,5,6,7,23) d=46 vol=1/420"
+
+    def test_reid_95_k3_surfaces(self):
+        # X_d in P(a_1..a_4), d = sum of the weights, well-formed and quasi-smooth
+        # (Reid 1980; Yonemura 1990; Iano-Fletcher 2000): exactly 95, the last X_66
+        found = sorted(
+            (sum(w), w)
+            for lead in range(1, 100 // 4 + 1)
+            for w in _degree_tuples(lead, 4, 100, 0)
+            if WeightedHypersurface(w, sum(w)).quasi_smooth()
+        )
+        assert len(found) == 95
+        assert found[-1] == (66, (5, 6, 22, 33)) and found[-2][0] < 66  # none above, to S = 100
+
+    def test_the_95_terminal_fano_threefolds(self):
+        # X_d in P(a_0..a_4), d = sum - 1, well-formed, quasi-smooth and terminal
+        # (Iano-Fletcher 2000; complete by Johnson-Kollar 2001): exactly 95, the last
+        # X_66; terminality from the index-subset oracle, not the library's walk
+        def terminal(w, d):
+            induced = induced_by_index(w, d)
+            return induced is not None and all(classify_quotient(q).is_terminal for _, q in induced)
+
+        found = sorted(
+            (sum(w) - 1, w)
+            for lead in range(1, 100 // 5 + 1)
+            for w in _degree_tuples(lead, 5, 100, -1)
+            if WeightedHypersurface(w, sum(w) - 1).quasi_smooth() and terminal(w, sum(w) - 1)
+        )
+        assert len(found) == 95
+        assert found[-1] == (66, (1, 5, 6, 22, 33)) and found[-2][0] < 66  # none above, to S = 100
 
 
 class TestFindMinVolume:
