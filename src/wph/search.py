@@ -28,14 +28,16 @@ other weights sum to at least length - 1, so for every amplitude >= 1.
   the head (all but the two largest weights u <= v), and for u, the union of
   the classes n + amplitude = b mod a, b in head or 0, is built once per head
   (per (head, u) for u); unless a | s + amplitude (so d = v mod a), the
-  candidates v, at bit s + v, keep only that union and the class of u mod a.
-  They are read lowest bit first: the tuples come in lexicographic order.
+  candidates v, at bit s + v, keep only that union and the class of u mod a,
+  read lowest bit first: the tuples come in lexicographic order.  The divisor
+  table and every class are built once per search, before any fork.
 
 Well-formedness is decided in the generator on raw ints: per head, g =
 gcd(head) and P = the product of its gcds with one weight left out; a u with
-gcd(g, u) > 1 is skipped, and v must be coprime to g and to gcd(P, u).
-`_evaluate` then runs the walk of `member_canonical` on the tuple's counts,
-so only member-canonical tuples become objects and reach `quasi_smooth`
+gcd(g, u) > 1 is skipped, and v must be coprime to g and to gcd(P, u), read
+only where some v is left.  `_evaluate` then runs the walk of
+`member_canonical`, keyed by raw residues (`_order_class`), on the tuple's
+counts: only member-canonical tuples become objects and reach `quasi_smooth`
 (dim 3, S = 80: 2,377 tuples, 23 member-canonical, 23 quasi-smooth).
 
 A search runs one batch per leading weight.  With jobs = N > 1 this process
@@ -98,19 +100,23 @@ def _nondecreasing_tuples(
             yield (v,) + rest
 
 
-def _divisor_masks(max_sum: int, amplitude: int) -> list[int]:
-    """Entry k in [0, max_sum]: bit w iff w <= max_sum divides amplitude + k."""
-    masks = [0] * (max_sum + 1)
-    for w in range(1, max_sum + 1):
-        for k in range(-amplitude % w, max_sum + 1, w):
-            masks[k] |= 1 << w
-    return masks
+_tables: dict = {}  # the last search's tables, by (max_sum, amplitude)
 
 
-def _residue_classes(a: int, max_sum: int, amplitude: int) -> list[int]:
-    """Class r in [0, a): bit n in [0, max_sum] iff n + amplitude = r mod a."""
-    every = sum(1 << n for n in range(0, max_sum + 1, a))
-    return [every << (r - amplitude) % a & (2 << max_sum) - 1 for r in range(a)]
+def _search_tables(max_sum: int, amplitude: int) -> tuple[list[int], dict[int, list[int]]]:
+    """One search's divisor table and classes mod each a <= max_sum // 2 (module docstring)."""
+    key = (max_sum, amplitude)
+    if key not in _tables:
+        divisors, classes = [0] * (max_sum + 1), {}
+        for w in range(1, max_sum + 1):
+            for k in range(-amplitude % w, max_sum + 1, w):
+                divisors[k] |= 1 << w
+        for a in range(2, max_sum // 2 + 1):
+            every = sum(1 << n for n in range(0, max_sum + 1, a))
+            classes[a] = [every << (r - amplitude) % a & (2 << max_sum) - 1 for r in range(a)]
+        _tables.clear()
+        _tables[key] = divisors, classes
+    return _tables[key]
 
 
 def _degree_tuples(
@@ -119,11 +125,10 @@ def _degree_tuples(
     """Well-formed tuples starting with `leading` whose every weight passes the
     singleton test (module docstring), in lexicographic order: the heads come
     from `_nondecreasing_tuples`, u and v ascend."""
-    divisors = _divisor_masks(max_sum, amplitude)
-    classes: dict[int, list[int]] = {}  # built once per value a
+    divisors, classes = _search_tables(max_sum, amplitude)
 
     def residues(a: int, values: tuple[int, ...]) -> int:  # the classes of 0 and values
-        by = classes.get(a) or classes.setdefault(a, _residue_classes(a, max_sum, amplitude))
+        by = classes[a]
         mask = by[0]
         for b in values:
             mask |= by[b % a]
@@ -136,13 +141,10 @@ def _degree_tuples(
         head_sets = [(a, residues(a, head), classes[a]) for a in set(head) if a > 1]
         gaps = (0, *set(head))
         g = math.gcd(*head)
-        # the product of the gcds > 1 of the head with one weight left out
-        dropped = math.prod({math.gcd(*head[:k], *head[k + 1:]) for k in range(len(head))})
+        dropped = 0  # the product of the gcds > 1 of the head with one weight left out
         for u in range(head[-1], (max_sum - t) // 2 + 1):
             if math.gcd(g, u) > 1:
                 continue  # leaving out v keeps this factor
-            # a prime of v must divide neither g nor both u and a left-out gcd
-            coprime_to = g * math.gcd(dropped, u)
             s = t + u
             e = s + amplitude  # d - v
             # v in [u, max_sum - s] with v | d - b (b = 0, u or a head value), at bit s + v
@@ -155,6 +157,10 @@ def _degree_tuples(
                     found &= kept | by_residue[u % a]
             if found and u > 1 and e % u and u != head[-1]:  # else u passes, or has its set
                 found &= residues(u, head)
+            if found and not dropped:  # built for the heads with candidates only
+                dropped = math.prod({math.gcd(*head[:k], *head[k + 1:]) for k in range(len(head))})
+            # a prime of v must divide neither g nor both u and a left-out gcd (if any v is left)
+            coprime_to = found and g * math.gcd(dropped, u)
             while found:
                 low = found & -found
                 found ^= low
@@ -307,6 +313,7 @@ def search_records(
         raise ValueError(f"vanishing must be >= 0, got {vanishing}")
     up_to = max(plurigenera_up_to, vanishing)
     batches = _batches(member_dim, max_weight_sum, amplitude, up_to, vanishing)
+    _search_tables(max_weight_sum, amplitude)  # before any fork: the children inherit them
     workers = 1
     if jobs > 1 and hasattr(os, "fork"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -26,7 +26,7 @@ gives: every stratum of order h has it.  `ambient_canonical` and
 `ambient_canonical_bruteforce`, their oracle, classifies every singular
 stratum by index.  `member_canonical` walks the same orders for the general
 member (`hypersurface.member_canonical`, the search); both read one bounded
-cache, `_germ_class`, keyed by nonzero residues, through `_order_class`.
+cache, `_germ_class`, through `_order_class`, keyed by raw residues unfiltered.
 """
 
 from __future__ import annotations
@@ -239,10 +239,11 @@ def member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
     weight multiplicities `counts`, for the member of degree d."""
     for h in strata_orders(counts):
         residues = order_residues(counts, h)  # nonzero residues count > 0
-        if d % h:
-            if d % h not in residues:
+        if r := d % h:
+            if not (left := residues.pop(r, 0)):
                 return False
-            residues[d % h] -= 1
+            if left > 1:  # an emptied residue leaves the key
+                residues[r] = left - 1
         elif residues[0] <= 0:
             continue  # a single weight is divisible by h
         if not _order_class(h, residues, order_cap).is_canonical:
@@ -251,10 +252,12 @@ def member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
 
 
 def _order_class(h: int, residues: dict[int, int], cap: int) -> SingularityClass:
-    """The class of 1/h(residues), read from `_germ_class` once `cap` admits h."""
+    """The class of 1/h(residues), read from `_germ_class` once `cap` admits h; every
+    count is > 0 but residue 0's, which is popped, so the sorted items are the key."""
     if h > cap:
         config.require("WPH_ORDER_CAP", h, f"group order {h}")
-    return _germ_class(h, tuple(sorted(p for p in residues.items() if p[0] and p[1] > 0)))
+    del residues[0]
+    return _germ_class(h, tuple(sorted(residues.items())))
 
 
 @lru_cache(maxsize=4096)

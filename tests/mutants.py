@@ -1,0 +1,176 @@
+"""Mutation check: can the suite see a broken check, oracle or fast path?
+
+Each entry of MUTANTS is one textual change to a file under src/: its exact
+old text, which must occur there exactly once, the new text, the test files
+that should fail on it, and what is expected of them, `killed` or `survives`
+(with the ROADMAP item that is to kill it).  Run from anywhere:
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py ID [ID ...]  # those only
+
+Each mutant is applied to a fresh copy of the repository in a temporary
+directory, and its test files run there under pytest, one mutant at a time.
+The kill table has one line per mutant: id, expectation, outcome, seconds
+and test files.  The outcome is `killed` when pytest reports failures
+(exit 1), `survives` when it passes, and `error` on any other exit (the
+mutant broke collection or the run).  The exit status is 1 if any outcome
+differs from its expectation.  Only the standard library is used.
+`tests/test_mutants.py` checks the table against `src/` without running it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    expect: str  # "killed", or "survives (item N)"
+
+
+FAMILY_TESTS = ("tests/test_families.py", "tests/test_acceptance.py", "tests/test_golden.py")
+
+MUTANTS = (
+    Mutant(
+        "quasi-smooth-clause-b-always-holds",
+        "src/wph/hypersurface.py",
+        "if sum(c for gap, c in gaps if reaches(table, gap)) < size:",
+        "if False:",
+        ("tests/test_hypersurface.py",),
+        "killed",
+    ),
+    Mutant(
+        "walk-keeps-the-residue-d-direction",
+        "src/wph/singularity.py",
+        "            if left > 1:  # an emptied residue leaves the key\n"
+        "                residues[r] = left - 1\n",
+        "            residues[r] = left\n",
+        ("tests/test_hypersurface.py",),
+        "killed",
+    ),
+    Mutant(
+        "thm4-absent-check-forced-true",
+        "src/wph/families.py",
+        'f"weight-{obstruction} variables absent below degree {obstruction}",\n            absent,',
+        'f"weight-{obstruction} variables absent below degree {obstruction}",\n            True,',
+        FAMILY_TESTS,
+        "survives (item 9)",
+    ),
+    Mutant(
+        "ample-top-absent-check-forced-true",
+        "src/wph/families.py",
+        'f"top-weight variable absent below degree {d}",\n            top_absent,',
+        'f"top-weight variable absent below degree {d}",\n            True,',
+        FAMILY_TESTS,
+        "survives (item 9)",
+    ),
+    Mutant(
+        "volume-member-type-check-forced-true",
+        "src/wph/families.py",
+        "                member_type == expected,",
+        "                True,",
+        FAMILY_TESTS,
+        "survives (item 4)",
+    ),
+    Mutant(
+        "volume-smoothing-degree-check-forced-true",
+        "src/wph/families.py",
+        "            t * a * s + a == degree,",
+        "            True,",
+        FAMILY_TESTS,
+        "survives (item 4)",
+    ),
+    Mutant(
+        "prop-closed-form-check-forced-true",
+        "src/wph/families.py",
+        "            x.volume() == closed_form,",
+        "            True,",
+        FAMILY_TESTS,
+        "survives (item 4)",
+    ),
+    Mutant(
+        "walk-keeps-an-emptied-residue-d-entry",
+        "src/wph/singularity.py",
+        "            if left > 1:  # an emptied residue leaves the key\n"
+        "                residues[r] = left - 1\n",
+        "            residues[r] = left - 1\n",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "search-tables-keyed-without-the-amplitude",
+        "src/wph/search.py",
+        "key = (max_sum, amplitude)",
+        "key = max_sum",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "coprime-test-skipped-where-candidates-remain",
+        "src/wph/search.py",
+        "coprime_to = found and g",
+        "coprime_to = not found and g",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """(outcome, seconds) of the mutant's test files on a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="wph-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+        )
+        target = copy / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "error", 0.0
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        seconds = time.perf_counter() - start
+    return {0: "survives", 1: "killed"}.get(done.returncode, "error"), seconds
+
+
+def main(ids: list[str]) -> int:
+    if unknown := set(ids) - {m.id for m in MUTANTS}:
+        print(f"unknown mutant ids: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not ids or m.id in ids]
+    wrong = 0
+    width = max(len(m.id) for m in chosen)
+    print(f"{'mutant':{width}}  {'expected':17}  {'outcome':8}  seconds  tests")
+    for mutant in chosen:
+        outcome, seconds = run(mutant)
+        ok = mutant.expect.split()[0] == outcome
+        wrong += not ok
+        print(
+            f"{mutant.id:{width}}  {mutant.expect:17}  {outcome:8}  {seconds:7.1f}  "
+            f"{' '.join(mutant.tests)}{'' if ok else '  <- unexpected'}",
+            flush=True,
+        )
+    print(f"{len(chosen) - wrong} of {len(chosen)} as expected")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -30,10 +30,9 @@ from wph.search import (
     SearchRecord,
     _batches,
     _degree_tuples,
-    _divisor_masks,
     _fork_map,
     _nondecreasing_tuples,
-    _residue_classes,
+    _search_tables,
     search_records,
 )
 from test_hypersurface import induced_by_index  # the index-subset oracle
@@ -198,15 +197,15 @@ class TestDegreeDrivenGenerator:
     @pytest.mark.parametrize("amplitude", [1, 7, 10**6, 0, -1])
     def test_bitset_tables_match_their_definitions(self, amplitude):
         max_sum = 60
-        masks = _divisor_masks(max_sum, amplitude)
+        masks, classes = _search_tables(max_sum, amplitude)
         assert len(masks) == max_sum + 1
         for k, mask in enumerate(masks):
             assert mask.bit_length() <= max_sum + 1  # sized by max_sum, not the degree
             assert mask == sum(1 << w for w in range(1, max_sum + 1) if (amplitude + k) % w == 0)
-        for a in (1, 2, 5, 12, 60):
-            classes = _residue_classes(a, max_sum, amplitude)
-            assert len(classes) == a
-            for r, mask in enumerate(classes):
+        assert sorted(classes) == list(range(2, 31))  # every weight but the largest v
+        for a, by_residue in classes.items():
+            assert len(by_residue) == a
+            for r, mask in enumerate(by_residue):
                 assert mask.bit_length() <= max_sum + 1
                 assert mask == sum(
                     1 << n for n in range(max_sum + 1) if (n + amplitude) % a == r
@@ -502,6 +501,42 @@ class TestDeterminismAndParallelism:
 
             with deadline(60), pytest.raises(ValueError, match=f"^{min(failures)}$"):
                 _fork_map(failing, list(range(count)), 3)
+
+
+class TestSearchTables:
+    """The divisor masks and residue classes are built once per search, before
+    any fork, and only the last search's are held."""
+
+    @staticmethod
+    def alone(runs):
+        """Each search of `runs` on tables built for it alone."""
+        results = []
+        for args, kwargs in runs:
+            wph.search._tables.clear()
+            results.append(search_records(*args, **kwargs))
+        return results
+
+    def test_the_shared_tables_cannot_leak_across_searches(self):
+        runs = [
+            ((3, 45), {}),
+            ((2, 40), {"amplitude": 2}),
+            ((3, 80), {"plurigenera_up_to": 3, "jobs": 2}),
+            ((2, 12), {"amplitude": 10**6}),
+            ((3, 45), {}),
+        ]
+        expected = self.alone(runs)
+        assert expected[3] == oracle_records(2, 12, 10**6)
+        assert len(expected[0]) == len(expected[2]) == 23
+        for (args, kwargs), records in zip(runs, expected):
+            assert search_records(*args, **kwargs) == records, (args, kwargs)
+            # one search's tables at most, those of the search just run
+            assert list(wph.search._tables) == [(args[1], kwargs.get("amplitude", 1))]
+
+    def test_the_tables_follow_the_amplitude_at_one_weight_sum(self):
+        runs = [((2, 40), {"amplitude": amplitude}) for amplitude in (1, 2, 3)]
+        expected = self.alone(runs)
+        for k in (0, 2, 1, 0):
+            assert search_records(*runs[k][0], **runs[k][1]) == expected[k], runs[k]
 
 
 class TestLiteratureAnchors:

@@ -1,14 +1,18 @@
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wph.core import CyclicQuotientSingularity, Weights
+import wph.config
+import wph.singularity
+from wph.core import CyclicQuotientSingularity, Weights, singular_strata
 from wph.core import well_formed
 from wph.errors import BudgetError, NotWellFormedError
 from wph.singularity import (
@@ -18,11 +22,13 @@ from wph.singularity import (
     ambient_canonical,
     ambient_canonical_bruteforce,
     classify_quotient,
+    member_canonical,
     order_classes,
     parse_quotient,
     quotient_report,
     reid_tai_sum,
 )
+from test_hypersurface import induced_by_index, repeated_tuples, unit_padded_tuples
 
 
 def reduced(q: CyclicQuotientSingularity) -> CyclicQuotientSingularity:
@@ -552,6 +558,70 @@ class TestGermCache:
                 call(w)
         monkeypatch.delenv("WPH_ORDER_CAP")
         assert order_classes(w) == classes
+
+
+def keys_passed(call, *args):
+    """`call(*args)` and every (order, key) that it passed to `_germ_class`; each
+    key is checked to hold sorted residues in [1, order) with counts > 0."""
+    passed, cached = [], wph.singularity._germ_class
+
+    def recording(order, runs):
+        passed.append((order, runs))
+        return cached(order, runs)
+
+    with mock.patch.object(wph.singularity, "_germ_class", recording):
+        result = call(*args)
+    for order, runs in passed:
+        assert all(0 < b < order and count > 0 for b, count in runs), (order, runs)
+        assert list(runs) == sorted(set(runs)) and len({b for b, _ in runs}) == len(runs)
+    return result, passed
+
+
+class TestGermKeys:
+    """Every key that the walk and `order_classes` pass to `_germ_class` is the
+    `germ_key` of the germ built by index, order by order: a residue 0 or a
+    count <= 0 in a key would split one germ over two cache entries, which the
+    verdicts alone cannot show."""
+
+    @given(unit_padded_tuples, st.integers(1, 6))
+    def test_the_walk_keys_each_met_order_by_its_index_germ(self, entries, amplitude):
+        degree = sum(entries) + amplitude  # above every weight, as in the search
+        cap = wph.config._cap("WPH_ORDER_CAP")
+        verdict, passed = keys_passed(member_canonical, Counter(entries), degree, cap)
+        induced = induced_by_index(entries, degree)
+        if induced is None:  # a met stratum has no residue-d direction
+            assert not verdict
+            return
+        by_order: dict[int, set] = {}
+        for _, q in induced:
+            by_order.setdefault(q.order, set()).add(germ_key(q))
+        for order, runs in passed:
+            assert by_order.get(order) == {runs}, (entries, degree, order)
+
+    @given(repeated_tuples.filter(lambda entries: len(entries) <= 10) | unit_padded_tuples)
+    def test_order_classes_key_each_order_by_its_index_germ(self, entries):
+        w = Weights(entries)
+        classes, passed = keys_passed(order_classes, w)
+        by_order: dict[int, set] = {}
+        for stratum in singular_strata(w):
+            q = CyclicQuotientSingularity(stratum.order, runs=w.runs_without(stratum.indices[0]))
+            by_order.setdefault(stratum.order, set()).add(germ_key(q))
+        assert [order for order, _ in passed] == list(classes) == sorted(by_order, reverse=True)
+        for order, runs in passed:
+            assert by_order[order] == {runs}, (entries, order)
+
+    def test_an_emptied_residue_d_entry_leaves_the_walk_key(self):
+        # X_46 in P(4,5,6,7,23): at orders 4, 5 and 7 the member drops the only
+        # weight of residue 46 mod h; order 23 divides d and one weight only
+        cap = wph.config._cap("WPH_ORDER_CAP")
+        verdict, passed = keys_passed(member_canonical, Counter((4, 5, 6, 7, 23)), 46, cap)
+        assert verdict and passed == [
+            (2, ((1, 3),)),
+            (4, ((1, 1), (3, 2))),
+            (5, ((2, 1), (3, 1), (4, 1))),
+            (6, ((1, 1), (5, 2))),
+            (7, ((2, 1), (5, 1), (6, 1))),
+        ]
 
 
 def test_parse_and_format():
