@@ -165,7 +165,7 @@ class WeightedHypersurface(_Value):
         its germs only if it is quasi-smooth (clause (b) then makes every
         stratum of order h lose the same residue), so every caller also
         requires `quasi_smooth`.  The walk, `singularity.member_canonical`,
-        reads the multiplicities once; the search runs it on raw tuples.
+        takes the multiplicities as its head; the search shares each head.
         `WPH_ORDER_CAP` is read once per call here, once per batch in the
         search, and checked before every read of the one germ cache.
         """

@@ -24,21 +24,22 @@ stratum order h (`core.strata_orders`), whose type `core.order_residues`
 gives: every stratum of order h has it.  `ambient_canonical` and
 `hypersurface.singularity_report` read its table, and
 `ambient_canonical_bruteforce`, their oracle, classifies every singular
-stratum by index.  `member_canonical` walks the same orders for the general
-member (`hypersurface.member_canonical`, the search); both read one bounded
-cache, `_germ_class`, through `_order_class`, keyed by raw residues unfiltered.
+stratum by index.  `member_walk` walks the same orders for the member: a head's
+orders and residues once, a tail's (the search's u, v) per call.  Both read one
+bounded cache, `_germ_class`, through `_order_class`, keyed by raw residues.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import config
 from .core import (
@@ -234,21 +235,45 @@ def order_classes(w: Weights | Iterable[int]) -> dict[int, SingularityClass]:
     return {h: _order_class(h, order_residues(counts, h), cap) for h in reversed(strata_orders(counts))}
 
 
+def member_walk(counts: dict[int, int]) -> Callable[..., bool]:
+    """The walk of `WeightedHypersurface.member_canonical` (its docstring) split
+    at a head, multiplicities `counts` whose orders and residues are built once:
+    walk(d, cap, *tail) adds the tail's weights (the search's u <= v), for the
+    member of degree d.  The head's orders up to `cap` come first, as most
+    members fail at one; then the tail's new orders and the rest, ascending."""
+    head, by_order = strata_orders(counts), {}  # the head's residues by order
+
+    def walk(d: int, cap: int, *tail: int) -> bool:
+        orders = low = head[: bisect_right(head, cap)]
+        while True:
+            for h in orders:
+                if h not in by_order:
+                    by_order[h] = order_residues(counts, h)
+                residues = by_order[h].copy()
+                for b in tail:
+                    residues[b % h] = residues.get(b % h, 0) + 1
+                if r := d % h:
+                    if not (left := residues.pop(r, 0)):
+                        return False
+                    if left > 1:  # an emptied residue leaves the key
+                        residues[r] = left - 1
+                elif residues[0] <= 0:
+                    continue  # a single weight is divisible by h
+                if not _order_class(h, residues, cap).is_canonical:
+                    return False
+            if orders is not low:  # the second pass is done
+                return True
+            grown = {*head}  # the gcd closure with the tail, as in `strata_orders`
+            for b in tail:
+                grown.update({gcd(g, b) for g in grown}, (b,))
+            orders = sorted(grown.difference(low, (1,)))
+
+    return walk
+
+
 def member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
-    """The walk of `WeightedHypersurface.member_canonical` (its docstring) over
-    weight multiplicities `counts`, for the member of degree d."""
-    for h in strata_orders(counts):
-        residues = order_residues(counts, h)  # nonzero residues count > 0
-        if r := d % h:
-            if not (left := residues.pop(r, 0)):
-                return False
-            if left > 1:  # an emptied residue leaves the key
-                residues[r] = left - 1
-        elif residues[0] <= 0:
-            continue  # a single weight is divisible by h
-        if not _order_class(h, residues, order_cap).is_canonical:
-            return False
-    return True
+    """The member walk with all of `counts` as its head, for the member of degree d."""
+    return member_walk(counts)(d, order_cap)
 
 
 def _order_class(h: int, residues: dict[int, int], cap: int) -> SingularityClass:

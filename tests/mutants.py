@@ -55,9 +55,9 @@ MUTANTS = (
     Mutant(
         "walk-keeps-the-residue-d-direction",
         "src/wph/singularity.py",
-        "            if left > 1:  # an emptied residue leaves the key\n"
-        "                residues[r] = left - 1\n",
-        "            residues[r] = left\n",
+        "                    if left > 1:  # an emptied residue leaves the key\n"
+        "                        residues[r] = left - 1\n",
+        "                    residues[r] = left\n",
         ("tests/test_hypersurface.py",),
         "killed",
     ),
@@ -104,9 +104,9 @@ MUTANTS = (
     Mutant(
         "walk-keeps-an-emptied-residue-d-entry",
         "src/wph/singularity.py",
-        "            if left > 1:  # an emptied residue leaves the key\n"
-        "                residues[r] = left - 1\n",
-        "            residues[r] = left - 1\n",
+        "                    if left > 1:  # an emptied residue leaves the key\n"
+        "                        residues[r] = left - 1\n",
+        "                    residues[r] = left - 1\n",
         ("tests/test_singularity.py",),
         "killed",
     ),
@@ -123,6 +123,46 @@ MUTANTS = (
         "src/wph/search.py",
         "coprime_to = found and g",
         "coprime_to = not found and g",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "quasi-smooth-clause-b-dropped",
+        "src/wph/hypersurface.py",
+        "if sum(c for gap, c in gaps if reaches(table, gap)) < size:",
+        "if True:",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "shared-walk-skips-the-tail-orders",
+        "src/wph/singularity.py",
+        "orders = sorted(grown.difference(low, (1,)))",
+        "orders = sorted(set(head).difference(low))",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "shared-walk-leaves-the-tail-out-of-the-germ",
+        "src/wph/singularity.py",
+        "residues[b % h] = residues.get(b % h, 0) + 1",
+        "residues[b % h] = residues.get(b % h, 0)",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "shared-walk-adds-the-tail-to-the-head-residues",
+        "src/wph/singularity.py",
+        "residues = by_order[h].copy()",
+        "residues = by_order[h]",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "shared-walk-reads-head-orders-above-the-cap-first",
+        "src/wph/singularity.py",
+        "orders = low = head[: bisect_right(head, cap)]",
+        "orders = low = head",
         ("tests/test_search.py",),
         "killed",
     ),

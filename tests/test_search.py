@@ -25,7 +25,7 @@ from wph.errors import BudgetError
 from wph.families import consecutive_family, vanishing_witness
 from wph.hilbert import plurigenera_table
 from wph.hypersurface import WeightedHypersurface
-from wph.singularity import classify_quotient, member_canonical
+from wph.singularity import classify_quotient, member_canonical, member_walk
 from wph.search import (
     SearchRecord,
     _batches,
@@ -35,7 +35,7 @@ from wph.search import (
     _search_tables,
     search_records,
 )
-from test_hypersurface import induced_by_index  # the index-subset oracle
+from test_hypersurface import canonical_by_index, induced_by_index  # the index-subset oracles
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
@@ -86,11 +86,12 @@ def oracle_records(member_dim, max_sum, amplitude, up_to=0):
     return sorted(out, key=lambda r: r.sort_key)
 
 
-def member_canonical_reference(weights, degree):
+def member_canonical_reference(weights, degree, cap=math.inf):
     """The member-germ verdict rebuilt from the per-order helpers: each order h
     whose strata the member meets gives the germ `order_residues` minus one
     residue-d direction when h does not divide d (False when there is none),
-    and every such germ must be canonical."""
+    and every such germ must be canonical.  The orders ascend, and the first
+    whose germ is to be classified above `cap` is returned in place of a verdict."""
     counts = Weights(weights).multiplicities()
     for h in strata_orders(counts):
         residues = order_residues(counts, h)
@@ -101,6 +102,8 @@ def member_canonical_reference(weights, degree):
             residues[r] -= 1
         elif residues[0] == 0:
             continue  # the one weight divisible by h: its point is missed
+        if h > cap:
+            return h
         germ = CyclicQuotientSingularity(h, runs=[(b, c) for b, c in residues.items() if c])
         if not classify_quotient(germ).is_canonical:
             return False
@@ -275,6 +278,57 @@ class TestDegreeDrivenGenerator:
                     assert verdict == member_canonical_reference(w, degree), (t, amplitude)
                     verdicts.append(verdict)
         assert len(verdicts) > 400 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("member_dim,max_sum", [(2, 30), (3, 32), (4, 26), (5, 22)])
+    def test_the_shared_head_walk_matches_the_references_on_the_search_traffic(
+        self, member_dim, max_sum, monkeypatch
+    ):
+        # every walk the search builds, one per head, is checked on each (u, v) it
+        # is asked about; a head with no order of its own, such as (1, 1, 1), has
+        # every order in its tail, which a walk of the head's orders alone misses
+        verdicts = {True: [], False: []}  # by whether the head has an order
+
+        def checked_walk(counts):
+            head, walk = tuple(Counter(counts).elements()), member_walk(counts)
+
+            def checked(degree, cap, *tail):
+                verdict = walk(degree, cap, *tail)
+                weights = head + tail
+                assert verdict == member_canonical_reference(weights, degree), weights
+                assert verdict == canonical_by_index(weights, degree), weights
+                verdicts[bool(strata_orders(counts))].append(verdict)
+                return verdict
+
+            return checked
+
+        monkeypatch.setattr(wph.search, "member_walk", checked_walk)
+        for amplitude in (1, 2, 3):
+            search_records(member_dim, max_sum, amplitude)
+        for found in verdicts.values():
+            assert 0 < sum(found) < len(found)
+
+    @pytest.mark.parametrize("cap", [4, 6])
+    def test_a_lowered_cap_is_breached_where_an_ascending_walk_breaches_it(self, cap, monkeypatch):
+        # the shared walk reads the head's orders up to the cap first, then the
+        # rest ascending: a member failing at an order up to the cap, the tail's
+        # or the head's, is False even when its head has an order above the cap
+        monkeypatch.setenv("WPH_ORDER_CAP", str(cap))
+        outcomes = Counter()
+        for amplitude in (1, 2):
+            for lead in range(1, 32 // 5 + 1):
+                head = None
+                for t in _degree_tuples(lead, 5, 32, amplitude):
+                    if t[:-2] != head:
+                        head, walk = t[:-2], member_walk(Counter(t[:-2]))
+                    degree = sum(t) + amplitude
+                    try:
+                        got = walk(degree, cap, *t[-2:])
+                    except BudgetError as exc:
+                        got = int(str(exc).split(",")[0].removeprefix("group order "))
+                    expected = member_canonical_reference(t, degree, cap)
+                    assert (type(got), got) == (type(expected), expected), (t, degree)
+                    outcomes[expected is False and max(strata_orders(Counter(head)), default=0) > cap] += 1
+        assert outcomes[True] > 0
 
     def test_a_lowered_order_cap_still_stops_the_search(self, monkeypatch):
         monkeypatch.setenv("WPH_ORDER_CAP", "6")
