@@ -4,7 +4,7 @@ Every cap guards an exponential or table-building code path.  `_cap` is
 the one place that reads a cap, and `require` the one that compares it and
 raises :class:`wph.errors.BudgetError`, which names the variable and the
 value needed, rather than silently truncating.  A hot loop may read a cap
-once with `_cap` and call `require` only for a value above it.
+once with `_cap` and call `require` with it only for a value above it.
 """
 
 import os
@@ -32,10 +32,10 @@ def _cap(name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def require(name: str, needed: int, what: str) -> None:
-    """Raise BudgetError if `needed` exceeds the cap `name`; `what` says what
-    needs it, e.g. "group order 2000000"."""
-    cap = _cap(name)
+def require(name: str, needed: int, what: str, cap: int | None = None) -> None:
+    """Raise BudgetError if `needed` exceeds the cap `name` (`cap`, if the caller
+    read it already); `what` says what needs it, e.g. "group order 2000000"."""
+    cap = _cap(name) if cap is None else cap
     if needed > cap:
         raise BudgetError(
             f"{what}, above the cap {cap} (set {name} to at least {needed} to allow it)"

@@ -12,12 +12,14 @@ into one term; pairs are the normal case, since every 3-fold terminal point
 is 1/r(a, -a, b) (the terminal lemma, Morrison-Stevens 1984), whose least
 total is at the j that moves b by 1.  So the scan reads k = j * u mod r, u the
 unit residue of largest folded coefficient c (1/r(b) is 1/r(b / u)), where
-that term is c * k: a bound rising with k, and the scan stops once it passes
-the least total found (or r, for a verdict).  The k come in blocks of 64
-doubling to 4,096, in exact integers, and a verdict-only scan also stops after
-the first block holding a total below r.  Inputs where some multiplier acts as
-a quasi-reflection (at most one coordinate moved) are flagged for reporting,
-by a closed form in the periods r / gcd(b, r), but classified by the same rule.
+that term is c * k: a bound rising with k, and each block of k ends at the
+last k whose bound is at most the least total found (or r, for a verdict).
+The k come in blocks of 64 doubling to 4,096, in exact integers; a report
+block sums its other columns only where the two largest leave room, and a
+verdict-only scan also stops after the first block holding a total below r.
+Inputs where some multiplier acts as a quasi-reflection (at most one
+coordinate moved) are flagged for reporting, by a closed form in the periods
+r / gcd(b, r), but classified by the same rule.
 
 `order_classes` is the one place that classifies the ambient germ of each
 stratum order h (`core.strata_orders`), whose type `core.order_residues`
@@ -94,11 +96,14 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
     to T(j) (module docstring), its r-terms dropping at the multiples of
     q = r / gcd(rho, r).  Past the first block of 64, k = j * u mod r for the
     unit u of largest c = c1 - c2, so T >= base + c * k at k and r - k, `base`
-    being the r-terms that never drop; the scan stops before a block whose
-    start gives a bound above the least total (or above r, with `stop_below`).
-    Blocks double up to `_BLOCK`, their column sums built by `map`, so memory
-    is O(_BLOCK) for any r.  With `stop_below` the pass also ends after a block
-    holding a total below r, and finds neither the least j nor the flag.
+    being the r-terms that never drop; a block ends at the last k whose bound
+    is at most the least total (or r, with `stop_below`), so a tie there keeps
+    its least j.  Blocks double up to `_BLOCK`, their column sums built by
+    `map`, so memory is O(_BLOCK) for any r.  A report block with no periodic
+    class, whose mirrored bounds all exceed the least total, sums the two
+    columns of largest c first and the others only at the k where those two
+    leave room.  With `stop_below` the pass also ends after a block holding a
+    total below r, and finds neither the least j nor the flag.
     """
     r = s.order
     if r > config._cap("WPH_ORDER_CAP"):
@@ -128,18 +133,31 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
     # T >= base + c * k: at k = 1 in any frame, since a unit column is at least c,
     # and at every k (and r - k) in the frame of u, k = j * u mod r
     half, inverse, base = r // 2 + 1, 1, 0
-    if half > 65:
+    if half > 65:  # largest coefficient first, for the sieve
         inverse, base = pow(u, -1, r), pairs - sum(p for _, p, _ in periodic)
-        columns = [(step * inverse % modulus, modulus) for step, modulus in columns]
+        columns = sorted(((step * inverse % m, m) for step, m in columns), key=lambda col: -col[1])
+    unit = half > 65 and c > 0  # the bound holds at every k and rises with it
     best, best_j = r * sum(residues.values()), 0
     hi, size = 1, 64
     # a report needs the bound at most best; a verdict, at most r and best >= r
-    while hi < half and base + c * hi <= (r if stop_below else best) <= best:
-        lo, hi, size = hi, min(hi + size, half), min(2 * size, _BLOCK)
+    while hi < half and base + c * hi <= (bound := r if stop_below else best) <= best:
+        # the block holds the last k whose bound is at most `bound`, not the next
+        end = (bound - base) // c + 1 if unit else half
+        lo, hi, size = hi, min(hi + size, half, end), min(2 * size, _BLOCK)
+        # with no periodic class and every mirrored total above best (so `most`
+        # below is never taken), sum the others only where the largest two leave room
+        sieve = unit and not (stop_below or periodic) and base + c * (r - hi + 1) > best
         low = []
-        for step, modulus in columns:
+        for step, modulus in columns[:2] if sieve else columns:
             column = map(modulus.__rmod__, range(lo * step, hi * step, step))
             low = list(map(add, low, column) if low else column)
+        if sieve:
+            if pairs + min(low) > best:
+                continue
+            keep = [*map((best - pairs).__ge__, low)]
+            ks, low = [*compress(range(lo, hi), keep)], [*compress(low, keep)]
+            for step, modulus in columns[2:]:
+                low = [*map(add, low, map(modulus.__rmod__, map(step.__mul__, ks)))]
         low = low or [0] * (hi - lo)
         high = low
         if periodic:
@@ -157,7 +175,7 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
             # a tied k is j = sign * k / u mod r, at least k (or r + 1 - hi) if u = 1
             floor = 1 if inverse > 1 else lo if sign > 0 else r + 1 - hi
             if total < best or total == best and best_j > floor:
-                ties = compress(range(lo, hi), map((sign * (total - offset)).__eq__, sums))
+                ties = compress(ks if sieve else range(lo, hi), map((sign * (total - offset)).__eq__, sums))
                 j = min(map(r.__rmod__, map((sign * inverse).__mul__, ties)))
                 best, best_j = total, j if total < best else min(j, best_j)
     if stop_below:
@@ -280,7 +298,7 @@ def _order_class(h: int, residues: dict[int, int], cap: int) -> SingularityClass
     """The class of 1/h(residues), read from `_germ_class` once `cap` admits h; every
     count is > 0 but residue 0's, which is popped, so the sorted items are the key."""
     if h > cap:
-        config.require("WPH_ORDER_CAP", h, f"group order {h}")
+        config.require("WPH_ORDER_CAP", h, f"group order {h}", cap)
     del residues[0]
     return _germ_class(h, tuple(sorted(residues.items())))
 

@@ -166,6 +166,46 @@ MUTANTS = (
         ("tests/test_search.py",),
         "killed",
     ),
+    Mutant(
+        "walk-checks-the-environment-cap-not-its-own",
+        "src/wph/singularity.py",
+        'config.require("WPH_ORDER_CAP", h, f"group order {h}", cap)',
+        'config.require("WPH_ORDER_CAP", h, f"group order {h}")',
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "scan-block-ends-before-the-bound-k",
+        "src/wph/singularity.py",
+        "end = (bound - base) // c + 1 if unit else half",
+        "end = (bound - base) // c if unit else half",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "sieve-drops-a-k-that-ties-the-least-total",
+        "src/wph/singularity.py",
+        "keep = [*map((best - pairs).__ge__, low)]",
+        "keep = [*map((best - pairs).__gt__, low)]",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "sieve-ignores-the-mirrored-totals",
+        "src/wph/singularity.py",
+        "and base + c * (r - hi + 1) > best",
+        "and True",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "sieve-ignores-periodic-classes",
+        "src/wph/singularity.py",
+        "sieve = unit and not (stop_below or periodic) and",
+        "sieve = unit and not stop_below and",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
 )
 
 

@@ -392,14 +392,13 @@ class TestBlockEdges:
 
 def _frame(q):
     """The unit u of the scan's frame k = j * u mod r: the residue prime to r
-    whose count exceeds that of r - u by most (unique in the cases below)."""
+    whose count exceeds that of r - u by most, the first in run order on a tie."""
     counts = {}
     for b, count in q.runs:
         counts[b % q.order] = counts.get(b % q.order, 0) + count
     c = {rho: n - counts.get(-rho % q.order, 0) for rho, n in counts.items()
          if gcd(rho, q.order) == 1}
-    (u,) = [rho for rho in c if c[rho] == max(c.values())]
-    return u
+    return next(rho for rho in c if c[rho] == max(c.values()))
 
 
 class TestUnitFrame:
@@ -470,6 +469,108 @@ class TestUnitFrame:
         assert not rep.quasi_reflection
         q = CyclicQuotientSingularity(r, (1, r - 1, c))
         assert classify_quotient(q) == SingularityClass.TERMINAL
+
+
+def _reach(q):
+    """(u, c, base) of the scan's bound T >= base + c * k, k = j * u mod r: u is
+    `_frame(q)`, c its count less that of r - u, and base is r per +- pair of
+    unit residues (the pair terms that never drop)."""
+    counts = {}
+    for b, count in q.runs:
+        counts[b % q.order] = counts.get(b % q.order, 0) + count
+    u, r = _frame(q), q.order
+    base = sum(r * min(n, counts.get(r - b, 0)) for b, n in counts.items()
+               if gcd(b, r) == 1 and b < r - b)
+    return u, counts[u] - counts.get(r - u, 0), base
+
+
+def _seen_at(j, u, r):
+    """The k at which the scan reads j: j * u mod r, or its mirror r - k."""
+    return min(j * u % r, -j * u % r)
+
+
+class TestStops:
+    """Each block ends at the last k whose bound base + c * k is at most the
+    least total found (r, for a verdict), and a report block with no periodic
+    class and every mirrored bound above the least total sums its other
+    columns only where the two largest leave room: the sieve."""
+
+    @pytest.mark.parametrize(
+        "order, weights", [(819, (506, 637, 546, 105)), (798, (577, 577, 504, 246))]
+    )
+    def test_least_total_tied_at_the_bound_k(self, order, weights):
+        # the least j is read at k = (least - base) / c, the last k of its block,
+        # after a tie read at a smaller k has made the least total the bound
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        least = min(totals)
+        ties = [j for j, t in enumerate(totals, 1) if t == least]
+        u, c, base = _reach(q)
+        k = ties[0] * u % order
+        assert k <= order // 2 and base + c * k == least and _block(k) == _block(k + 1) > 0
+        assert min(_seen_at(j, u, order) for j in ties) < k
+        assert quotient_report(q).at_multiplier == ties[0]
+
+    @pytest.mark.parametrize(
+        "order, weights", [(443, (274, 167, 361, 2)), (947, (341, 757, 450, 156, 712))]
+    )
+    def test_least_total_on_the_mirrored_side_with_no_periodic_class(self, order, weights):
+        # every residue is a unit and none pairs, so each is a column; the least
+        # total is read at r - k, in a block where the sieve must stand aside
+        assert all(gcd(b, order) == 1 for b in weights)
+        assert len({b for b in weights} | {order - b for b in weights}) == 2 * len(weights)
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        j = totals.index(min(totals)) + 1
+        k = j * _frame(q) % order
+        assert k > order // 2 and _block(order - k) > 0
+
+    @pytest.mark.parametrize(
+        "order, weights, same_block", [(1272, (839, 875, 1201), True), (2765, (1957, 887), False)]
+    )
+    def test_sieved_tie_whose_least_j_comes_from_a_larger_k(self, order, weights, same_block):
+        # units only, and the first block's least total is below every mirrored
+        # bound base + c * (r - k), k <= r // 2, so every later block is sieved;
+        # the least j is read at a larger k than a tie of its block (three
+        # columns) or of an earlier block (two columns, the two summed first)
+        assert all(gcd(b, order) == 1 for b in weights)
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        least = min(totals)
+        ties = [j for j, t in enumerate(totals, 1) if t == least]
+        u, c, base = _reach(q)
+        first = min(t for j, t in enumerate(totals, 1) if _block(_seen_at(j, u, order)) == 0)
+        assert first < base + c * (order - order // 2)
+        k = ties[0] * u % order
+        earlier = [_block(_seen_at(j, u, order)) for j in ties if _seen_at(j, u, order) < k]
+        assert k <= order // 2 and _block(k) > 0
+        assert earlier and (_block(k) in earlier) == same_block
+        assert quotient_report(q).at_multiplier == ties[0]
+
+    def test_three_columns_and_a_periodic_class(self):
+        # 816 shares 3 * 17 with r = 867: its terms drop at the multiples of 17,
+        # which the sieve's kept k would misplace, so it stands aside
+        q = CyclicQuotientSingularity(867, (409, 269, 688, 816))
+        assert [gcd(b, 867) for b in q.weights] == [1, 1, 1, 51]
+        totals = assert_report_matches_plain_scan(q)
+        j = totals.index(min(totals)) + 1
+        assert _block(_seen_at(j, _frame(q), q.order)) > 0
+
+    @pytest.mark.parametrize(
+        "order, weights",
+        [(813, (512, 512, 512, 585, 318, 93)), (2709, (1676, 1676, 1676, 3, 387, 378, 3))],
+    )
+    def test_verdict_whose_clamp_ends_a_block_early(self, order, weights):
+        # the only total at most r is r, at the one j read at k = (r - base) / c:
+        # the last k of a verdict block that the bound ends before its natural end
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        u, c, base = _reach(q)
+        at = [j for j, t in enumerate(totals, 1) if t <= order]
+        (k,) = {j * u % order for j in at}
+        assert base + c * k == order == min(totals)
+        assert _block(k) == _block(k + 1) > 0 and k + 1 < order // 2 + 1
+        assert classify_quotient(q) == SingularityClass.CANONICAL_NOT_TERMINAL
 
 
 class TestAmbient:
@@ -558,6 +659,13 @@ class TestGermCache:
                 call(w)
         monkeypatch.delenv("WPH_ORDER_CAP")
         assert order_classes(w) == classes
+
+    def test_the_walk_checks_the_cap_it_is_given(self, monkeypatch):
+        # with the variable unset, its default admits order 7 but the walk's cap does not
+        monkeypatch.delenv("WPH_ORDER_CAP", raising=False)
+        message = r"^group order 7, above the cap 6 \(set WPH_ORDER_CAP to at least 7 "
+        with pytest.raises(BudgetError, match=message):
+            member_canonical(Counter((4, 5, 6, 7, 23)), 46, 6)
 
 
 def keys_passed(call, *args):
