@@ -31,7 +31,7 @@ the number of coordinates carrying one value.
 
 Sing P is the union of the sub-spaces P(a_i : h | a_i), one per order h > 1
 (Iano-Fletcher 2000, §8-10), and `core.order_residues` gives the germ of
-each order.  `member_canonical` (walk: `singularity.member_canonical`) takes
+each order.  `member_canonical` (walk: `singularity.member_walk`) takes
 a residue-d direction from that germ, never walking index subsets; it answers
 for any member, but speaks of the germs only of a quasi-smooth one, so its
 callers also require `quasi_smooth`.
@@ -50,7 +50,7 @@ from .hilbert import reaches, with_value
 from .singularity import (
     SingularityClass,
     classify_quotient,
-    member_canonical,
+    member_walk,
     order_classes,
     require_well_formed,
 )
@@ -164,12 +164,12 @@ class WeightedHypersurface(_Value):
         weight is divisible by h).  Any member gets a bool, but a verdict on
         its germs only if it is quasi-smooth (clause (b) then makes every
         stratum of order h lose the same residue), so every caller also
-        requires `quasi_smooth`.  The walk, `singularity.member_canonical`,
-        takes the multiplicities as its head; the search shares each head.
+        requires `quasi_smooth`.  The walk, `singularity.member_walk`, takes
+        the multiplicities as its head; the search shares each head.
         `WPH_ORDER_CAP` is read once per call here, once per batch in the
         search, and checked before every read of the one germ cache.
         """
-        return member_canonical(self.weights.multiplicities(), self.degree, config._cap("WPH_ORDER_CAP"))
+        return member_walk(self.weights.multiplicities())(self.degree, config._cap("WPH_ORDER_CAP"))
 
 
 class PointRecord(NamedTuple):

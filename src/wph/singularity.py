@@ -14,9 +14,10 @@ total is at the j that moves b by 1.  So the scan reads k = j * u mod r, u the
 unit residue of largest folded coefficient c (1/r(b) is 1/r(b / u)), where
 that term is c * k: a bound rising with k, and each block of k ends at the
 last k whose bound is at most the least total found (or r, for a verdict).
-The k come in blocks of 64 doubling to 4,096, in exact integers; a report
-block sums its other columns only where the two largest leave room, and a
-verdict-only scan also stops after the first block holding a total below r.
+One frame serves every order (u = 1 where no unit has c > 0).  The k come in
+blocks of 64 doubling to 4,096, in exact integers; a report block sums its
+other columns only where the two largest leave room, and a verdict-only scan
+also stops after the first block holding a total below r.  No scan reads a cap.
 Inputs where some multiplier acts as a quasi-reflection (at most one
 coordinate moved) are flagged for reporting, by a closed form in the periods
 r / gcd(b, r), but classified by the same rule.
@@ -27,8 +28,9 @@ gives: every stratum of order h has it.  `ambient_canonical` and
 `hypersurface.singularity_report` read its table, and
 `ambient_canonical_bruteforce`, their oracle, classifies every singular
 stratum by index.  `member_walk` walks the same orders for the member: a head's
-orders and residues once, a tail's (the search's u, v) per call.  Both read one
-bounded cache, `_germ_class`, through `_order_class`, keyed by raw residues.
+orders and residues once, a tail's (the search's u, v) per call.  Every verdict
+passes one gate, `_order_class`: the cap its caller read, then one bounded cache,
+`_germ_class`, keyed by raw residues; only `quotient_report` scans outside it.
 """
 
 from __future__ import annotations
@@ -87,31 +89,25 @@ _CLASS_NAMES = {
 }
 
 
-def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, int, bool]:
-    """One pass over k in [1, r//2], each read with r - k, in growing blocks.
+def _scan(r: int, residues: dict[int, int], stop_below: bool = False) -> tuple[int, int, bool]:
+    """One pass over k in [1, r//2], each read with r - k, in growing blocks, for
+    1/r of `residues` (residue in [0, r) -> count > 0); it reads no cap.
 
     Returns the least total T(j) over j in [1, r-1], the least j attaining
     it, and whether some j moves at most one coordinate.  A class {rho,
     r - rho} with c1 >= c2 copies adds (c1 - c2) * ((j * rho) mod r) + c2 * r
     to T(j) (module docstring), its r-terms dropping at the multiples of
-    q = r / gcd(rho, r).  Past the first block of 64, k = j * u mod r for the
-    unit u of largest c = c1 - c2, so T >= base + c * k at k and r - k, `base`
-    being the r-terms that never drop; a block ends at the last k whose bound
-    is at most the least total (or r, with `stop_below`), so a tie there keeps
-    its least j.  Blocks double up to `_BLOCK`, their column sums built by
-    `map`, so memory is O(_BLOCK) for any r.  A report block with no periodic
-    class, whose mirrored bounds all exceed the least total, sums the two
-    columns of largest c first and the others only at the k where those two
-    leave room.  With `stop_below` the pass also ends after a block holding a
-    total below r, and finds neither the least j nor the flag.
+    q = r / gcd(rho, r).  k = j * u mod r for the unit u of largest c = c1 - c2
+    (else u = 1), so T >= base + c * k at k and r - k, `base` being the r-terms
+    that never drop; a block ends at the last k whose bound is at most the
+    least total (or r, with `stop_below`), so a tie there keeps its least j.
+    Blocks double from 64 to `_BLOCK`, their column sums built by `map`, so
+    memory is O(_BLOCK) for any r.  A report block with no periodic class,
+    whose mirrored bounds all exceed the least total, sums the two columns of
+    largest c first and the others only at the k where those two leave room.
+    With `stop_below` the pass also ends after a block holding a total below
+    r, and finds neither the least j nor the flag.
     """
-    r = s.order
-    if r > config._cap("WPH_ORDER_CAP"):
-        config.require("WPH_ORDER_CAP", r, f"group order {r}")
-    # grouping the runs by residue keeps the pass O(r * distinct residues)
-    residues: dict[int, int] = {}
-    for b, count in s.runs:
-        residues[b % r] = residues.get(b % r, 0) + count
     # T(k) = pairs + low(k) and T(r - k) = moved - high(k), where low and high
     # are the column sums less and plus the terms of q at k = 0 mod q
     columns, pairs, moved, periodic, c, u = [], 0, 0, [], 0, 1
@@ -130,13 +126,11 @@ def _scan(s: CyclicQuotientSingularity, stop_below: bool = False) -> tuple[int, 
             periodic.append((q, r * c2, r * c1))
         elif c1 - c2 > c:
             c, u = c1 - c2, rho
-    # T >= base + c * k: at k = 1 in any frame, since a unit column is at least c,
-    # and at every k (and r - k) in the frame of u, k = j * u mod r
-    half, inverse, base = r // 2 + 1, 1, 0
-    if half > 65:  # largest coefficient first, for the sieve
-        inverse, base = pow(u, -1, r), pairs - sum(p for _, p, _ in periodic)
-        columns = sorted(((step * inverse % m, m) for step, m in columns), key=lambda col: -col[1])
-    unit = half > 65 and c > 0  # the bound holds at every k and rises with it
+    # T >= base + c * k at every k (and r - k) in the frame of u, k = j * u mod r;
+    # largest coefficient first, for the sieve
+    half, inverse, base = r // 2 + 1, pow(u, -1, r), pairs - sum(p for _, p, _ in periodic)
+    columns = sorted(((step * inverse % m, m) for step, m in columns), key=lambda col: -col[1])
+    unit = c > 0  # the bound rises with k
     best, best_j = r * sum(residues.values()), 0
     hi, size = 1, 64
     # a report needs the bound at most best; a verdict, at most r and best >= r
@@ -205,15 +199,23 @@ def reid_tai_sum(s: CyclicQuotientSingularity, j: int) -> Fraction:
     return Fraction(sum(count * ((j * b) % r) for b, count in s.runs), r)
 
 
+def _residues(s: CyclicQuotientSingularity) -> dict[int, int]:
+    """The counts of s by residue mod r, key 0 always present (a scan is O(r * keys))."""
+    residues = {0: 0}
+    for b, count in s.runs:
+        residues[b % s.order] = residues.get(b % s.order, 0) + count
+    return residues
+
+
 def classify_quotient(s: CyclicQuotientSingularity) -> SingularityClass:
     """Classify via the criterion: min > 1 terminal, = 1 canonical, < 1 neither.
 
-    Returns early once a multiplier drops below 1; the exact minimum is only
-    needed when all multipliers pass, to separate terminal from canonical.
+    Read through `_order_class`; its scan returns early once a multiplier drops
+    below 1: the exact minimum is only needed when all multipliers pass.
     """
     if s.order == 1:
         return SingularityClass.SMOOTH
-    return _class_of(_scan(s, stop_below=True)[0], s.order)
+    return _order_class(s.order, _residues(s), config._cap("WPH_ORDER_CAP"))
 
 
 class QuotientReport(NamedTuple):
@@ -233,12 +235,12 @@ class QuotientReport(NamedTuple):
 
 def quotient_report(s: CyclicQuotientSingularity) -> QuotientReport:
     """Full (non-short-circuiting) classification with diagnostics."""
-    if s.order == 1:
+    if (r := s.order) == 1:
         return QuotientReport(s, SingularityClass.SMOOTH, None, None, False)
-    total, at_j, reflection = _scan(s)
-    return QuotientReport(
-        s, _class_of(total, s.order), Fraction(total, s.order), at_j, reflection
-    )
+    if r > config._cap("WPH_ORDER_CAP"):
+        config.require("WPH_ORDER_CAP", r, f"group order {r}")
+    total, at_j, reflection = _scan(r, _residues(s))
+    return QuotientReport(s, _class_of(total, r), Fraction(total, r), at_j, reflection)
 
 
 def require_well_formed(w: Weights) -> None:
@@ -289,14 +291,9 @@ def member_walk(counts: dict[int, int]) -> Callable[..., bool]:
     return walk
 
 
-def member_canonical(counts: dict[int, int], d: int, order_cap: int) -> bool:
-    """The member walk with all of `counts` as its head, for the member of degree d."""
-    return member_walk(counts)(d, order_cap)
-
-
 def _order_class(h: int, residues: dict[int, int], cap: int) -> SingularityClass:
-    """The class of 1/h(residues), read from `_germ_class` once `cap` admits h; every
-    count is > 0 but residue 0's, which is popped, so the sorted items are the key."""
+    """The gate of every verdict: 1/h(residues) from `_germ_class` once `cap` admits
+    h.  Every count is > 0 but residue 0's, deleted, so the sorted items key it."""
     if h > cap:
         config.require("WPH_ORDER_CAP", h, f"group order {h}", cap)
     del residues[0]
@@ -307,8 +304,8 @@ def _order_class(h: int, residues: dict[int, int], cap: int) -> SingularityClass
 def _germ_class(order: int, runs: tuple[tuple[int, int], ...]) -> SingularityClass:
     """The class of 1/order(runs), keyed by the sorted nonzero (residue, count)
     runs: a zero residue adds nothing to any Reid-Tai total.  The one cache of
-    germ verdicts; key () is the all-zero germ.  Callers check the order cap."""
-    return classify_quotient(CyclicQuotientSingularity(order, runs=runs or ((0, 1),)))
+    germ verdicts, read by `_order_class` alone; key () is the all-zero germ."""
+    return _class_of(_scan(order, dict(runs), stop_below=True)[0], order)
 
 
 def ambient_canonical(w: Weights | Iterable[int]) -> bool:

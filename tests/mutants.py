@@ -206,6 +206,22 @@ MUTANTS = (
         ("tests/test_singularity.py",),
         "killed",
     ),
+    Mutant(
+        "classify-quotient-passes-the-order-as-its-cap",
+        "src/wph/singularity.py",
+        'return _order_class(s.order, _residues(s), config._cap("WPH_ORDER_CAP"))',
+        "return _order_class(s.order, _residues(s), s.order)",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "tie-floor-ignores-the-frame",
+        "src/wph/singularity.py",
+        "floor = 1 if inverse > 1 else lo if sign > 0 else r + 1 - hi",
+        "floor = lo if sign > 0 else r + 1 - hi",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
 )
 
 

@@ -311,7 +311,7 @@ class TestMemberCanonicalOracle:
     @given(unit_padded_tuples, st.integers(1, 60))
     def test_the_walk_on_raw_counts_matches_the_index_oracle_on_any_member(self, entries, degree):
         # quasi-smooth or not, as the search asks it before `quasi_smooth`
-        walk = wph.singularity.member_canonical(Counter(entries), degree, wph.config._cap("WPH_ORDER_CAP"))
+        walk = wph.singularity.member_walk(Counter(entries))(degree, wph.config._cap("WPH_ORDER_CAP"))
         assert walk == make(entries, degree).member_canonical() == canonical_by_index(entries, degree)
 
     def test_matches_index_oracle_exhaustively(self):
@@ -374,7 +374,9 @@ class TestGermCache:
         cap = wph.config._cap
         monkeypatch.setattr(wph.config, "_cap", lambda name: reads.append(name) or cap(name))
         x = make((4, 5, 6, 7, 23), 46)
-        assert x.member_canonical()  # a cold scan reads the cap through `require`
+        wph.singularity._germ_class.cache_clear()
+        assert x.member_canonical()  # cold, and the scans read no cap
+        assert reads == ["WPH_ORDER_CAP"]
         reads.clear()
         hits = wph.singularity._germ_class.cache_info().hits
         assert x.member_canonical()

@@ -25,7 +25,7 @@ from wph.errors import BudgetError
 from wph.families import consecutive_family, vanishing_witness
 from wph.hilbert import plurigenera_table
 from wph.hypersurface import WeightedHypersurface
-from wph.singularity import classify_quotient, member_canonical, member_walk
+from wph.singularity import classify_quotient, member_walk
 from wph.search import (
     SearchRecord,
     _batches,
@@ -273,7 +273,7 @@ class TestDegreeDrivenGenerator:
             for lead in range(1, max_sum // length + 1):
                 for t in _degree_tuples(lead, length, max_sum, amplitude):
                     w, degree = Weights(t), sum(t) + amplitude
-                    verdict = member_canonical(Counter(t), degree, order_cap)
+                    verdict = member_walk(Counter(t))(degree, order_cap)
                     assert verdict == WeightedHypersurface(w, degree).member_canonical(), (t, amplitude)
                     assert verdict == member_canonical_reference(w, degree), (t, amplitude)
                     verdicts.append(verdict)

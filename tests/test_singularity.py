@@ -15,6 +15,7 @@ import wph.singularity
 from wph.core import CyclicQuotientSingularity, Weights, singular_strata
 from wph.core import well_formed
 from wph.errors import BudgetError, NotWellFormedError
+from wph.hypersurface import WeightedHypersurface
 from wph.singularity import (
     _BLOCK,
     SingularityClass,
@@ -22,7 +23,7 @@ from wph.singularity import (
     ambient_canonical,
     ambient_canonical_bruteforce,
     classify_quotient,
-    member_canonical,
+    member_walk,
     order_classes,
     parse_quotient,
     quotient_report,
@@ -76,11 +77,11 @@ def shaped_quotients(draw):
 
 @st.composite
 def frame_quotients(draw):
-    """Quotients past the first block of the scan (orders 129-5,000), where it
-    reads k = j * u mod r for the unit residue u of largest folded coefficient:
-    single residues with counts, +- pairs and zero residues; at composite orders,
-    half the draws take every residue from multiples of a proper divisor of r,
-    so that no residue is a unit and the scan keeps the plain frame."""
+    """Quotients past the first block of the scan (orders 129-5,000), read at
+    k = j * u mod r for the unit residue u of largest folded coefficient: single
+    residues with counts, +- pairs and zero residues; at composite orders, half
+    the draws take every residue from multiples of a proper divisor of r, so
+    that no residue is a unit and the scan keeps the plain frame, u = 1."""
     r = draw(st.integers(129, 5000))
     divisors = [f for f in range(2, r) if r % f == 0]
     plain = bool(divisors) and draw(st.booleans())
@@ -297,7 +298,7 @@ _P = _next_prime(_BLOCK)
 class TestBlockEdges:
     """The blocked scan against the plain per-j scan where blocks start and end:
     the scan reads k in [1, r//2] in blocks ending at k = 64, 192, 448, 960,
-    1984, 4032 and then every `_BLOCK`, and past the first it changes frame."""
+    1984, 4032 and then every `_BLOCK`."""
 
     @pytest.mark.parametrize(
         "order",
@@ -402,8 +403,8 @@ def _frame(q):
 
 
 class TestUnitFrame:
-    """Past the first block the scan reads k = j * u mod r and stops once
-    base + c * k exceeds the least total; each case pins one part of that."""
+    """The scan reads k = j * u mod r and stops once base + c * k exceeds the
+    least total; each case pins one part of that past the first block."""
 
     @pytest.mark.parametrize(
         "order, weights, same_block",
@@ -573,6 +574,37 @@ class TestStops:
         assert classify_quotient(q) == SingularityClass.CANONICAL_NOT_TERMINAL
 
 
+class TestSmallOrderFrame:
+    """At every order the scan reads k = j * u mod r, so at orders up to 130 too
+    the least tied j need not be the first tie read: another tie may be read at
+    a smaller k, or at its own k before the least j is read at r - k."""
+
+    @pytest.mark.parametrize(
+        "order, weights, mirrored",
+        [
+            (5, (4, 4, 2), False),
+            (27, (20, 16), False),
+            (130, (20, 116, 69), False),
+            (7, (4, 2, 1), True),
+            (28, (8, 16, 27, 21, 12), True),
+            (55, (49, 24, 51, 29, 23), True),
+            (96, (38, 60, 60, 31, 27), True),
+        ],
+    )
+    def test_least_of_several_tied_j(self, order, weights, mirrored):
+        q = CyclicQuotientSingularity(order, weights)
+        totals = assert_report_matches_plain_scan(q)
+        ties = [j for j, t in enumerate(totals, 1) if t == min(totals)]
+        u = _frame(q)
+        k = ties[0] * u % order
+        assert u != 1 and len(ties) > 1 and (k > order // 2) == mirrored
+        if mirrored:  # another tie is read at its own k, before the mirrored totals
+            assert any(j * u % order <= order // 2 for j in ties[1:])
+        else:  # another tie is read at a smaller k
+            assert min(_seen_at(j, u, order) for j in ties[1:]) < k
+        assert quotient_report(q).at_multiplier == ties[0]
+
+
 class TestAmbient:
     def test_examples(self):
         assert ambient_canonical(Weights((1, 1, 1, 1)))
@@ -665,7 +697,58 @@ class TestGermCache:
         monkeypatch.delenv("WPH_ORDER_CAP", raising=False)
         message = r"^group order 7, above the cap 6 \(set WPH_ORDER_CAP to at least 7 "
         with pytest.raises(BudgetError, match=message):
-            member_canonical(Counter((4, 5, 6, 7, 23)), 46, 6)
+            member_walk(Counter((4, 5, 6, 7, 23)))(46, 6)
+
+
+class TestGate:
+    """`_order_class` is the one gate of every verdict: it checks the cap that its
+    caller read once and keys the one cache, `classify_quotient` included."""
+
+    # X_46 in P(4, 5, 6, 7, 23) meets 1/7(2, 5, 6) at its order-7 point
+    x46 = WeightedHypersurface((4, 5, 6, 7, 23), 46)
+    germ = CyclicQuotientSingularity(7, (2, 5, 6))
+
+    def test_a_quotient_and_the_member_walk_share_one_entry(self):
+        _germ_class.cache_clear()
+        assert self.x46.member_canonical()
+        walked = _germ_class.cache_info()
+        assert classify_quotient(self.germ) == SingularityClass.TERMINAL
+        info = _germ_class.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (walked.hits + 1, walked.misses, walked.currsize)
+        _germ_class.cache_clear()
+        classify_quotient(self.germ)
+        assert self.x46.member_canonical()
+        assert _germ_class.cache_info()[1:] == walked[1:]  # misses, maxsize, currsize
+
+    def test_a_warm_cache_does_not_hide_a_lowered_cap_from_a_quotient(self, monkeypatch):
+        assert classify_quotient(self.germ) == quotient_report(self.germ).sclass
+        hits = _germ_class.cache_info().hits
+        assert classify_quotient(self.germ) and _germ_class.cache_info().hits == hits + 1
+        monkeypatch.setenv("WPH_ORDER_CAP", "6")
+        for call in (classify_quotient, quotient_report):
+            with pytest.raises(BudgetError, match=r"^group order 7, above the cap 6 \(set WPH_"):
+                call(self.germ)
+
+    def test_one_cap_read_per_verdict_cold_or_warm(self, monkeypatch):
+        reads, cap = [], wph.config._cap
+        monkeypatch.setattr(wph.config, "_cap", lambda name: reads.append(name) or cap(name))
+        q = CyclicQuotientSingularity(1009, (1, 2, 1006, 5))
+        _germ_class.cache_clear()
+        for _ in range(2):  # cold, then warm
+            reads.clear()
+            classify_quotient(q)
+            assert reads == ["WPH_ORDER_CAP"]
+        assert _germ_class.cache_info()[:2] == (1, 1)  # hits, misses
+
+    @given(repeated_tuples.filter(lambda entries: len(entries) <= 10) | unit_padded_tuples)
+    def test_the_bruteforce_oracle_reads_the_gate_and_needs_no_cache(self, entries):
+        w = Weights(entries)
+        if not well_formed(w):
+            return
+        verdict, passed = keys_passed(ambient_canonical_bruteforce, w)
+        assert bool(passed) == bool(singular_strata(w))
+        with mock.patch.object(wph.singularity, "_germ_class", _germ_class.__wrapped__):
+            assert ambient_canonical_bruteforce(w) == ambient_canonical(w) == verdict
 
 
 def keys_passed(call, *args):
@@ -695,7 +778,7 @@ class TestGermKeys:
     def test_the_walk_keys_each_met_order_by_its_index_germ(self, entries, amplitude):
         degree = sum(entries) + amplitude  # above every weight, as in the search
         cap = wph.config._cap("WPH_ORDER_CAP")
-        verdict, passed = keys_passed(member_canonical, Counter(entries), degree, cap)
+        verdict, passed = keys_passed(member_walk(Counter(entries)), degree, cap)
         induced = induced_by_index(entries, degree)
         if induced is None:  # a met stratum has no residue-d direction
             assert not verdict
@@ -722,7 +805,7 @@ class TestGermKeys:
         # X_46 in P(4,5,6,7,23): at orders 4, 5 and 7 the member drops the only
         # weight of residue 46 mod h; order 23 divides d and one weight only
         cap = wph.config._cap("WPH_ORDER_CAP")
-        verdict, passed = keys_passed(member_canonical, Counter((4, 5, 6, 7, 23)), 46, cap)
+        verdict, passed = keys_passed(member_walk(Counter((4, 5, 6, 7, 23))), 46, cap)
         assert verdict and passed == [
             (2, ((1, 3),)),
             (4, ((1, 1), (3, 2))),
