@@ -460,6 +460,8 @@ def run(argv: list[str]) -> int:
         args = _parse(argv)
     except SystemExit as exc:
         return STATUS_OK if exc.code in (0, None) else STATUS_USAGE
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact numbers print whole; the caller's limit comes back
     try:
         for dest, flag in COUNT_FLAGS.items():  # checked before any handler runs
             if (getattr(args, dest, None) or 0) < 0:
@@ -471,12 +473,15 @@ def run(argv: list[str]) -> int:
     except (ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STATUS_USAGE
-    as_json = getattr(args, "json_global", False) or getattr(args, "json_local", False)
-    if isinstance(output, OutputDocument):
-        print(output.to_json() if as_json else output.to_text())
     else:
-        print(output)
-    return status
+        as_json = getattr(args, "json_global", False) or getattr(args, "json_local", False)
+        if isinstance(output, OutputDocument):
+            print(output.to_json() if as_json else output.to_text())
+        else:
+            print(output)
+        return status
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

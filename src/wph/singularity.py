@@ -341,8 +341,8 @@ def parse_quotient(text: str) -> CyclicQuotientSingularity:
     body = m.group(2)
     if not body:
         raise ValueError(f"quotient {text!r} lists no weights")
-    s = CyclicQuotientSingularity(order, runs=parse_runs(body))
-    if (g := gcd(order, *(b for b, _ in s.runs))) > 1:  # then j = r/g acts as the identity
-        faithful = CyclicQuotientSingularity(order // g, runs=[(b // g, c) for b, c in s.runs])
+    runs = parse_runs(body)
+    if (g := gcd(order, *(b for b, _ in runs))) > 1:  # then j = r/g acts as the identity
+        faithful = CyclicQuotientSingularity(order // g, runs=[(b // g, c) for b, c in runs])
         raise ValueError(f"quotient {text!r} is not faithful (gcd {g}); write {faithful}")
-    return s
+    return CyclicQuotientSingularity(order, runs=runs)

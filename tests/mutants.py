@@ -222,6 +222,30 @@ MUTANTS = (
         ("tests/test_singularity.py",),
         "killed",
     ),
+    Mutant(
+        "strata-keep-a-set-at-gcd-one",
+        "src/wph/core.py",
+        "if (g := math.gcd(h, a)) > 1",
+        "if (g := math.gcd(h, a)) >= 1",
+        ("tests/test_core.py",),
+        "killed",
+    ),
+    Mutant(
+        "strata-grow-a-set-by-its-own-last-index",
+        "src/wph/core.py",
+        "((i,), a, p + 1) for p",
+        "((i,), a, p) for p",
+        ("tests/test_core.py",),
+        "killed",
+    ),
+    Mutant(
+        "strata-grow-a-set-from-the-first-heavy-index",
+        "src/wph/core.py",
+        "((i,), a, p + 1) for p",
+        "((i,), a, 0) for p",
+        ("tests/test_core.py",),
+        "killed",
+    ),
 )
 
 

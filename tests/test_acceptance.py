@@ -6,6 +6,7 @@ asserted with generous margins.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -245,6 +246,8 @@ def test_criterion_9_reid_tai_unit_classifications():
         r = rng.randint(2, 80)
         m = rng.randint(1, 7)
         weights = tuple(rng.randint(0, 4 * r) for _ in range(m))
+        g = math.gcd(r, *weights)  # drawn faithful: order and weights divided by g
+        r, weights = r // g, tuple(b // g for b in weights)
         q = CyclicQuotientSingularity(r, weights)
         reference = classify_quotient(q)
         ok = ok and quotient_report(q).minimum == quotient_report(_reduced(q)).minimum

@@ -584,3 +584,21 @@ class TestTruncateDecimal:
     def test_rejects_zero_places(self):
         with pytest.raises(ValueError):
             truncate_decimal(Fraction(1, 3), 0)
+
+
+def test_exact_numbers_print_past_the_interpreter_digit_limit(capsys):
+    # thm3's volume bound at n = 1500 and a 5,000-digit decimal exceed the 4,300
+    # digits that str(int) allows by default; run lifts that limit for the
+    # handler and the rendering only, and gives the caller's back
+    limit = sys.get_int_max_str_digits()
+    status, out = invoke(capsys, "verify", "--family", "thm3", "--n", "1500")
+    assert status == 0 and "passed: yes" in out and "[FAIL]" not in out
+    status, out = invoke(capsys, "analyze", "--weights", "4,5,6,7,23", "--degree", "46",
+                         "--decimal", "5000")
+    approx = next(line for line in out.splitlines() if line.startswith("volume_decimal_approx"))
+    assert status == 0 and len(approx.split(".")[1]) == 5000
+    status, out = invoke(capsys, "reid-tai", "1/7(1,2,4)", "--decimal", "4400")
+    assert status == 0 and "minimum_decimal_approx: 1." + "0" * 4400 in out
+    # argv is read under the caller's limit: a 5,000-digit degree is a usage error
+    assert run(["analyze", "--weights", "2,3,5", "--degree", "7" * 5000]) == 2
+    assert sys.get_int_max_str_digits() == limit

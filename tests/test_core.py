@@ -19,6 +19,7 @@ from wph.families import Check, verify_family
 from wph.hypersurface import WeightedHypersurface, singularity_report
 from wph.search import search_records
 from wph.singularity import classify_quotient, quotient_report
+from test_search import deadline
 
 weight_tuples = st.lists(st.integers(1, 12), min_size=2, max_size=7).map(tuple)
 # few distinct values, each repeated up to 9 times in a row
@@ -27,6 +28,14 @@ repeated_tuples = (
     .map(lambda runs: tuple(a for a, count in runs for _ in range(count)))
     .filter(lambda entries: len(entries) >= 2)
 )
+
+
+def faithful(order, weights=(), *, runs=None):
+    """1/order(weights), or of runs, with the order and every weight divided by
+    their gcd: the faithful germ that a drawn, perhaps non-faithful one stands for."""
+    runs = [(b, 1) for b in weights] if runs is None else list(runs)
+    g = math.gcd(order, *(b for b, _ in runs))
+    return CyclicQuotientSingularity(order // g, runs=[(b // g, count) for b, count in runs])
 
 
 def positive(residues):
@@ -165,18 +174,27 @@ class TestSingularStrata:
                     grown = math.gcd(*(w[i] for i in stratum.indices), w[j])
                     assert grown < stratum.order
 
-    @given(weight_tuples)
+    # runs of one value are where every subset qualifies
+    @given(weight_tuples | repeated_tuples.filter(lambda e: sum(a > 1 for a in e) <= 12))
     def test_complete_against_full_enumeration(self, entries):
         from itertools import combinations
 
         w = Weights(entries)
+        heavy = [i for i, a in enumerate(entries) if a > 1]  # gcd(1, ...) = 1
         expected = []
-        for size in range(1, len(entries) + 1):
-            for subset in combinations(range(len(entries)), size):
+        for size in range(1, len(heavy) + 1):
+            for subset in combinations(heavy, size):
                 h = math.gcd(*(entries[i] for i in subset))
                 if h > 1:
                     expected.append((subset, h))
         assert [(s.indices, s.order) for s in singular_strata(w)] == expected
+
+    def test_lists_the_strata_not_every_subset(self):
+        # twenty pairwise coprime weights: 2^20 - 1 index sets, 20 strata
+        primes = [p for p in range(2, 72) if all(p % f for f in range(2, p))]
+        with deadline(0.5):
+            strata = singular_strata(Weights(primes))
+        assert [(s.indices, s.order) for s in strata] == [((i,), p) for i, p in enumerate(primes)]
 
     def test_record_invariants(self):
         with pytest.raises(ValueError):
@@ -290,16 +308,17 @@ class TestOrderGerms:
     @given(weight_tuples)
     def test_every_stratum_index_matches_its_order_germ(self, entries):
         # 1/h(weights without k), for every stratum and every k on it, has the
-        # class and the Reid-Tai minimum of the one germ of order h
+        # class and the Reid-Tai minimum of the one germ of order h (both made
+        # faithful, as a tuple that is not well-formed needs)
         w = Weights(entries)
         germs = {
-            h: CyclicQuotientSingularity(h, runs=positive(order_residues(w.multiplicities(), h)).items())
+            h: faithful(h, runs=positive(order_residues(w.multiplicities(), h)).items())
             for h in strata_orders(w.multiplicities())
         }
         for stratum in singular_strata(w):
             germ = germs[stratum.order]
             for k in stratum.indices:
-                q = CyclicQuotientSingularity(stratum.order, entries[:k] + entries[k + 1 :])
+                q = faithful(stratum.order, entries[:k] + entries[k + 1 :])
                 assert classify_quotient(q) == classify_quotient(germ), (stratum, k)
                 assert quotient_report(q).minimum == quotient_report(germ).minimum, (stratum, k)
 
@@ -368,14 +387,14 @@ class TestRunsMatchEntries:
     @given(repeated_tuples)
     def test_coordinate_point_types_match_index_removal(self, entries):
         expected = [
-            (k, CyclicQuotientSingularity(a, entries[:k] + entries[k + 1 :]))
+            (k, faithful(a, entries[:k] + entries[k + 1 :]))
             for k, a in enumerate(entries)
             if a > 1
         ]
         w = Weights(entries)
         # the report's point types drop one coordinate from the runs
         got = [
-            (k, CyclicQuotientSingularity(a, runs=w.runs_without(k)))
+            (k, faithful(a, runs=w.runs_without(k)))
             for k, a in enumerate(entries)
             if a > 1
         ]
@@ -383,7 +402,8 @@ class TestRunsMatchEntries:
 
     @given(repeated_tuples.map(lambda e: tuple(a - 1 for a in e)), st.integers(1, 13))
     def test_quotient_runs_match_entries(self, entries, order):
-        q = CyclicQuotientSingularity(order, entries)
+        q = faithful(order, entries)
+        order, entries = q.order, q.weights
         assert q.weights == entries
         assert str(q) == f"1/{order}({format_naive(entries)})"
         # residues that become equal merge into one run

@@ -274,8 +274,10 @@ unit_padded_tuples = st.tuples(
 
 
 class TestMemberTypeRuns:
-    @given(repeated_tuples, st.integers(1, 90))
+    @given(repeated_tuples.filter(well_formed), st.integers(1, 90))
     def test_matches_index_removal(self, entries, degree):
+        # well-formed, so every germ is faithful: a common factor of the order
+        # and the rest would divide all weights but the removed one
         x = make(entries, degree)
         for point in range(len(entries)):
             assert x.member_type_at(point) == member_type_by_index(entries, degree, point)
@@ -300,26 +302,33 @@ class TestMemberTypeRuns:
 
 class TestMemberCanonicalOracle:
     """`member_canonical` (one germ per order) against the walk over every
-    index subset, on quasi-smooth members, where both are meaningful."""
+    index subset, on quasi-smooth members, where both are meaningful; the
+    spaces are well-formed, so that every index germ is faithful."""
 
-    @given(repeated_tuples.filter(lambda entries: len(entries) <= 10), st.integers(1, 60))
+    @given(
+        repeated_tuples.filter(lambda entries: len(entries) <= 10 and well_formed(entries)),
+        st.integers(1, 60),
+    )
     def test_matches_index_oracle_on_repeated_tuples(self, entries, degree):
         x = make(entries, degree)
         if x.quasi_smooth():
             assert x.member_canonical() == canonical_by_index(entries, degree)
 
-    @given(unit_padded_tuples, st.integers(1, 60))
+    @given(unit_padded_tuples.filter(well_formed), st.integers(1, 60))
     def test_the_walk_on_raw_counts_matches_the_index_oracle_on_any_member(self, entries, degree):
         # quasi-smooth or not, as the search asks it before `quasi_smooth`
         walk = wph.singularity.member_walk(Counter(entries))(degree, wph.config._cap("WPH_ORDER_CAP"))
         assert walk == make(entries, degree).member_canonical() == canonical_by_index(entries, degree)
 
     def test_matches_index_oracle_exhaustively(self):
-        # multisets of length 3-5, weights <= 9; degrees sum+1..sum+3 and one
-        # degree divisible by two of the weights (so some h divides d)
+        # well-formed multisets of length 3-5, weights <= 11; degrees
+        # sum+1..sum+3 and one degree divisible by two of the weights (so some
+        # h divides d)
         checked = 0
         for length in (3, 4, 5):
-            for entries in combinations_with_replacement(range(1, 10), length):
+            for entries in combinations_with_replacement(range(1, 12), length):
+                if not well_formed(entries):
+                    continue
                 degrees = set(range(sum(entries) + 1, sum(entries) + 4))
                 degrees.add(math.lcm(entries[-2], entries[-1]))
                 for degree in sorted(degrees):
@@ -329,7 +338,7 @@ class TestMemberCanonicalOracle:
                             entries, degree
                         ), (entries, degree)
                         checked += 1
-        assert checked == 2600
+        assert checked == 3069
 
 
 @pytest.fixture(scope="module")

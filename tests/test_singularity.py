@@ -7,7 +7,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wph.config
@@ -29,6 +29,7 @@ from wph.singularity import (
     quotient_report,
     reid_tai_sum,
 )
+from test_core import faithful
 from test_hypersurface import induced_by_index, repeated_tuples, unit_padded_tuples
 
 
@@ -37,24 +38,30 @@ def reduced(q: CyclicQuotientSingularity) -> CyclicQuotientSingularity:
     return CyclicQuotientSingularity(q.order, tuple(b % q.order for b in q.weights))
 
 
-quotients = st.builds(
-    CyclicQuotientSingularity,
+def nontrivial(germs):
+    """The germs of a strategy that `faithful` left of order > 1."""
+    return germs.filter(lambda q: q.order > 1)
+
+
+quotients = nontrivial(st.builds(
+    faithful,
     st.integers(2, 40),
     st.lists(st.integers(0, 60), min_size=1, max_size=6).map(tuple),
-)
+))
 # quotient weights given as runs with counts up to 30
-repeated_quotients = st.builds(
-    lambda order, runs: CyclicQuotientSingularity(order, runs=runs),
+repeated_quotients = nontrivial(st.builds(
+    lambda order, runs: faithful(order, runs=runs),
     st.integers(2, 40),
     st.lists(st.tuples(st.integers(0, 60), st.integers(1, 30)), min_size=1, max_size=4),
-)
+))
 
 
 @st.composite
 def shaped_quotients(draw):
     """Quotients of the shapes the folded scan treats apart: complementary pairs
     (b, r - b) with independent counts, r/2, residues sharing a factor with r
-    (terms periodic in j) and zero residues, at orders of both parities."""
+    (terms periodic in j) and zero residues, at orders of both parities; the
+    order and the residues are then divided by their gcd, to stay faithful."""
     r = draw(st.integers(2, 300))
     runs = []
     for shape in draw(st.lists(st.sampled_from(["pair", "half", "shared", "zero", "any"]),
@@ -72,7 +79,9 @@ def shaped_quotients(draw):
             runs.append((r * draw(st.integers(0, 2)), count))
         else:
             runs.append((draw(st.integers(0, 2 * r)), count))
-    return CyclicQuotientSingularity(r, runs=runs)
+    q = faithful(r, runs=runs)
+    assume(q.order > 1)
+    return q
 
 
 @st.composite
@@ -81,7 +90,8 @@ def frame_quotients(draw):
     k = j * u mod r for the unit residue u of largest folded coefficient: single
     residues with counts, +- pairs and zero residues; at composite orders, half
     the draws take every residue from multiples of a proper divisor of r, so
-    that no residue is a unit and the scan keeps the plain frame, u = 1."""
+    that no residue is a unit and the scan keeps the plain frame, u = 1.  Only
+    faithful draws are kept, since dividing by a gcd would move the order."""
     r = draw(st.integers(129, 5000))
     divisors = [f for f in range(2, r) if r % f == 0]
     plain = bool(divisors) and draw(st.booleans())
@@ -102,6 +112,7 @@ def frame_quotients(draw):
             runs.append((r * draw(st.integers(0, 2)), count))
         else:
             runs.append((b + r * draw(st.integers(0, 1)), count))
+    assume(gcd(r, *(b for b, _ in runs)) == 1)
     return CyclicQuotientSingularity(r, runs=runs)
 
 
@@ -202,12 +213,11 @@ class TestClassify:
         for _ in range(250):
             r = rng.randint(2, 60)
             m = rng.randint(1, 7)
-            weights = tuple(rng.randint(0, 3 * r) for _ in range(m))
-            q = CyclicQuotientSingularity(r, weights)
+            q = faithful(r, tuple(rng.randint(0, 3 * r) for _ in range(m)))
             reference = classify_quotient(q)
-            perm = list(weights)
+            perm = list(q.weights)
             rng.shuffle(perm)
-            assert classify_quotient(CyclicQuotientSingularity(r, tuple(perm))) == reference
+            assert classify_quotient(CyclicQuotientSingularity(q.order, tuple(perm))) == reference
             assert classify_quotient(reduced(q)) == reference
 
 
@@ -310,14 +320,24 @@ class TestBlockEdges:
     )
     def test_matches_plain_scan_across_blocks(self, order):
         rng = random.Random(order)
+
+        def faithful_draw(*fixed):
+            """A residue mod r, drawn until it keeps the germ of `fixed` and
+            itself faithful at this order."""
+            b = rng.randrange(order)
+            while gcd(order, *fixed, b) > 1:
+                b = rng.randrange(order)
+            return b
+
         for size in (2, 3, 5):
-            weights = tuple(rng.randrange(order) for _ in range(size))
+            weights = tuple(rng.randrange(order) for _ in range(size - 1))
+            weights += (faithful_draw(*weights),)
             assert_report_matches_plain_scan(CyclicQuotientSingularity(order, weights))
         # with f the least prime factor of a composite r, residues f and r/f
         # share it with r: their terms drop at j = 0 mod r/f and mod f, on both
         # sides of a block edge
         f = next(f for f in range(2, order + 1) if order % f == 0)
-        runs = ((f, 2), (order - f, 1), (order // f, 1), (rng.randrange(order), 1))
+        runs = ((f, 2), (order - f, 1), (order // f, 1), (faithful_draw(f, order // f), 1))
         assert_report_matches_plain_scan(CyclicQuotientSingularity(order, runs=runs))
 
     @pytest.mark.parametrize(
@@ -440,7 +460,7 @@ class TestUnitFrame:
 
     @pytest.mark.parametrize(
         "order, weights",
-        [(2310, (6, 10, 15, 2304, 35)), (4096, (2, 6, 4094, 1024)), (1001, (7, 11, 13, 994, 77))],
+        [(2310, (6, 10, 15, 2304, 35)), (4095, (3, 5, 4092, 1365)), (1001, (7, 11, 13, 994, 77))],
     )
     def test_no_unit_residue_keeps_the_plain_frame(self, order, weights):
         assert all(gcd(b, order) > 1 for b in weights)
@@ -646,36 +666,32 @@ class TestAmbient:
         assert ambient_canonical(w) == ambient_canonical_bruteforce(w)
 
 
-def germ_key(q: CyclicQuotientSingularity) -> tuple[tuple[int, int], ...]:
-    """The key of q in `_germ_class`: its nonzero residues mod r with their counts, sorted."""
+def germ_key(order: int, runs) -> tuple[tuple[int, int], ...]:
+    """The key of 1/order(runs) in `_germ_class`: its nonzero residues mod the
+    order with their counts, sorted."""
     residues = {}
-    for b, count in q.runs:
-        residues[b % q.order] = residues.get(b % q.order, 0) + count
+    for b, count in runs:
+        residues[b % order] = residues.get(b % order, 0) + count
     return tuple(sorted((b, count) for b, count in residues.items() if b))
-
-
-# germs of zero residues only, the residue r itself among them (unreduced)
-zero_germs = st.builds(
-    lambda order, count: CyclicQuotientSingularity(order, runs=((0, count), (order, 1))),
-    st.integers(2, 40),
-    st.integers(1, 5),
-)
 
 
 class TestGermCache:
     """`_germ_class`, the one cache of germ verdicts, keyed without zero residues."""
 
-    @given(quotients | repeated_quotients | shaped_quotients() | zero_germs)
+    @given(quotients | repeated_quotients | shaped_quotients())
     def test_cached_verdict_is_the_uncached_one(self, q):
-        key = germ_key(q)
+        key = germ_key(q.order, q.runs)
         cold = _germ_class(q.order, key)
         assert cold == _germ_class(q.order, key) == classify_quotient(q)
         assert cold == _germ_class.__wrapped__(q.order, key)
 
-    def test_an_all_zero_germ_has_the_empty_key(self):
-        q = CyclicQuotientSingularity(6, runs=((0, 3), (12, 2)))
-        assert germ_key(q) == ()
-        assert _germ_class(6, ()) == classify_quotient(q) == SingularityClass.NOT_CANONICAL
+    @given(st.integers(2, 40), st.integers(1, 5))
+    def test_an_all_zero_germ_has_the_empty_key(self, order, count):
+        # zero residues only, the residue r itself among them (unreduced): no
+        # faithful germ is one, but a space that is not well-formed has one
+        assert germ_key(order, ((0, count), (order, 1))) == ()
+        cold = _germ_class(order, ())
+        assert cold == _germ_class.__wrapped__(order, ()) == SingularityClass.NOT_CANONICAL
         assert order_classes((2, 2, 2)) == {2: SingularityClass.NOT_CANONICAL}
 
     def test_a_warm_cache_does_not_hide_a_lowered_order_cap(self, monkeypatch):
@@ -774,7 +790,7 @@ class TestGermKeys:
     count <= 0 in a key would split one germ over two cache entries, which the
     verdicts alone cannot show."""
 
-    @given(unit_padded_tuples, st.integers(1, 6))
+    @given(unit_padded_tuples.filter(well_formed), st.integers(1, 6))
     def test_the_walk_keys_each_met_order_by_its_index_germ(self, entries, amplitude):
         degree = sum(entries) + amplitude  # above every weight, as in the search
         cap = wph.config._cap("WPH_ORDER_CAP")
@@ -785,7 +801,7 @@ class TestGermKeys:
             return
         by_order: dict[int, set] = {}
         for _, q in induced:
-            by_order.setdefault(q.order, set()).add(germ_key(q))
+            by_order.setdefault(q.order, set()).add(germ_key(q.order, q.runs))
         for order, runs in passed:
             assert by_order.get(order) == {runs}, (entries, degree, order)
 
@@ -795,8 +811,8 @@ class TestGermKeys:
         classes, passed = keys_passed(order_classes, w)
         by_order: dict[int, set] = {}
         for stratum in singular_strata(w):
-            q = CyclicQuotientSingularity(stratum.order, runs=w.runs_without(stratum.indices[0]))
-            by_order.setdefault(stratum.order, set()).add(germ_key(q))
+            runs = w.runs_without(stratum.indices[0])
+            by_order.setdefault(stratum.order, set()).add(germ_key(stratum.order, runs))
         assert [order for order, _ in passed] == list(classes) == sorted(by_order, reverse=True)
         for order, runs in passed:
             assert by_order[order] == {runs}, (entries, order)
@@ -842,6 +858,16 @@ def test_parse_rejects_a_group_that_is_not_faithful(text, faithful):
     with pytest.raises(ValueError, match=message):
         parse_quotient(text)
     assert str(parse_quotient(faithful)) == faithful
+
+
+def test_a_germ_that_is_not_faithful_is_not_built():
+    # 1/4(2,2) would read NotCanonical at j = 2, while 1/2(1,1) is canonical;
+    # the check takes one gcd over the runs, never expanding a long one
+    with pytest.raises(ValueError, match=r"^1/4\(2,2\) is not faithful \(gcd 2\)$"):
+        CyclicQuotientSingularity(4, (2, 2))
+    with pytest.raises(ValueError, match=r"^1/6\(3\^1000000,0,0\) is not faithful \(gcd 3\)$"):
+        CyclicQuotientSingularity(6, runs=((3, 10**6), (0, 2)))
+    assert classify_quotient(CyclicQuotientSingularity(2, (1, 1))) == SingularityClass.CANONICAL_NOT_TERMINAL
 
 
 def test_consecutive_weight_coordinate_points_canonical():
