@@ -133,11 +133,10 @@ class WeightedHypersurface(_Value):
         such variable removed: the smallest index e != point with
         a_e = d mod a_point and a_e <= d, so that a monomial z_point^c * z_e
         has degree d.  Returns None when no direction matches (the member is
-        then not quasi-smooth at the point).  Both coordinates are removed
-        from the runs, so the cost is O(runs).
+        then not quasi-smooth at the point), and raises `NotWellFormedError` for
+        a type that is not faithful.  The cost is O(runs), never O(n).
         """
-        a = self.weights[point]
-        d = self.degree
+        a, d = self.weights[point], self.degree
         # the first index of a matching run, or its second if the first is the point
         removed = next(
             (
@@ -151,7 +150,11 @@ class WeightedHypersurface(_Value):
         )
         if removed is None:
             return None
-        return CyclicQuotientSingularity(a, runs=self.weights.runs_without(point, removed))
+        try:
+            return CyclicQuotientSingularity(a, runs=self.weights.runs_without(point, removed))
+        except ValueError:  # not faithful, which a well-formed space rules out
+            require_well_formed(self.weights)
+            raise
 
     def member_canonical(self) -> bool:
         """True when every singularity induced on the general member is canonical.

@@ -29,8 +29,12 @@ gives: every stratum of order h has it.  `ambient_canonical` and
 `ambient_canonical_bruteforce`, their oracle, classifies every singular
 stratum by index.  `member_walk` walks the same orders for the member: a head's
 orders and residues once, a tail's (the search's u, v) per call.  Every verdict
-passes one gate, `_order_class`: the cap its caller read, then one bounded cache,
-`_germ_class`, keyed by raw residues; only `quotient_report` scans outside it.
+passes one gate, `_order_class`, and one bounded cache, `_germ_class`, keyed by raw
+residues; only `quotient_report` scans outside it.  It scans only where no closed
+form decides (`_closed_class`): T(1) = sum rho * c or T(r - 1) below r is NOT_CANONICAL,
+and L > r TERMINAL, L = min over primes p | r of sum{g * c : p does not divide g}, g =
+gcd(rho, r).  T(j) >= L (Reid 1980; Reid 1987, §4): j * rho is 0 mod r iff r / g divides
+gcd(j, r), which divides some r / p, as r / g does iff p | g; else a multiple of g.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ from .core import (
 )
 from .errors import NotWellFormedError
 
-# multipliers per block of the Reid-Tai scan
-_BLOCK = 4096
+# multipliers per block of the Reid-Tai scan, and trial divisors of `_prime_bound`
+_BLOCK, _TRIAL = 4096, 1024
 
 
 class SingularityClass(enum.IntEnum):
@@ -208,11 +212,7 @@ def _residues(s: CyclicQuotientSingularity) -> dict[int, int]:
 
 
 def classify_quotient(s: CyclicQuotientSingularity) -> SingularityClass:
-    """Classify via the criterion: min > 1 terminal, = 1 canonical, < 1 neither.
-
-    Read through `_order_class`; its scan returns early once a multiplier drops
-    below 1: the exact minimum is only needed when all multipliers pass.
-    """
+    """Classify via the criterion: min > 1 terminal, = 1 canonical, < 1 neither (`_order_class`)."""
     if s.order == 1:
         return SingularityClass.SMOOTH
     return _order_class(s.order, _residues(s), config._cap("WPH_ORDER_CAP"))
@@ -237,8 +237,7 @@ def quotient_report(s: CyclicQuotientSingularity) -> QuotientReport:
     """Full (non-short-circuiting) classification with diagnostics."""
     if (r := s.order) == 1:
         return QuotientReport(s, SingularityClass.SMOOTH, None, None, False)
-    if r > config._cap("WPH_ORDER_CAP"):
-        config.require("WPH_ORDER_CAP", r, f"group order {r}")
+    config.require("WPH_ORDER_CAP", r, f"group order {r}")
     total, at_j, reflection = _scan(r, _residues(s))
     return QuotientReport(s, _class_of(total, r), Fraction(total, r), at_j, reflection)
 
@@ -292,20 +291,43 @@ def member_walk(counts: dict[int, int]) -> Callable[..., bool]:
 
 
 def _order_class(h: int, residues: dict[int, int], cap: int) -> SingularityClass:
-    """The gate of every verdict: 1/h(residues) from `_germ_class` once `cap` admits
-    h.  Every count is > 0 but residue 0's, deleted, so the sorted items key it."""
-    if h > cap:
-        config.require("WPH_ORDER_CAP", h, f"group order {h}", cap)
+    """Every verdict's gate: 1/h(residues) from `_germ_class`; above `cap` only closed forms answer."""
     del residues[0]
-    return _germ_class(h, tuple(sorted(residues.items())))
+    runs = tuple(sorted(residues.items()))
+    if h > cap and _closed_class(h, runs) is None:
+        config.require("WPH_ORDER_CAP", h, f"group order {h}", cap)
+    return _germ_class(h, runs)
 
 
 @lru_cache(maxsize=4096)
 def _germ_class(order: int, runs: tuple[tuple[int, int], ...]) -> SingularityClass:
-    """The class of 1/order(runs), keyed by the sorted nonzero (residue, count)
-    runs: a zero residue adds nothing to any Reid-Tai total.  The one cache of
-    germ verdicts, read by `_order_class` alone; key () is the all-zero germ."""
-    return _class_of(_scan(order, dict(runs), stop_below=True)[0], order)
+    """The class of 1/order(runs), keyed by the sorted nonzero (residue, count) runs (a zero
+    residue adds nothing to any total): the one cache of germ verdicts, read by `_order_class`
+    alone, key () the all-zero germ.  It scans only where `_closed_class` does not decide."""
+    closed = _closed_class(order, runs)
+    return _class_of(_scan(order, dict(runs), stop_below=True)[0], order) if closed is None else closed
+
+
+def _closed_class(h: int, runs: tuple[tuple[int, int], ...]) -> SingularityClass | None:
+    """The class of 1/h(runs) where T(1), T(h - 1) or L decides it (module docstring), else None."""
+    total = moved = shared = 0  # T(1) = total, T(h - 1) = h * moved - total, and L <= shared
+    for rho, c in runs:
+        total, moved, shared = total + rho * c, moved + c, shared + gcd(rho, h) * c
+    if total < h or h * moved - total < h:
+        return SingularityClass.NOT_CANONICAL
+    return SingularityClass.TERMINAL if shared > h and _prime_bound(h, runs) > h else None
+
+
+def _prime_bound(h: int, runs: Iterable[tuple[int, int]]) -> int:
+    """L (module docstring) in O(_TRIAL + primes * runs) for any h: trial division stops at
+    _TRIAL, and a cofactor q left counts as one prime, its sum over g coprime to q at most its primes'."""
+    gs, factors, q, p = [(gcd(rho, h), c) for rho, c in runs], set(), h, 2
+    while p * p <= q and p <= _TRIAL:
+        while q % p == 0:
+            factors.add(p)
+            q //= p
+        p += 1
+    return min(sum(g * c for g, c in gs if gcd(g, f) == 1) for f in [*factors, q] if f > 1)
 
 
 def ambient_canonical(w: Weights | Iterable[int]) -> bool:

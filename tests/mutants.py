@@ -13,15 +13,19 @@ directory, and its test files run there under pytest, one mutant at a time.
 The kill table has one line per mutant: id, expectation, outcome, seconds
 and test files.  The outcome is `killed` when pytest reports failures
 (exit 1), `survives` when it passes, and `error` on any other exit (the
-mutant broke collection or the run).  The exit status is 1 if any outcome
-differs from its expectation.  Only the standard library is used.
+mutant broke collection or the run) or when the run takes longer than
+TIMEOUT_S seconds: its whole process group is then killed, so that a mutant
+that never terminates cannot keep growing.  The exit status is 1 if any
+outcome differs from its expectation.  Only the standard library is used.
 `tests/test_mutants.py` checks the table against `src/` without running it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,6 +34,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# the longest a mutant's test run may take, about 12 times that of the slowest entry (under 10 s)
+TIMEOUT_S = 120
 
 
 class Mutant(NamedTuple):
@@ -246,11 +252,44 @@ MUTANTS = (
         ("tests/test_core.py",),
         "killed",
     ),
+    Mutant(
+        "closed-form-terminal-at-l-equal-to-h",
+        "src/wph/singularity.py",
+        "and _prime_bound(h, runs) > h",
+        "and _prime_bound(h, runs) >= h",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "prime-bound-counts-a-residue-its-prime-divides",
+        "src/wph/singularity.py",
+        "if gcd(g, f) == 1)",
+        "if gcd(g, f) >= 1)",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "cap-check-skipped-where-no-closed-form-decides",
+        "src/wph/singularity.py",
+        "if h > cap and _closed_class(h, runs) is None:",
+        "if h > cap and _closed_class(h, runs) is not None:",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "closed-form-not-canonical-at-t1-equal-to-h",
+        "src/wph/singularity.py",
+        "if total < h or",
+        "if total <= h or",
+        ("tests/test_singularity.py",),
+        "killed",
+    ),
 )
 
 
-def run(mutant: Mutant) -> tuple[str, float]:
-    """(outcome, seconds) of the mutant's test files on a mutated copy."""
+def run(mutant: Mutant, timeout: float = TIMEOUT_S) -> tuple[str, float]:
+    """(outcome, seconds) of the mutant's test files on a mutated copy; a run
+    longer than `timeout` seconds is killed, with its children, as an `error`."""
     with tempfile.TemporaryDirectory(prefix="wph-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -263,12 +302,20 @@ def run(mutant: Mutant) -> tuple[str, float]:
         target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
-        done = subprocess.run(
+        child = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its own process group, the search's workers included
         )
+        try:
+            code = child.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            with contextlib.suppress(ProcessLookupError):  # the group may have just ended
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            code = None
         seconds = time.perf_counter() - start
-    return {0: "survives", 1: "killed"}.get(done.returncode, "error"), seconds
+    return {0: "survives", 1: "killed"}.get(code, "error"), seconds
 
 
 def main(ids: list[str]) -> int:

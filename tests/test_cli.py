@@ -602,3 +602,14 @@ def test_exact_numbers_print_past_the_interpreter_digit_limit(capsys):
     # argv is read under the caller's limit: a 5,000-digit degree is a usage error
     assert run(["analyze", "--weights", "2,3,5", "--degree", "7" * 5000]) == 2
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_thm3_verifies_where_its_top_germ_is_above_the_order_cap(capsys, monkeypatch):
+    # at n = 10000 (k = 3333) the ambient check meets the top-weight germ of order
+    # k(k + 1) = 11,112,222, above the default WPH_ORDER_CAP; the prime-divisor bound
+    # L = k^2 + 2k > k(k + 1) proves it terminal, so no scan runs and no cap speaks
+    monkeypatch.delenv("WPH_ORDER_CAP", raising=False)
+    status, out = invoke(capsys, "verify", "--family", "thm3", "--n", "10000")
+    assert status == 0 and "passed: yes" in out
+    assert out.count("[PASS]") == 6 and "[FAIL]" not in out
+    assert "ambient space is canonical" in out

@@ -32,7 +32,8 @@ SITES = [
         "WPH_ORDER_CAP",
         11,
         12,
-        lambda: classify_quotient(CyclicQuotientSingularity(12, (1, 5))),
+        # T(1) = 13 and T(11) = 23 are at least 12, and the gcds sum to 3: only a scan decides
+        lambda: classify_quotient(CyclicQuotientSingularity(12, (1, 5, 7))),
     ),
     # orders 6 and 7: the breach names 7, which is enough for both scans
     ("order classes", "WPH_ORDER_CAP", 5, 7, lambda: order_classes((1, 1, 7, 6))),

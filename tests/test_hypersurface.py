@@ -164,6 +164,15 @@ class TestMemberTypes:
         # at the weight-4 point, residue 2: the weight-6 variable is removed
         assert x46.member_type_at(0) == CyclicQuotientSingularity(4, (5, 7, 23))
 
+    def test_a_space_that_is_not_well_formed_is_named_not_its_germ(self):
+        # P(2, 2, 4, 4): at point 0 the member drops a weight-2 direction, which
+        # leaves 1/2(4, 4), not faithful; the fault is the space's, and it is named
+        x = make((2, 2, 4, 4), 10)
+        with pytest.raises(NotWellFormedError, match=r"^weights 2,2,4,4 are not well-formed$"):
+            x.member_type_at(0)
+        # a faithful germ is returned, well-formed space or not: P(1, 2, 2, 4) is not
+        assert make((1, 2, 2, 4), 10).member_type_at(3) == CyclicQuotientSingularity(4, (1, 2))
+
     def test_induced_singularities_on_the_min_volume_threefold(self):
         induced = dict(induced_by_index((4, 5, 6, 7, 23), 46))
         assert set(induced) == {(0,), (1,), (2,), (3,), (0, 2)}

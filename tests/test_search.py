@@ -25,7 +25,7 @@ from wph.errors import BudgetError
 from wph.families import consecutive_family, vanishing_witness
 from wph.hilbert import plurigenera_table
 from wph.hypersurface import WeightedHypersurface
-from wph.singularity import classify_quotient, member_walk
+from wph.singularity import SingularityClass, classify_quotient, member_walk, reid_tai_sum
 from wph.search import (
     SearchRecord,
     _batches,
@@ -86,12 +86,26 @@ def oracle_records(member_dim, max_sum, amplitude, up_to=0):
     return sorted(out, key=lambda r: r.sort_key)
 
 
+def closed_form_reference(germ):
+    """The class that T(1), T(h - 1) or the divisor bound decides for `germ` of order
+    h, else None, from `reid_tai_sum` and every proper divisor e of h: a multiplier j
+    with gcd(j, h) = e moves each b whose period h / gcd(b, h) does not divide e, by a
+    multiple of gcd(b, h), so each total is at least the least such sum over e."""
+    h = germ.order
+    if min(reid_tai_sum(germ, 1), reid_tai_sum(germ, h - 1)) < 1:
+        return SingularityClass.NOT_CANONICAL
+    gcds = [(math.gcd(b, h), count) for b, count in germ.runs]
+    bound = min(sum(g * c for g, c in gcds if e % (h // g)) for e in range(1, h) if h % e == 0)
+    return SingularityClass.TERMINAL if bound > h else None
+
+
 def member_canonical_reference(weights, degree, cap=math.inf):
     """The member-germ verdict rebuilt from the per-order helpers: each order h
     whose strata the member meets gives the germ `order_residues` minus one
     residue-d direction when h does not divide d (False when there is none),
     and every such germ must be canonical.  The orders ascend, and the first
-    whose germ is to be classified above `cap` is returned in place of a verdict."""
+    whose germ is to be classified above `cap` and that no closed form decides
+    (`closed_form_reference`) is returned in place of a verdict."""
     counts = Weights(weights).multiplicities()
     for h in strata_orders(counts):
         residues = order_residues(counts, h)
@@ -102,10 +116,10 @@ def member_canonical_reference(weights, degree, cap=math.inf):
             residues[r] -= 1
         elif residues[0] == 0:
             continue  # the one weight divisible by h: its point is missed
-        if h > cap:
-            return h
         germ = CyclicQuotientSingularity(h, runs=[(b, c) for b, c in residues.items() if c])
-        if not classify_quotient(germ).is_canonical:
+        if h > cap and (decided := closed_form_reference(germ)) is None:
+            return h
+        if not (classify_quotient(germ) if h <= cap else decided).is_canonical:
             return False
     return True
 

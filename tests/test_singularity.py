@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import tracemalloc
@@ -19,7 +20,11 @@ from wph.hypersurface import WeightedHypersurface
 from wph.singularity import (
     _BLOCK,
     SingularityClass,
+    _class_of,
+    _closed_class,
     _germ_class,
+    _prime_bound,
+    _scan,
     ambient_canonical,
     ambient_canonical_bruteforce,
     classify_quotient,
@@ -31,6 +36,7 @@ from wph.singularity import (
 )
 from test_core import faithful
 from test_hypersurface import induced_by_index, repeated_tuples, unit_padded_tuples
+from test_search import closed_form_reference
 
 
 def reduced(q: CyclicQuotientSingularity) -> CyclicQuotientSingularity:
@@ -714,6 +720,112 @@ class TestGermCache:
         message = r"^group order 7, above the cap 6 \(set WPH_ORDER_CAP to at least 7 "
         with pytest.raises(BudgetError, match=message):
             member_walk(Counter((4, 5, 6, 7, 23)))(46, 6)
+
+
+def closed_form_germs(count, seed):
+    """`count` seeded faithful germs, orders log-uniform in 2..10^4, each of one to
+    five runs: +- pairs, repeated residues, residues sharing a divisor f of the order
+    with counts up to 2f (so that the gcds can sum past the order, as at the `thm3`
+    members' top-weight germ, at composite orders only), and unreduced residues up to
+    twice the order.  A draw that is not faithful is drawn again."""
+    rng, made = random.Random(seed), 0
+    while made < count:
+        h = round(math.exp(rng.uniform(math.log(2), math.log(10**4))))
+        divisors = [f for f in range(2, h) if h % f == 0]
+        runs = []
+        for _ in range(rng.randint(1, 5)):
+            shape = rng.choice(["pair", "repeated", "shared", "shared", "any"])
+            if shape == "shared" and divisors:
+                f = rng.choice(divisors)
+                runs.append((f * rng.randint(1, h // f - 1), rng.randint(1, 2 * f)))
+            elif shape == "pair":
+                b = rng.randint(1, h - 1)
+                runs += [(b, rng.randint(1, 4)), (h - b, rng.randint(1, 4))]
+            elif shape == "repeated":
+                runs.append((rng.randint(1, h - 1), rng.randint(1, 30)))
+            else:
+                runs.append((rng.randint(0, 2 * h), rng.randint(1, 3)))
+        if gcd(h, *(b for b, _ in runs)) == 1:
+            made += 1
+            yield CyclicQuotientSingularity(h, runs=runs)
+
+
+class TestClosedForms:
+    """`_closed_class` decides a germ without a scan where T(1) or T(h - 1) is below
+    h (NotCanonical) or the prime-divisor bound L of `_prime_bound` is above it
+    (Terminal); every other germ is scanned."""
+
+    def test_a_decided_class_is_the_scan_class_on_seeded_germs(self):
+        decided = Counter()
+        for q in closed_form_germs(20_000, seed=1):
+            h, key = q.order, germ_key(q.order, q.runs)
+            closed = _closed_class(h, key)
+            if closed is not None:
+                assert closed == _class_of(_scan(h, dict(key), stop_below=True)[0], h), q
+            decided[closed] += 1
+        # each closed form decides thousands, and most germs are left to the scan
+        assert decided[SingularityClass.NOT_CANONICAL] > 1_000
+        assert decided[SingularityClass.TERMINAL] > 3_000
+        assert decided[None] > 10_000
+
+    @given(quotients | repeated_quotients | shaped_quotients())
+    def test_every_total_is_at_least_the_prime_bound(self, q):
+        h, key = q.order, germ_key(q.order, q.runs)
+        least = min(reid_tai_sum(q, j) for j in range(1, h)) * h
+        assert least >= _prime_bound(h, key)
+        # T(1) and T(h - 1) are the sums of reid_tai_sum, and L is the least over
+        # every proper divisor, as in the reference, wherever h is fully factored
+        assert _closed_class(h, key) == closed_form_reference(q)
+        with mock.patch.object(wph.singularity, "_TRIAL", 2):  # odd cofactors stay whole
+            assert least >= _prime_bound(h, key)
+
+    def test_the_bound_decides_at_l_above_h_only(self):
+        # each prime p | h sums the gcds it does not divide: 1/6(2^3, 3^2) has
+        # L = min(3 * 2, 2 * 3) = 6 = h and T(3) = 6 (canonical only); 1/6(2^2, 3^2) has
+        # L = min(3 * 2, 2 * 2) = 4 and T(4) = 4 (not canonical); 1/12(3^5, 4^5),
+        # `thm3`'s at k = 3, has L = min(3 * 5, 4 * 5) = 15 > 12
+        germs = {  # runs: (L, class, closed form)
+            ((2, 3), (3, 2)): (6, SingularityClass.CANONICAL_NOT_TERMINAL, None),
+            ((2, 2), (3, 2)): (4, SingularityClass.NOT_CANONICAL, None),
+        }
+        for runs, (bound, sclass, closed) in germs.items():
+            assert _prime_bound(6, runs) == bound and _closed_class(6, runs) is closed
+            assert classify_quotient(CyclicQuotientSingularity(6, runs=runs)) == sclass
+        assert _prime_bound(12, ((3, 5), (4, 5))) == 15
+        assert _closed_class(12, ((3, 5), (4, 5))) == SingularityClass.TERMINAL
+
+    def test_above_a_lowered_cap_only_a_closed_form_answers(self, monkeypatch):
+        decided = {
+            CyclicQuotientSingularity(7, (1, 1, 1)): SingularityClass.NOT_CANONICAL,  # T(1) = 3
+            CyclicQuotientSingularity(7, (6, 6, 6)): SingularityClass.NOT_CANONICAL,  # T(6) = 3
+            CyclicQuotientSingularity(12, runs=((3, 5), (4, 5))): SingularityClass.TERMINAL,
+        }
+        undecided = CyclicQuotientSingularity(7, (2, 5, 6))  # T(1) = 13, T(6) = 8, L = 3
+        assert classify_quotient(undecided) == SingularityClass.TERMINAL  # now cached
+        monkeypatch.setenv("WPH_ORDER_CAP", "6")
+        for q, sclass in decided.items():
+            assert classify_quotient(q) == sclass
+            with pytest.raises(BudgetError, match=rf"^group order {q.order}, above the cap 6 "):
+                quotient_report(q)  # a report always scans
+        message = r"^group order 7, above the cap 6 \(set WPH_ORDER_CAP to at least 7 to allow it\)$"
+        with pytest.raises(BudgetError, match=message):
+            classify_quotient(undecided)
+        # the walk's own cap: thm3's top-weight germ above it, decided, answers
+        walk = member_walk(Counter((3,) * 5 + (4,) * 5 + (12,) * 2))
+        assert walk(24, 11) is True
+
+    def test_thm3_members_answer_above_the_default_cap(self, monkeypatch):
+        # the top-weight germ 1/k(k + 1)(k^(k + 2), (k + 1)^(2k - 1)) has L = k^2 + 2k
+        monkeypatch.delenv("WPH_ORDER_CAP", raising=False)
+        k = 3333
+        runs = ((k, k + 2), (k + 1, 2 * k - 1))
+        assert k * (k + 1) > wph.config._cap("WPH_ORDER_CAP")
+        assert _prime_bound(k * (k + 1), runs) == k * k + 2 * k
+        assert order_classes((k,) * (k + 2) + (k + 1,) * (2 * k - 1) + (k * (k + 1),) * 2) == {
+            k * (k + 1): SingularityClass.TERMINAL,
+            k + 1: SingularityClass.TERMINAL,
+            k: SingularityClass.TERMINAL,
+        }
 
 
 class TestGate:
