@@ -169,8 +169,8 @@ class WeightedHypersurface(_Value):
         stratum of order h lose the same residue), so every caller also
         requires `quasi_smooth`.  The walk, `singularity.member_walk`, takes
         the multiplicities as its head; the search shares each head.
-        `WPH_ORDER_CAP` is read once per call here, once per batch in the
-        search, and checked before every read of the one germ cache.
+        `WPH_ORDER_CAP` is read once per call here, once per `search_records`
+        call, and checked before every read of the one germ cache.
         """
         return member_walk(self.weights.multiplicities())(self.degree, config._cap("WPH_ORDER_CAP"))
 

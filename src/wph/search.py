@@ -40,11 +40,13 @@ head (`singularity.member_walk`), and each tuple's (u, v) is run as its tail:
 only member-canonical tuples become objects and reach `quasi_smooth` (dim 3,
 S = 80: 2,377 tuples over 519 heads, 23 member-canonical, 23 quasi-smooth).
 
-A search runs one batch per leading weight.  With jobs = N > 1 this process
-and up to N - 1 forked children take them in order from one pipe, filled
-before the first fork (`_fork_map`: one batch a token up to PIPE_BUF // 4),
-so `jobs` counts the caller; where `os.fork` is missing the search is serial.
-Either way a failing search raises the error of its first failing batch.
+The heads are counted once over the whole search, across its leading weights,
+and with jobs = N process k of N runs heads k, k + N, k + 2N, ... (`_stripe`):
+this process is k = 0 and the others are forked children (`_fork_map`), so
+`jobs` counts the caller, and a leading weight holding most of the tuples is
+shared too; where `os.fork` is missing the search is serial.  Each process
+stops at its first failing head, and the search raises the failure of the
+least head index: that of the serial search, as its tuples come in order.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from . import config
 from .core import Weights
@@ -119,89 +122,91 @@ def _search_tables(max_sum: int, amplitude: int) -> tuple[list[int], dict[int, l
     return _tables[key]
 
 
-def _degree_tuples(
-    leading: int, length: int, max_sum: int, amplitude: int
-) -> Iterator[tuple[int, ...]]:
-    """Well-formed tuples starting with `leading` whose every weight passes the
-    singleton test (module docstring), in lexicographic order: the heads come
-    from `_nondecreasing_tuples`, u and v ascend."""
+def _heads(leads: Iterable[int], length: int, max_sum: int) -> Iterator[tuple[int, ...]]:
+    """The heads of a search, every tuple of `length` but its last two weights,
+    in lexicographic order over the leading weights `leads`."""
+    for lead in leads:
+        for middle in _nondecreasing_tuples(length - 3, max_sum - lead, lead, 2):
+            yield (lead,) + middle
+
+
+def _degree_tuples(head: tuple[int, ...], max_sum: int, amplitude: int) -> Iterator[tuple[int, ...]]:
+    """The well-formed tuples head + (u, v) whose every weight passes the
+    singleton test (module docstring), in lexicographic order: u and v ascend."""
     divisors, classes = _search_tables(max_sum, amplitude)
 
-    def residues(a: int, values: tuple[int, ...]) -> int:  # the classes of 0 and values
+    def residues(a: int) -> int:  # the classes of 0 and the head values, mod a
         by = classes[a]
         mask = by[0]
-        for b in values:
+        for b in head:
             mask |= by[b % a]
         return mask
 
-    for middle in _nondecreasing_tuples(length - 3, max_sum - leading, leading, 2):
-        head = (leading,) + middle
-        t = sum(head)
-        # a value a > 1 of the head -> {b mod a : b in head} | {0}, as a mask
-        head_sets = [(a, residues(a, head), classes[a]) for a in set(head) if a > 1]
-        gaps = (0, *set(head))
-        g = math.gcd(*head)
-        dropped = 0  # the product of the gcds > 1 of the head with one weight left out
-        for u in range(head[-1], (max_sum - t) // 2 + 1):
-            if math.gcd(g, u) > 1:
-                continue  # leaving out v keeps this factor
-            s = t + u
-            e = s + amplitude  # d - v
-            # v in [u, max_sum - s] with v | d - b (b = 0, u or a head value), at bit s + v
-            found = divisors[t]
-            for b in gaps:
-                found |= divisors[s - b]
-            found = (found & (1 << max_sum - s + 1) - (1 << u)) << s
-            for a, kept, by_residue in head_sets:
-                if e % a:  # else d = v mod a, and every v passes
-                    found &= kept | by_residue[u % a]
-            if found and u > 1 and e % u and u != head[-1]:  # else u passes, or has its set
-                found &= residues(u, head)
-            if found and not dropped:  # built for the heads with candidates only
-                dropped = math.prod({math.gcd(*head[:k], *head[k + 1:]) for k in range(len(head))})
-            # a prime of v must divide neither g nor both u and a left-out gcd (if any v is left)
-            coprime_to = found and g * math.gcd(dropped, u)
-            while found:
-                low = found & -found
-                found ^= low
-                v = low.bit_length() - 1 - s
-                if math.gcd(coprime_to, v) == 1:
-                    yield head + (u, v)
+    t = sum(head)
+    # a value a > 1 of the head -> {b mod a : b in head} | {0}, as a mask
+    head_sets = [(a, residues(a), classes[a]) for a in set(head) if a > 1]
+    gaps = (0, *set(head))
+    g = math.gcd(*head)
+    dropped = 0  # the product of the gcds > 1 of the head with one weight left out
+    for u in range(head[-1], (max_sum - t) // 2 + 1):
+        if math.gcd(g, u) > 1:
+            continue  # leaving out v keeps this factor
+        s = t + u
+        e = s + amplitude  # d - v
+        # v in [u, max_sum - s] with v | d - b (b = 0, u or a head value), at bit s + v
+        found = divisors[t]
+        for b in gaps:
+            found |= divisors[s - b]
+        found = (found & (1 << max_sum - s + 1) - (1 << u)) << s
+        for a, kept, by_residue in head_sets:
+            if e % a:  # else d = v mod a, and every v passes
+                found &= kept | by_residue[u % a]
+        if found and u > 1 and e % u and u != head[-1]:  # else u passes, or has its set
+            found &= residues(u)
+        if found and not dropped:  # built for the heads with candidates only
+            dropped = math.prod({math.gcd(*head[:k], *head[k + 1:]) for k in range(len(head))})
+        # a prime of v must divide neither g nor both u and a left-out gcd (if any v is left)
+        coprime_to = found and g * math.gcd(dropped, u)
+        while found:
+            low = found & -found
+            found ^= low
+            v = low.bit_length() - 1 - s
+            if math.gcd(coprime_to, v) == 1:
+                yield head + (u, v)
 
 
-def _evaluate(
-    weights: tuple[int, ...], degree: int, amplitude: int, plurigenera_up_to: int
-) -> SearchRecord | None:
-    x = WeightedHypersurface(Weights(weights), degree)
-    if not x.quasi_smooth():
-        return None
-    genera = plurigenera_table(x, plurigenera_up_to)
-    return SearchRecord(weights, degree, amplitude, x.volume(), genera)
+def _stripe(
+    k: int, workers: int, leads: list[int], length: int, max_sum: int, amplitude: int,
+    up_to: int, order_cap: int,
+) -> list[SearchRecord] | tuple[int, Exception]:
+    """Heads k, k + workers, k + 2 * workers, ... of the search, counted once
+    over all its leading weights: their records, or (head index, exception) of
+    the first failing head."""
+    records = []
+    try:
+        for index, head in islice(enumerate(_heads(leads, length, max_sum)), k, None, workers):
+            walk = None  # the walk's head part, built at the head's first tuple
+            for weights in _degree_tuples(head, max_sum, amplitude):
+                if walk is None:
+                    walk = member_walk({a: head.count(a) for a in head})
+                degree = sum(weights) + amplitude
+                # both are required; member canonicity rejects far more, and far cheaper
+                if walk(degree, order_cap, *weights[-2:]):
+                    x = WeightedHypersurface(Weights(weights), degree)
+                    if x.quasi_smooth():
+                        genera = plurigenera_table(x, up_to)
+                        records.append(SearchRecord(weights, degree, amplitude, x.volume(), genera))
+    except Exception as exc:
+        return index, exc
+    return records
 
 
-def _leading_records(
-    leading: int, length: int, max_sum: int, amplitude: int, up_to: int
-) -> Iterator[SearchRecord]:
-    order_cap = config._cap("WPH_ORDER_CAP")  # once per batch; `require` words the error
-    head = None
-    for weights in _degree_tuples(leading, length, max_sum, amplitude):
-        if weights[:-2] != head:  # the walk's head part, once per head
-            head = weights[:-2]
-            walk = member_walk({a: head.count(a) for a in head})
-        degree = sum(weights) + amplitude
-        # both are required; member canonicity rejects far more, and far cheaper
-        if walk(degree, order_cap, *weights[-2:]):
-            record = _evaluate(weights, degree, amplitude, up_to)
-            if record is not None:
-                yield record
-
-
-def _batches(
-    member_dim: int, max_weight_sum: int, amplitude: int, up_to: int, vanishing: int = 0
-) -> list[tuple[int, int, int, int, int]]:
-    """One batch per leading weight; serial and pooled searches run the same.
-    A vanishing search drops a_0 if m * amplitude = lcm(a_0, amplitude) has m <= V
-    and is below length * a_0 + amplitude <= d: a power of x_0 gives P_m >= 1."""
+def _leading_weights(
+    member_dim: int, max_weight_sum: int, amplitude: int, vanishing: int = 0
+) -> list[int]:
+    """The leading weights a search runs.  A vanishing search drops a_0 if
+    m * amplitude = lcm(a_0, amplitude) has m <= V and is below
+    length * a_0 + amplitude <= d: a power of x_0 gives P_m >= 1."""
     if member_dim < 2:
         raise ValueError("member dimension must be >= 2")
     if amplitude < 1:
@@ -209,79 +214,48 @@ def _batches(
     config.require("WPH_SEARCH_SUM_CAP", max_weight_sum, f"weight-sum bound {max_weight_sum}")
     length = member_dim + 2
     return [
-        (lead, length, max_weight_sum, amplitude, up_to)
+        lead
         for lead in range(1, max_weight_sum // length + 1)
         if math.lcm(lead, amplitude) > min(vanishing * amplitude, length * lead + amplitude - 1)
     ]
 
 
-def _fork_map(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items] on `workers` processes: this one and
-    workers - 1 forked children.  Before the first fork one write puts every
-    4-byte task token on a pipe, whole, since an empty pipe takes PIPE_BUF
-    bytes at once, and closes it: token i stands for the run of
-    ceil(len(items) / (PIPE_BUF // 4)) items from item i, a single item up to
-    PIPE_BUF // 4 items.  Each process runs the items of every token it reads
-    until EOF, and after a failure only reads.  A child pickles its results, or
-    its first exception, back on its own pipe and leaves through `os._exit`.
-    Raises the exception of the lowest-numbered failing item, or a RuntimeError
-    naming the exit status of a child that died unreported; every child is
-    killed if still running and reaped, whatever happens."""
+def _fork_map(fn, workers: int) -> list:
+    """[fn(k) for k in range(workers)], fn(k) run on process k: this one is 0,
+    the others are forked children.  A child pickles its value back on its own
+    pipe and leaves through `os._exit`.  Raises a RuntimeError naming the exit
+    status of a child that died unreported; every child is killed if still
+    running and reaped, whatever happens."""
     import pickle  # only pooled searches pay for it
     import signal
 
-    def work() -> tuple[dict, tuple | None]:
-        done, failed = {}, None
-        while token := os.read(tasks, 4):  # the pipe holds whole tokens only
-            first = int.from_bytes(token, "big")
-            for i in range(first, min(first + run, len(items))):
-                if failed is None:
-                    try:
-                        done[i] = fn(items[i])
-                    except Exception as exc:
-                        failed = (i, exc)
-        return done, failed
-
-    tasks, tasks_w = os.pipe()
-    open_fds = [tasks, tasks_w]
     children: dict[int, int] = {}  # unreaped pid -> read end of its result pipe
+    open_fds = []
     try:
-        run = -(-len(items) // (os.fpathconf(tasks_w, "PC_PIPE_BUF") // 4)) or 1
-        os.write(tasks_w, b"".join(i.to_bytes(4, "big") for i in range(0, len(items), run)))
-        os.close(tasks_w)
-        open_fds.remove(tasks_w)
-        for _ in range(workers - 1):
+        for k in range(1, workers):
             r, w = os.pipe()
             open_fds += (r, w)
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    data = memoryview(pickle.dumps(work()))
-                    while data:
-                        data = data[os.write(w, data):]
+                    with open(w, "wb") as out:
+                        out.write(pickle.dumps(fn(k)))
                     status = 0
                 finally:
                     os._exit(status)  # never unwind into the caller's stack
             children[pid] = r
             os.close(w)
             open_fds.remove(w)
-        done, failed = work()
-        failures = [failed] if failed else []
+        values = [fn(0)]
         for pid, r in list(children.items()):
             data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            try:
-                child_done, child_failed = pickle.loads(data)
-            except Exception:
-                raise RuntimeError(f"pool worker {pid} exited without reporting (status {status})") from None
-            done.update(child_done)
-            if child_failed:
-                failures.append(child_failed)
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return [done[i] for i in range(len(items))]
+            if status:
+                raise RuntimeError(f"pool worker {pid} exited without reporting (status {status})")
+            values.append(pickle.loads(data))
+        return values
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -300,29 +274,30 @@ def search_records(
 ) -> list[SearchRecord]:
     """All surviving records sorted by (volume, weights); optionally those whose
     first `vanishing` plurigenera are zero.  The result is independent of the
-    worker count: partitions by leading weight merge into one sorted list.
-    `jobs` counts the calling process, which works too: at most
-    min(jobs, usable CPUs, leading weights) processes run, so jobs - 1 children
-    at most are forked, and none where `os.fork` is missing (the search is then
-    serial).  A failing search raises the error of its first failing leading
-    weight, as the serial search does.  jobs or vanishing below their least
-    values is a ValueError."""
+    worker count: the stripes of heads merge into one sorted list.  `jobs`
+    counts the calling process, which runs stripe 0: min(jobs, usable CPUs)
+    processes run, so jobs - 1 children at most are forked, and none where
+    `os.fork` is missing (the search is then serial).  A failing search raises
+    the error of its first failing head, as the serial search does.  jobs or
+    vanishing below their least values is a ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if vanishing < 0:
         raise ValueError(f"vanishing must be >= 0, got {vanishing}")
     up_to = max(plurigenera_up_to, vanishing)
-    batches = _batches(member_dim, max_weight_sum, amplitude, up_to, vanishing)
+    leads = _leading_weights(member_dim, max_weight_sum, amplitude, vanishing)
+    order_cap = config._cap("WPH_ORDER_CAP")  # once per search; `require` words the error
     _search_tables(max_weight_sum, amplitude)  # before any fork: the children inherit them
     workers = 1
     if jobs > 1 and hasattr(os, "fork"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(jobs, cpus or 1, len(batches))
-    if workers > 1:
-        parts = _fork_map(lambda batch: list(_leading_records(*batch)), batches, workers)
-        records = [r for part in parts for r in part]
-    else:
-        records = [r for batch in batches for r in _leading_records(*batch)]
+        workers = min(jobs, cpus or 1)
+    search = (workers, leads, member_dim + 2, max_weight_sum, amplitude, up_to, order_cap)
+    stripes = _fork_map(lambda k: _stripe(k, *search), workers) if workers > 1 else [_stripe(0, *search)]
+    failures = [stripe for stripe in stripes if isinstance(stripe, tuple)]
+    if failures:
+        raise min(failures)[1]  # (head index, exception); the indices differ
+    records = [r for stripe in stripes for r in stripe]
     if vanishing:
         records = [r for r in records if r.vanishing_at_least(vanishing)]
     records.sort(key=lambda r: r.sort_key)

@@ -133,6 +133,22 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "stripe-takes-every-head",
+        "src/wph/search.py",
+        "islice(enumerate(_heads(leads, length, max_sum)), k, None, workers)",
+        "islice(enumerate(_heads(leads, length, max_sum)), 0, None, 1)",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "pool-raises-the-last-failure-in-serial-order",
+        "src/wph/search.py",
+        "raise min(failures)[1]",
+        "raise max(failures)[1]",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
         "quasi-smooth-clause-b-dropped",
         "src/wph/hypersurface.py",
         "if sum(c for gap, c in gaps if reaches(table, gap)) < size:",

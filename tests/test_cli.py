@@ -247,6 +247,14 @@ class TestCapVariables:
         err = capsys.readouterr().err
         assert err == "error: WPH_ORDER_CAP must be an integer, got 'lots'\n"
 
+    def test_a_malformed_order_cap_fails_a_search_without_tuples(self, capsys, monkeypatch):
+        # the search reads the cap once, before its first leading weight: dim 3
+        # at weight sum 4 has none
+        monkeypatch.setenv("WPH_ORDER_CAP", "abc")
+        assert run(["search", "--dim", "3", "--max-sum", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: WPH_ORDER_CAP must be an integer, got 'abc'\n"
+
 
 class TestConstructVolume:
     def test_five_sevenths(self, capsys):

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import math
 import os
-import select
 import signal
 import subprocess
 import sys
@@ -28,11 +27,13 @@ from wph.hypersurface import WeightedHypersurface
 from wph.singularity import SingularityClass, classify_quotient, member_walk, reid_tai_sum
 from wph.search import (
     SearchRecord,
-    _batches,
     _degree_tuples,
     _fork_map,
+    _heads,
+    _leading_weights,
     _nondecreasing_tuples,
     _search_tables,
+    _stripe,
     search_records,
 )
 from test_hypersurface import canonical_by_index, induced_by_index  # the index-subset oracles
@@ -124,6 +125,12 @@ def member_canonical_reference(weights, degree, cap=math.inf):
     return True
 
 
+def generated(length, max_sum, amplitude):
+    """Every tuple `_degree_tuples` yields over every head of every leading weight."""
+    heads = _heads(range(1, max_sum // length + 1), length, max_sum)
+    return [t for head in heads for t in _degree_tuples(head, max_sum, amplitude)]
+
+
 def well_formed_hypersurface(weights, degree):
     """Iano-Fletcher Thm 6.10: the ambient is well-formed and the gcd of any
     n - 1 of the n + 1 weights divides the degree."""
@@ -199,17 +206,13 @@ class TestDegreeDrivenGenerator:
     def test_generator_equals_the_enumeration_filtered_by_the_singleton_oracle(
         self, length, max_sum, amplitude
     ):
-        generated = [
-            t
-            for lead in range(1, max_sum // length + 1)
-            for t in _degree_tuples(lead, length, max_sum, amplitude)
-        ]
         expected = [
             t
             for t in _nondecreasing_tuples(length, max_sum, 1)
             if _singleton_condition(t, sum(t) + amplitude) and well_formed(t)
         ]
-        assert generated == expected  # same tuples, same lexicographic order
+        # same tuples, same lexicographic order
+        assert generated(length, max_sum, amplitude) == expected
 
     @pytest.mark.parametrize("amplitude", [1, 7, 10**6, 0, -1])
     def test_bitset_tables_match_their_definitions(self, amplitude):
@@ -266,11 +269,10 @@ class TestDegreeDrivenGenerator:
         length, max_sum = member_dim + 2, SMALL_BOUNDS[member_dim]
         not_quasi_smooth = 0
         for amplitude in (1, 2, 3):
-            for lead in range(1, max_sum // length + 1):
-                for t in _degree_tuples(lead, length, max_sum, amplitude):
-                    x = WeightedHypersurface(Weights(t), sum(t) + amplitude)
-                    assert isinstance(x.member_canonical(), bool), t
-                    not_quasi_smooth += not x.quasi_smooth()
+            for t in generated(length, max_sum, amplitude):
+                x = WeightedHypersurface(Weights(t), sum(t) + amplitude)
+                assert isinstance(x.member_canonical(), bool), t
+                not_quasi_smooth += not x.quasi_smooth()
         assert not_quasi_smooth > 50
 
     @pytest.mark.parametrize("member_dim", [2, 3, 4])
@@ -284,13 +286,12 @@ class TestDegreeDrivenGenerator:
         order_cap = wph.config.DEFAULTS["WPH_ORDER_CAP"]
         verdicts = []
         for amplitude in (1, 2, 3):
-            for lead in range(1, max_sum // length + 1):
-                for t in _degree_tuples(lead, length, max_sum, amplitude):
-                    w, degree = Weights(t), sum(t) + amplitude
-                    verdict = member_walk(Counter(t))(degree, order_cap)
-                    assert verdict == WeightedHypersurface(w, degree).member_canonical(), (t, amplitude)
-                    assert verdict == member_canonical_reference(w, degree), (t, amplitude)
-                    verdicts.append(verdict)
+            for t in generated(length, max_sum, amplitude):
+                w, degree = Weights(t), sum(t) + amplitude
+                verdict = member_walk(Counter(t))(degree, order_cap)
+                assert verdict == WeightedHypersurface(w, degree).member_canonical(), (t, amplitude)
+                assert verdict == member_canonical_reference(w, degree), (t, amplitude)
+                verdicts.append(verdict)
         assert len(verdicts) > 400 and 0 < sum(verdicts) < len(verdicts)
 
     @pytest.mark.parametrize("member_dim,max_sum", [(2, 30), (3, 32), (4, 26), (5, 22)])
@@ -329,11 +330,9 @@ class TestDegreeDrivenGenerator:
         monkeypatch.setenv("WPH_ORDER_CAP", str(cap))
         outcomes = Counter()
         for amplitude in (1, 2):
-            for lead in range(1, 32 // 5 + 1):
-                head = None
-                for t in _degree_tuples(lead, 5, 32, amplitude):
-                    if t[:-2] != head:
-                        head, walk = t[:-2], member_walk(Counter(t[:-2]))
+            for head in _heads(range(1, 32 // 5 + 1), 5, 32):
+                walk = member_walk(Counter(head))
+                for t in _degree_tuples(head, 32, amplitude):
                     degree = sum(t) + amplitude
                     try:
                         got = walk(degree, cap, *t[-2:])
@@ -349,15 +348,14 @@ class TestDegreeDrivenGenerator:
         with pytest.raises(BudgetError, match="WPH_ORDER_CAP"):
             search_records(3, 45)
 
-    def test_the_order_cap_is_read_once_per_batch(self, monkeypatch):
+    def test_the_order_cap_is_read_once_per_search(self, monkeypatch):
         search_records(3, 45)  # warm: a cold germ lookup's Reid-Tai scan reads it too
         reads = []
         cap = wph.config._cap
         monkeypatch.setattr(wph.config, "_cap", lambda name: reads.append(name) or cap(name))
-        assert len(search_records(3, 45)) == 23
-        batches = _batches(3, 45, 1, 0)
-        tuples = sum(len(list(_degree_tuples(*batch[:4]))) for batch in batches)
-        assert reads.count("WPH_ORDER_CAP") == len(batches) < tuples
+        for jobs in (1, 2):  # a child inherits the caller's reading
+            assert len(search_records(3, 45, jobs=jobs)) == 23
+        assert reads.count("WPH_ORDER_CAP") == 2
 
     @pytest.mark.parametrize("member_dim", [2, 3, 4])
     @pytest.mark.parametrize("amplitude", [1, 2, 3])
@@ -449,14 +447,14 @@ class TestDeterminismAndParallelism:
         monkeypatch.setattr(os, "fork", counted_fork)
         records = search_records(2, 10, plurigenera_up_to=1, jobs=10_000)
         assert records == search_records(2, 10, plurigenera_up_to=1)
-        # two leading weights (1 and 2): this process and at most one child
-        assert len(forks) == min(2, CPUS) - 1
+        # min(jobs, usable CPUs) processes: this one and a child per further CPU
+        assert len(forks) == CPUS - 1
 
     def test_without_fork_a_pooled_search_runs_serially(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert search_records(3, 45, jobs=2) == search_records(3, 45)
 
-    def test_a_pooled_budget_error_is_that_of_the_first_failing_batch(self, monkeypatch, capsys):
+    def test_a_pooled_budget_error_is_that_of_the_serial_search(self, monkeypatch, capsys):
         # leading weights 6, 7, 8, ... fail on group orders 6, 7, 8, ...
         monkeypatch.setenv("WPH_ORDER_CAP", "4")
         for jobs in (1, 2):
@@ -495,80 +493,95 @@ class TestDeterminismAndParallelism:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(CPUS < 2, reason="a pooled search forks only with two usable CPUs")
-    def test_a_child_that_dies_mid_batch_fails_the_search(self, monkeypatch):
-        caller, leading_records = os.getpid(), wph.search._leading_records
+    def test_a_child_that_dies_mid_stripe_fails_the_search(self, monkeypatch):
+        caller, walk = os.getpid(), wph.search.member_walk
 
-        def dying(*batch):
+        def dying(counts):
             if os.getpid() != caller:
                 os._exit(7)
-            time.sleep(0.05)  # leaves the child a batch to die in
-            return leading_records(*batch)
+            return walk(counts)
 
-        monkeypatch.setattr(wph.search, "_leading_records", dying)
+        monkeypatch.setattr(wph.search, "member_walk", dying)
         with deadline(30), pytest.raises(RuntimeError, match=r"exited without reporting \(status 7\)"):
             search_records(3, 45, jobs=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_the_pool_runs_more_items_than_it_deals_tokens(self):
-        items = list(range(20_000))  # where PIPE_BUF is 4,096: 1,000 tokens of 20 items
-        with deadline(60):  # more workers than CPUs, so they contend for tokens
-            assert _fork_map(lambda i: i * i, items, CPUS + 2) == [i * i for i in items]
-
-    def test_the_pool_cannot_deadlock_when_its_readers_are_slow(self, monkeypatch):
-        # the caller is preempted before each of its first three token reads and
-        # each child before its first: a caller still feeding the pipe after the
-        # fork then waits on an empty pipe that only it could fill
-        caller, read, reads = os.getpid(), os.read, Counter()
-
-        def slow_read(fd, n):
-            if n == 4:
-                me = os.getpid()
-                reads[me] += 1
-                if reads[me] <= (3 if me == caller else 1):
-                    time.sleep(0.5 if me == caller else 0.2)
-            return read(fd, n)
-
-        monkeypatch.setattr(wph.search.os, "read", slow_read)
-        items = list(range(20_000))
-        with deadline(30):
-            assert _fork_map(lambda i: i * i, items, 3) == [i * i for i in items]
-
-    def test_searches_at_the_default_caps_deal_one_batch_per_token(self):
-        # the most batches a search has: dimension 2 (length 4), amplitude 1, no cut
-        most = len(_batches(2, wph.config.DEFAULTS["WPH_SEARCH_SUM_CAP"], 1, 0))
-        assert most == 125 <= select.PIPE_BUF // 4
-
     def test_the_pool_reaps_every_child_when_one_dies_unreported(self):
-        caller = os.getpid()
-
-        def dying(i):
-            if os.getpid() != caller:
+        def dying(k):
+            if k == 1:
                 os._exit(7)
-            time.sleep(0.01)
-            return i
+            time.sleep(60 if k else 0)  # process 2 is still running: it is killed
+            return k
 
-        with deadline(60), pytest.raises(RuntimeError, match=r"exited without reporting \(status 7\)"):
-            _fork_map(dying, list(range(100)), 3)
+        with deadline(30), pytest.raises(RuntimeError, match=r"exited without reporting \(status 7\)"):
+            _fork_map(dying, 3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_the_pool_raises_the_error_of_the_lowest_failing_item(self):
-        run = -(-20_000 // (select.PIPE_BUF // 4))  # the items a token stands for at 20,000
-        assert run > 3
-        # one item a token; then a run per token, the lowest failure followed by
-        # another in its own run and by failures in later runs
-        for count, failures in (
-            (1000, {300, 500, 700}),
-            (20_000, {600 * run + 7, 201 * run, 200 * run + 3, 200 * run + 1}),
-        ):
-            def failing(i):
-                if i in failures:
-                    raise ValueError(i)
-                return i
+    def test_the_pool_returns_each_value_in_process_order(self):
+        # more processes than CPUs, each pickling back more than a pipe holds
+        # or an exception
+        workers = CPUS + 2
+        with deadline(60):
+            values = _fork_map(lambda k: (k, ValueError(k)) if k == 2 else [k] * 100_000, workers)
+        assert len(values) == workers and values[2][0] == 2
+        assert type(values[2][1]) is ValueError and values[2][1].args == (2,)
+        assert all(values[k] == [k] * 100_000 for k in range(workers) if k != 2)
 
-            with deadline(60), pytest.raises(ValueError, match=f"^{min(failures)}$"):
-                _fork_map(failing, list(range(count)), 3)
+    @pytest.mark.parametrize("member_dim, max_sum, vanishing", [(3, 45, 0), (4, 40, 0), (10, 59, 2)])
+    def test_the_stripes_partition_the_generated_tuples(
+        self, member_dim, max_sum, vanishing, monkeypatch
+    ):
+        # process k of N takes the heads whose index, counted once over every
+        # leading weight of the search, is k mod N
+        length, leads = member_dim + 2, _leading_weights(member_dim, max_sum, 1, vanishing)
+        heads = list(_heads(leads, length, max_sum))
+        seen, degree_tuples = [], _degree_tuples
+
+        def recorded(head, *args):
+            for t in degree_tuples(head, *args):
+                seen.append(t)
+                yield t
+
+        monkeypatch.setattr(wph.search, "_degree_tuples", recorded)
+        every = [t for head in heads for t in degree_tuples(head, max_sum, 1)]
+        records = sorted(r.weights for r in search_records(member_dim, max_sum, vanishing=vanishing))
+        assert records
+        order_cap = wph.config.DEFAULTS["WPH_ORDER_CAP"]
+        for workers in (1, 2, 3, 4):
+            parts, kept = [], []
+            for k in range(workers):
+                seen.clear()
+                stripe = _stripe(k, workers, leads, length, max_sum, 1, vanishing, order_cap)
+                assert seen == [t for head in heads[k::workers] for t in degree_tuples(head, max_sum, 1)]
+                parts += seen
+                kept += [r.weights for r in stripe if r.vanishing_at_least(vanishing)]
+            assert sorted(parts) == every and sorted(kept) == records, workers
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("planted", [(7, 12), (6, 13)])
+    def test_failures_in_two_stripes_raise_the_earlier(self, jobs, planted, monkeypatch):
+        # heads 6 and 12 are on stripe 0, the caller's, and 7 and 13 on stripe 1,
+        # at 2 and at 3 processes: the earlier failure is the child's, then the caller's
+        leads = _leading_weights(3, 45, 1)
+        heads = list(_heads(leads, 5, 45))
+        failing, degree_tuples = {heads[i]: i for i in planted}, _degree_tuples
+
+        def planted_failure(head, *args):
+            if head in failing:
+                raise ValueError(f"head {failing[head]}")
+            return degree_tuples(head, *args)
+
+        monkeypatch.setattr(wph.search, "_degree_tuples", planted_failure)
+        with deadline(30), pytest.raises(ValueError, match=f"^head {min(planted)}$"):
+            search_records(3, 45, jobs=jobs)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # each stripe stops at its own failure, whatever the usable CPUs
+        stripes = [_stripe(k, jobs, leads, 5, 45, 1, 0, 10**6) for k in range(jobs)]
+        failures = sorted(s[0] for s in stripes if isinstance(s, tuple))
+        assert failures == sorted(planted)
 
 
 class TestSearchTables:
@@ -632,8 +645,7 @@ class TestLiteratureAnchors:
         # (Reid 1980; Yonemura 1990; Iano-Fletcher 2000): exactly 95, the last X_66
         found = sorted(
             (sum(w), w)
-            for lead in range(1, 100 // 4 + 1)
-            for w in _degree_tuples(lead, 4, 100, 0)
+            for w in generated(4, 100, 0)
             if WeightedHypersurface(w, sum(w)).quasi_smooth()
         )
         assert len(found) == 95
@@ -649,8 +661,7 @@ class TestLiteratureAnchors:
 
         found = sorted(
             (sum(w) - 1, w)
-            for lead in range(1, 100 // 5 + 1)
-            for w in _degree_tuples(lead, 5, 100, -1)
+            for w in generated(5, 100, -1)
             if WeightedHypersurface(w, sum(w) - 1).quasi_smooth() and terminal(w, sum(w) - 1)
         )
         assert len(found) == 95
@@ -716,14 +727,14 @@ class TestVanishingCut:
     def test_larger_amplitudes_drop_leading_weights_with_a_low_power(self, amplitude, first):
         # x_0 of weight 1 or 2 (amplitude 2), or 1, 2 or 3 (amplitude 3), has a
         # power of degree m * amplitude with m <= 2 below d
-        assert wph.search._batches(4, 36, amplitude, 2, 2)[0][0] == first
+        assert _leading_weights(4, 36, amplitude, 2)[0] == first
         uncut = search_records(4, 36, amplitude, 2)
         for vanishing in (1, 2):
             expected = [r for r in uncut if r.vanishing_at_least(vanishing)]
             assert expected and search_records(4, 36, amplitude, 2, vanishing) == expected
 
     def test_the_cut_starts_past_the_vanishing_count(self):
-        assert [b[0] for b in wph.search._batches(10, 59, 1, 2, 2)] == [3, 4]
+        assert _leading_weights(10, 59, 1, 2) == [3, 4]
         records = search_records(10, 59, vanishing=2)
         assert len(records) == 576
         assert min(r.weights[0] for r in records) == 3
