@@ -16,7 +16,8 @@ coordinate order.  The assigned-volume members P(1^m, a, s, b) have m
 growing like r*a*b, so the kernels here read the runs: their cost grows
 with the number of runs (and, for strata, with the strata listed), never
 with the number of unit weights.  The expanded tuple is
-built only on demand.
+built only on demand.  `_checked` is the one check of any weight multiset,
+and `_tally` its one counter by key (multiplicities and residues).
 """
 
 from __future__ import annotations
@@ -34,22 +35,44 @@ from . import config
 Runs = tuple[tuple[int, int], ...]
 
 
-def _checked(runs: Iterable[tuple[int, int]]) -> Runs:
-    """Canonical form of given runs: counts must be positive integers, and
-    adjacent runs of one value (and type) are joined.  Entries become runs as
-    `_checked(zip(entries, repeat(1)))`; entries of different types never
-    share a run, so validation sees every type."""
+# the messages of `_checked`, by its least value and by its least number of entries
+_LEAST = {0: "quotient weights must be nonnegative", 1: "weights must be positive"}
+_NEED = {1: "one weight", 2: "two weights"}
+
+
+def _checked(runs: Iterable[tuple[int, int]], least: int | None = None, need: int = 0) -> tuple[Runs, int]:
+    """Canonical form of given runs and their number of entries: counts must be positive
+    integers, and adjacent runs of one value (and type) are joined.  Entries become runs as
+    `_checked(zip(entries, repeat(1)), ...)`.  Given `least`, it is the one check of a weight
+    multiset: at least `need` entries, then every value an int (never a bool) >= least;
+    entries of different types never share a run, so that check sees every type."""
     out: list[tuple[int, int]] = []
-    last = None
+    last, length = None, 0
     for a, count in runs:
         if type(count) is not int or count < 1:
             raise ValueError(f"run counts must be positive integers, got {count!r}")
+        length += count
         if out and a == last and type(a) is type(last):
             out[-1] = (a, out[-1][1] + count)
         else:
             out.append((a, count))
             last = a
-    return tuple(out)
+    if length < need:
+        raise ValueError(f"need at least {_NEED[need]}")
+    for a, _ in out if least is not None else ():
+        if type(a) is not int or a < least:
+            raise ValueError(f"{_LEAST[least]} integers, got {a!r}")
+    return tuple(out), length
+
+
+def _tally(pairs: Iterable[tuple[int, int]], start: dict[int, int], modulus: int = 0) -> dict[int, int]:
+    """Key (mod `modulus`, if given) -> summed count over (key, count) pairs, added into
+    `start`: the one counter of multiplicities and residues, with no generator per call."""
+    for key, count in pairs:
+        if modulus:
+            key %= modulus
+        start[key] = start.get(key, 0) + count
+    return start
 
 
 def _expand(runs: Runs) -> tuple[int, ...]:
@@ -76,8 +99,7 @@ def parse_runs(text: str) -> Runs:
     for part in text.split(","):
         base, caret, count = part.strip().partition("^")
         pairs.append((int(base), int(count) if caret else 1))
-    runs = _checked(pairs)
-    length = sum(count for _, count in runs)
+    runs, length = _checked(pairs)
     config.require("WPH_TABLE_CAP", length, f"{length} listed weights")
     return runs
 
@@ -127,15 +149,7 @@ class Weights(_Value):
         *,
         runs: Iterable[tuple[int, int]] | None = None,
     ) -> None:
-        runs = _checked(zip(entries, repeat(1)) if runs is None else runs)
-        length = 0
-        for _, count in runs:
-            length += count
-        if length < 2:
-            raise ValueError("need at least two weights")
-        for a, _ in runs:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                raise ValueError(f"weights must be positive integers, got {a!r}")
+        runs, length = _checked(zip(entries, repeat(1)) if runs is None else runs, 1, 2)
         self.__dict__.update(runs=runs, _length=length)  # frozen: no setattr
 
     @cached_property
@@ -191,10 +205,7 @@ class Weights(_Value):
 
     def multiplicities(self) -> dict[int, int]:
         """Distinct value -> number of coordinates carrying it."""
-        counts: dict[int, int] = {}
-        for a, count in self.runs:
-            counts[a] = counts.get(a, 0) + count
-        return counts
+        return _tally(self.runs, {})
 
     def total(self) -> int:
         return sum(starmap(mul, self.runs))
@@ -237,17 +248,10 @@ class CyclicQuotientSingularity(_Value):
         *,
         runs: Iterable[tuple[int, int]] | None = None,
     ) -> None:
-        runs = _checked(zip(weights, repeat(1)) if runs is None else runs)
         if order < 1:
             raise ValueError("order must be >= 1")
-        if not runs:
-            raise ValueError("need at least one weight")
-        g = order
-        for b, _ in runs:
-            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-                raise ValueError(f"quotient weights must be nonnegative integers, got {b!r}")
-            g = math.gcd(g, b)
-        if g > 1:  # j = order/g would act trivially
+        runs, _ = _checked(zip(weights, repeat(1)) if runs is None else runs, 0, 1)
+        if (g := math.gcd(order, *(b for b, _ in runs))) > 1:  # j = order/g would act trivially
             raise ValueError(f"1/{order}({_format_runs(runs)}) is not faithful (gcd {g})")
         self.__dict__.update(order=order, runs=runs)
 
@@ -347,7 +351,4 @@ def order_residues(counts: dict[int, int], h: int) -> dict[int, int]:
     every stratum of order h: one germ per order, never one per index subset.
     The dict is raw: residue 0 stays, with count 0, when h divides one weight.
     """
-    residues = {0: -1}
-    for v, count in counts.items():
-        residues[v % h] = residues.get(v % h, 0) + count
-    return residues
+    return _tally(counts.items(), {0: -1}, h)

@@ -19,12 +19,13 @@ is realisable iff t >= table[t % a], and no table grows with the degree.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from math import gcd, inf
 from operator import mul, or_
 from typing import TYPE_CHECKING, Iterable
 
 from . import config
-from .core import Weights
+from .core import Weights, _checked, _tally
 from .errors import BudgetError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,14 +39,7 @@ def _multiplicities(w: "Weights | Iterable[int]") -> dict[int, int]:
     # counting works for any nonempty positive tuple, including length 1
     if isinstance(w, Weights):
         return w.multiplicities()
-    counts: dict[int, int] = {}
-    for a in w:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise ValueError("weights must be positive integers")
-        counts[a] = counts.get(a, 0) + 1
-    if not counts:
-        raise ValueError("need at least one weight")
-    return counts
+    return _tally(_checked(zip(w, repeat(1)), 1, 1)[0], {})
 
 
 def with_value(table: list, v: int) -> list:

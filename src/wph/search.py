@@ -54,11 +54,12 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from itertools import islice
+from functools import lru_cache
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from . import config
-from .core import Weights
+from .core import Weights, _tally
 from .hilbert import plurigenera_table
 from .hypersurface import WeightedHypersurface
 from .singularity import member_walk
@@ -103,23 +104,17 @@ def _nondecreasing_tuples(
             yield (v,) + rest
 
 
-_tables: dict = {}  # the last search's tables, by (max_sum, amplitude)
-
-
+@lru_cache(maxsize=1)  # the last search's tables
 def _search_tables(max_sum: int, amplitude: int) -> tuple[list[int], dict[int, list[int]]]:
     """One search's divisor table and classes mod each a <= max_sum // 2 (module docstring)."""
-    key = (max_sum, amplitude)
-    if key not in _tables:
-        divisors, classes = [0] * (max_sum + 1), {}
-        for w in range(1, max_sum + 1):
-            for k in range(-amplitude % w, max_sum + 1, w):
-                divisors[k] |= 1 << w
-        for a in range(2, max_sum // 2 + 1):
-            every = sum(1 << n for n in range(0, max_sum + 1, a))
-            classes[a] = [every << (r - amplitude) % a & (2 << max_sum) - 1 for r in range(a)]
-        _tables.clear()
-        _tables[key] = divisors, classes
-    return _tables[key]
+    divisors, classes = [0] * (max_sum + 1), {}
+    for w in range(1, max_sum + 1):
+        for k in range(-amplitude % w, max_sum + 1, w):
+            divisors[k] |= 1 << w
+    for a in range(2, max_sum // 2 + 1):
+        every = sum(1 << n for n in range(0, max_sum + 1, a))
+        classes[a] = [every << (r - amplitude) % a & (2 << max_sum) - 1 for r in range(a)]
+    return divisors, classes
 
 
 def _heads(leads: Iterable[int], length: int, max_sum: int) -> Iterator[tuple[int, ...]]:
@@ -188,7 +183,7 @@ def _stripe(
             walk = None  # the walk's head part, built at the head's first tuple
             for weights in _degree_tuples(head, max_sum, amplitude):
                 if walk is None:
-                    walk = member_walk({a: head.count(a) for a in head})
+                    walk = member_walk(_tally(zip(head, repeat(1)), {}))
                 degree = sum(weights) + amplitude
                 # both are required; member canonicity rejects far more, and far cheaper
                 if walk(degree, order_cap, *weights[-2:]):

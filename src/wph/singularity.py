@@ -53,6 +53,7 @@ from . import config
 from .core import (
     CyclicQuotientSingularity,
     Weights,
+    _tally,
     order_residues,
     parse_runs,
     singular_strata,
@@ -82,15 +83,7 @@ class SingularityClass(enum.IntEnum):
         return self >= SingularityClass.TERMINAL
 
     def __str__(self) -> str:
-        return _CLASS_NAMES[self]
-
-
-_CLASS_NAMES = {
-    SingularityClass.NOT_CANONICAL: "NotCanonical",
-    SingularityClass.CANONICAL_NOT_TERMINAL: "CanonicalNotTerminal",
-    SingularityClass.TERMINAL: "Terminal",
-    SingularityClass.SMOOTH: "Smooth",
-}
+        return self.name.title().replace("_", "")
 
 
 def _scan(r: int, residues: dict[int, int], stop_below: bool = False) -> tuple[int, int, bool]:
@@ -205,10 +198,7 @@ def reid_tai_sum(s: CyclicQuotientSingularity, j: int) -> Fraction:
 
 def _residues(s: CyclicQuotientSingularity) -> dict[int, int]:
     """The counts of s by residue mod r, key 0 always present (a scan is O(r * keys))."""
-    residues = {0: 0}
-    for b, count in s.runs:
-        residues[b % s.order] = residues.get(b % s.order, 0) + count
-    return residues
+    return _tally(s.runs, {0: 0}, s.order)
 
 
 def classify_quotient(s: CyclicQuotientSingularity) -> SingularityClass:

@@ -117,14 +117,6 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "search-tables-keyed-without-the-amplitude",
-        "src/wph/search.py",
-        "key = (max_sum, amplitude)",
-        "key = max_sum",
-        ("tests/test_search.py",),
-        "killed",
-    ),
-    Mutant(
         "coprime-test-skipped-where-candidates-remain",
         "src/wph/search.py",
         "coprime_to = found and g",
@@ -298,6 +290,22 @@ MUTANTS = (
         "if total < h or",
         "if total <= h or",
         ("tests/test_singularity.py",),
+        "killed",
+    ),
+    Mutant(
+        "validator-accepts-one-below-the-least",
+        "src/wph/core.py",
+        "if type(a) is not int or a < least:",
+        "if type(a) is not int or a < least - 1:",
+        ("tests/test_core.py", "tests/test_singularity.py"),
+        "killed",
+    ),
+    Mutant(
+        "order-residues-keep-the-left-out-weight",
+        "src/wph/core.py",
+        "{0: -1}, h)",
+        "{0: 0}, h)",
+        ("tests/test_core.py",),
         "killed",
     ),
 )

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from wph.core import (
 )
 from wph.errors import BudgetError
 from wph.families import Check, verify_family
+from wph.hilbert import monomial_count
 from wph.hypersurface import WeightedHypersurface, singularity_report
 from wph.search import search_records
 from wph.singularity import classify_quotient, quotient_report
@@ -87,6 +89,23 @@ class TestWeights:
             Weights((1, -2))
         with pytest.raises(IndexError):
             Weights((1, 2))[2]
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2", -1, 0])
+    def test_one_validator_checks_every_weight_multiset(self, bad):
+        # `core._checked` names the value; a quotient weight may be 0, no other weight
+        builders = {
+            "entries": lambda: Weights((1, bad)),
+            "runs": lambda: Weights(runs=((1, 1), (bad, 2))),
+            "quotient": lambda: CyclicQuotientSingularity(5, (1, bad)),
+            "monomial_count": lambda: monomial_count((1, bad), 3),
+        }
+        for name, build in builders.items():
+            if bad == 0 and name == "quotient":
+                assert build().runs == ((1, 1), (0, 1))
+                continue
+            with pytest.raises(ValueError, match=rf"integers, got {re.escape(repr(bad))}$"):
+                build()
+        assert monomial_count((1,), 7) == 1
 
     def test_parse_round_trip(self):
         w = Weights.parse("4,5,6,7,23")

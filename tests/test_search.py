@@ -593,7 +593,7 @@ class TestSearchTables:
         """Each search of `runs` on tables built for it alone."""
         results = []
         for args, kwargs in runs:
-            wph.search._tables.clear()
+            _search_tables.cache_clear()
             results.append(search_records(*args, **kwargs))
         return results
 
@@ -611,7 +611,9 @@ class TestSearchTables:
         for (args, kwargs), records in zip(runs, expected):
             assert search_records(*args, **kwargs) == records, (args, kwargs)
             # one search's tables at most, those of the search just run
-            assert list(wph.search._tables) == [(args[1], kwargs.get("amplitude", 1))]
+            held = _search_tables.cache_info()
+            _search_tables(args[1], kwargs.get("amplitude", 1))
+            assert held.currsize == 1 and _search_tables.cache_info().hits == held.hits + 1
 
     def test_the_tables_follow_the_amplitude_at_one_weight_sum(self):
         runs = [((2, 40), {"amplitude": amplitude}) for amplitude in (1, 2, 3)]
