@@ -248,6 +248,8 @@ class CyclicQuotientSingularity(_Value):
         *,
         runs: Iterable[tuple[int, int]] | None = None,
     ) -> None:
+        if type(order) is not int:  # the value rule of `_checked`: an int, never a bool
+            raise ValueError(f"order must be an integer, got {order!r}")
         if order < 1:
             raise ValueError("order must be >= 1")
         runs, _ = _checked(zip(weights, repeat(1)) if runs is None else runs, 0, 1)

@@ -38,7 +38,15 @@ gcd(g, u) > 1 is skipped, and v must be coprime to g and to gcd(P, u), read
 only where some v is left.  The member walk's head part is built once per
 head (`singularity.member_walk`), and each tuple's (u, v) is run as its tail:
 only member-canonical tuples become objects and reach `quasi_smooth` (dim 3,
-S = 80: 2,377 tuples over 519 heads, 23 member-canonical, 23 quasi-smooth).
+S = 80: 2,377 tuples over 519 heads, 356 walked, 23 member-canonical, all
+quasi-smooth).  Before the walk, `_tail_fails` reads the germs at the tail's
+points, less one residue-d direction, on raw ints (t = sum(head), n = its
+length): at P_v (v > u, d % v > 0) each other weight is its own residue, so
+T(1) = t + u - d % v over n moved; at P_u (d % u > 0) the c head weights u, and
+v if u | v, are 0, so T(1) = t - c * u + v % u - d % u over n - c - [u | v].
+T(1) or h * moved - T(1) below h is the walk's own NOT_CANONICAL there, so no
+record changes (2,021 of its 2,354 rejections).  It builds no per-head table of
+germs (one was a loss); its rejects never meet `WPH_ORDER_CAP`.
 
 The heads are counted once over the whole search, across its leading weights,
 and with jobs = N process k of N runs heads k, k + N, k + 2N, ... (`_stripe`):
@@ -170,6 +178,15 @@ def _degree_tuples(head: tuple[int, ...], max_sum: int, amplitude: int) -> Itera
                 yield head + (u, v)
 
 
+def _tail_fails(head: tuple[int, ...], t: int, d: int, u: int, v: int) -> int:
+    """The order h of the point P_v or P_u where T(1) or T(h - 1) < h (module docstring), or 0."""
+    if v > u and (r := d % v) and (t + u - r < v or v * len(head) - t - u + r < v):
+        return v
+    c = head.count(u)  # at P_u: the head's other weights and v, less one residue-d direction
+    total, moved = t - c * u + v % u - (r := d % u), len(head) - c - (v % u == 0)
+    return u if r and (total < u or u * moved - total < u) else 0
+
+
 def _stripe(
     k: int, workers: int, leads: list[int], length: int, max_sum: int, amplitude: int,
     up_to: int, order_cap: int,
@@ -180,11 +197,12 @@ def _stripe(
     records = []
     try:
         for index, head in islice(enumerate(_heads(leads, length, max_sum)), k, None, workers):
-            walk = None  # the walk's head part, built at the head's first tuple
+            t, walk = sum(head), None  # the walk's head part, built at the head's first walk
             for weights in _degree_tuples(head, max_sum, amplitude):
-                if walk is None:
-                    walk = member_walk(_tally(zip(head, repeat(1)), {}))
                 degree = sum(weights) + amplitude
+                if _tail_fails(head, t, degree, *weights[-2:]):
+                    continue  # the walk fails at that point too
+                walk = walk or member_walk(_tally(zip(head, repeat(1)), {}))
                 # both are required; member canonicity rejects far more, and far cheaper
                 if walk(degree, order_cap, *weights[-2:]):
                     x = WeightedHypersurface(Weights(weights), degree)

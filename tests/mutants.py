@@ -125,6 +125,30 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "tail-point-p-v-keeps-the-dropped-residue-in-t-h-minus-1",
+        "src/wph/search.py",
+        "v * len(head) - t - u + r < v",
+        "v * len(head) - t - u < v",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "tail-point-rejects-t1-equal-to-h",
+        "src/wph/search.py",
+        "(t + u - r < v or",
+        "(t + u - r <= v or",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "tail-point-p-u-counts-no-head-copy-of-u",
+        "src/wph/search.py",
+        "c = head.count(u)",
+        "c = 0",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
         "stripe-takes-every-head",
         "src/wph/search.py",
         "islice(enumerate(_heads(leads, length, max_sum)), k, None, workers)",

@@ -107,6 +107,14 @@ class TestWeights:
                 build()
         assert monomial_count((1,), 7) == 1
 
+    @pytest.mark.parametrize("order", [True, 2.0])
+    def test_a_quotient_order_must_be_an_int(self, order):
+        # the value rule of the weights: a bool is no int, and a float never reaches gcd
+        with pytest.raises(ValueError, match=rf"^order must be an integer, got {re.escape(repr(order))}$"):
+            CyclicQuotientSingularity(order, (1,))
+        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+            CyclicQuotientSingularity(0, (1,))  # an int below 1 keeps its message
+
     def test_parse_round_trip(self):
         w = Weights.parse("4,5,6,7,23")
         assert w.entries == (4, 5, 6, 7, 23)

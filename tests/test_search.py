@@ -34,6 +34,7 @@ from wph.search import (
     _nondecreasing_tuples,
     _search_tables,
     _stripe,
+    _tail_fails,
     search_records,
 )
 from test_hypersurface import canonical_by_index, induced_by_index  # the index-subset oracles
@@ -364,6 +365,72 @@ class TestDegreeDrivenGenerator:
         assert records
         for record in records:
             assert well_formed_hypersurface(record.weights, record.degree), record
+
+
+def tail_point(weights, degree):
+    """`_tail_fails` on a whole tuple: the order of its failing tail point, or 0."""
+    return _tail_fails(weights[:-2], sum(weights[:-2]), degree, *weights[-2:])
+
+
+class TestTailPoints:
+    @pytest.mark.parametrize("length,max_sum", [(5, 80), (6, 60), (7, 40), (12, 59)])
+    @pytest.mark.parametrize("amplitude", [1, 2, 3, 10**6])
+    def test_a_rejected_tuple_fails_at_the_named_point(self, length, max_sum, amplitude):
+        # the germ at P_h built by index: every weight but the point's own, less one
+        # direction of residue d mod h; the member there is not canonical, so neither
+        # is the member by the per-order reference
+        rejected = 0
+        for weights in generated(length, max_sum, amplitude):
+            degree = sum(weights) + amplitude
+            if not (h := tail_point(weights, degree)):
+                continue
+            rejected += 1
+            point = len(weights) - (1 if h == weights[-1] > weights[-2] else 2)
+            rest = [*weights[:point], *weights[point + 1:]]
+            rest.remove(next(b for b in rest if b % h == degree % h))
+            assert classify_quotient(CyclicQuotientSingularity(h, rest)) == SingularityClass.NOT_CANONICAL
+            assert member_canonical_reference(weights, degree) is False, weights
+        assert rejected > 0
+
+    def test_the_tail_points_decide_most_rejections_in_dimension_three(self):
+        tuples = generated(5, 80, 1)
+        rejected = [t for t in tuples if not member_canonical_reference(t, sum(t) + 1)]
+        assert (len(tuples), len(rejected)) == (2377, 2354)
+        assert sum(bool(tail_point(t, sum(t) + 1)) for t in rejected) == 2021
+
+    def test_the_tail_points_leave_few_walks_in_dimension_three(self, monkeypatch):
+        walks, walk = [], wph.search.member_walk
+
+        def counted(counts):
+            checked = walk(counts)
+            return lambda *args: walks.append(args) or checked(*args)
+
+        monkeypatch.setattr(wph.search, "member_walk", counted)
+        wph.singularity._germ_class.cache_clear()
+        assert len(search_records(3, 80)) == 23
+        lookups = wph.singularity._germ_class.cache_info()
+        assert len(walks) == 356 and lookups.hits + lookups.misses <= 600
+
+    @pytest.mark.parametrize("cap", [4, 6])
+    @pytest.mark.parametrize("max_sum,vanishing", [(45, 0), (80, 5)])
+    def test_a_lowered_cap_is_breached_where_the_kept_tuples_breach_it(
+        self, cap, max_sum, vanishing, monkeypatch
+    ):
+        # a tuple failing at a tail point never reaches the walk, so only the
+        # tuples kept, read in order by the ascending reference, name the breach
+        def reference():
+            for head in _heads(_leading_weights(3, max_sum, 1, vanishing), 5, max_sum):
+                for t in _degree_tuples(head, max_sum, 1):
+                    if not tail_point(t, sum(t) + 1):
+                        if type(h := member_canonical_reference(t, sum(t) + 1, cap)) is int:
+                            wph.config.require("WPH_ORDER_CAP", h, f"group order {h}", cap)
+
+        monkeypatch.setenv("WPH_ORDER_CAP", str(cap))
+        with pytest.raises(BudgetError) as expected:
+            reference()
+        with pytest.raises(BudgetError) as got:
+            search_records(3, max_sum, vanishing=vanishing)
+        assert str(got.value) == str(expected.value)
 
 
 class TestReverification:
