@@ -21,8 +21,8 @@ other weights sum to at least length - 1, so for every amplitude >= 1.
 * The largest weight v is chosen from the degree.  With s the sum of the
   other weights, d = s + v + amplitude, so v | d iff v | s + amplitude and
   v | d - a_j iff v | s + amplitude - a_j.  Entry k of the divisor table is
-  the bitset of the divisors <= max_sum of amplitude + k, so a (head, u)
-  ORs its entries at s - b, for b = 0, u and the head values.
+  the bitset of the divisors <= max_sum of amplitude + k, so a (head, u) left
+  some v by the classes below ORs its entries at s - b, b = 0, u or in head.
 * Every other weight is tested on bitsets over n = d - amplitude in
   [0, max_sum], so none grows with the amplitude.  For each value a > 1 of
   the head (all but the two largest weights u <= v), and for u, the union of
@@ -38,15 +38,23 @@ gcd(g, u) > 1 is skipped, and v must be coprime to g and to gcd(P, u), read
 only where some v is left.  The member walk's head part is built once per
 head (`singularity.member_walk`), and each tuple's (u, v) is run as its tail:
 only member-canonical tuples become objects and reach `quasi_smooth` (dim 3,
-S = 80: 2,377 tuples over 519 heads, 356 walked, 23 member-canonical, all
+S = 80: 1,901 tuples over 508 heads, 356 walked, 23 member-canonical, all
 quasi-smooth).  Before the walk, `_tail_fails` reads the germs at the tail's
 points, less one residue-d direction, on raw ints (t = sum(head), n = its
 length): at P_v (v > u, d % v > 0) each other weight is its own residue, so
 T(1) = t + u - d % v over n moved; at P_u (d % u > 0) the c head weights u, and
 v if u | v, are 0, so T(1) = t - c * u + v % u - d % u over n - c - [u | v].
 T(1) or h * moved - T(1) below h is the walk's own NOT_CANONICAL there, so no
-record changes (2,021 of its 2,354 rejections).  It builds no per-head table of
+record changes (1,545 of its 1,878 rejections).  It builds no per-head table of
 germs (one was a loss); its rejects never meet `WPH_ORDER_CAP`.
+
+So `_stripe` asks the generator only for u <= t + amplitude and u = 2(t +
+amplitude), as every other tail fails (amplitude >= 1): if u > t + amplitude,
+e = d - v = t + u + amplitude < 2v, so d % v is e or e - v and T(1) at P_v is
+-amplitude or v - amplitude, passing only v = u and v = e; at P_u, d % u is
+t + amplitude at v = u, T(1) = -c * u - amplitude, and 2(t + amplitude) % u at
+v = e, zero only at u = 2(t + amplitude), T(1) <= u - amplitude.  Over every
+u, as the K3 and Fano anchors (amplitudes 0, -1) run it, it yields 2,377 here.
 
 The heads are counted once over the whole search, across its leading weights,
 and with jobs = N process k of N runs heads k, k + N, k + 2N, ... (`_stripe`):
@@ -133,9 +141,12 @@ def _heads(leads: Iterable[int], length: int, max_sum: int) -> Iterator[tuple[in
             yield (lead,) + middle
 
 
-def _degree_tuples(head: tuple[int, ...], max_sum: int, amplitude: int) -> Iterator[tuple[int, ...]]:
+def _degree_tuples(
+    head: tuple[int, ...], max_sum: int, amplitude: int, us: Iterable[int] | None = None
+) -> Iterator[tuple[int, ...]]:
     """The well-formed tuples head + (u, v) whose every weight passes the
-    singleton test (module docstring), in lexicographic order: u and v ascend."""
+    singleton test (module docstring), in lexicographic order: u and v ascend.
+    u runs over `us`, ascending values in [head[-1], (max_sum - sum(head)) // 2], or all of them."""
     divisors, classes = _search_tables(max_sum, amplitude)
 
     def residues(a: int) -> int:  # the classes of 0 and the head values, mod a
@@ -151,19 +162,20 @@ def _degree_tuples(head: tuple[int, ...], max_sum: int, amplitude: int) -> Itera
     gaps = (0, *set(head))
     g = math.gcd(*head)
     dropped = 0  # the product of the gcds > 1 of the head with one weight left out
-    for u in range(head[-1], (max_sum - t) // 2 + 1):
+    for u in range(head[-1], (max_sum - t) // 2 + 1) if us is None else us:
         if math.gcd(g, u) > 1:
             continue  # leaving out v keeps this factor
         s = t + u
         e = s + amplitude  # d - v
-        # v in [u, max_sum - s] with v | d - b (b = 0, u or a head value), at bit s + v
-        found = divisors[t]
-        for b in gaps:
-            found |= divisors[s - b]
-        found = (found & (1 << max_sum - s + 1) - (1 << u)) << s
+        found = (1 << max_sum + 1) - (1 << s + u)  # v in [u, max_sum - s], at bit s + v
         for a, kept, by_residue in head_sets:
             if e % a:  # else d = v mod a, and every v passes
                 found &= kept | by_residue[u % a]
+        if found:  # v | d - b for b = 0, u or a head value
+            divided = divisors[t]
+            for b in gaps:
+                divided |= divisors[s - b]
+            found &= divided << s
         if found and u > 1 and e % u and u != head[-1]:  # else u passes, or has its set
             found &= residues(u)
         if found and not dropped:  # built for the heads with candidates only
@@ -198,7 +210,9 @@ def _stripe(
     try:
         for index, head in islice(enumerate(_heads(leads, length, max_sum)), k, None, workers):
             t, walk = sum(head), None  # the walk's head part, built at the head's first walk
-            for weights in _degree_tuples(head, max_sum, amplitude):
+            top, bound = (max_sum - t) // 2, t + amplitude  # every u in (bound, top] but 2 * bound fails
+            us = list(range(head[-1], min(top, bound) + 1)) + [2 * bound] * (2 * bound <= top)
+            for weights in _degree_tuples(head, max_sum, amplitude, us):
                 degree = sum(weights) + amplitude
                 if _tail_fails(head, t, degree, *weights[-2:]):
                     continue  # the walk fails at that point too

@@ -149,6 +149,30 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "u-bound-one-below-the-head-sum-plus-amplitude",
+        "src/wph/search.py",
+        "range(head[-1], min(top, bound) + 1)",
+        "range(head[-1], min(top, bound - 1) + 1)",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "u-bound-drops-twice-the-head-bound",
+        "src/wph/search.py",
+        " + [2 * bound] * (2 * bound <= top)",
+        "",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "u-bound-asks-for-three-times-the-head-bound",
+        "src/wph/search.py",
+        "[2 * bound] * (2 * bound <= top)",
+        "[3 * bound] * (2 * bound <= top)",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
         "stripe-takes-every-head",
         "src/wph/search.py",
         "islice(enumerate(_heads(leads, length, max_sum)), k, None, workers)",

@@ -372,6 +372,13 @@ def tail_point(weights, degree):
     return _tail_fails(weights[:-2], sum(weights[:-2]), degree, *weights[-2:])
 
 
+def searched_us(head, max_sum, amplitude):
+    """The u values the search runs for `head`: those of the full range up to
+    t + amplitude, and 2 (t + amplitude), t being the head's sum."""
+    t = sum(head)
+    return [u for u in range(head[-1], (max_sum - t) // 2 + 1) if u <= t + amplitude or u == 2 * (t + amplitude)]
+
+
 class TestTailPoints:
     @pytest.mark.parametrize("length,max_sum", [(5, 80), (6, 60), (7, 40), (12, 59)])
     @pytest.mark.parametrize("amplitude", [1, 2, 3, 10**6])
@@ -410,6 +417,49 @@ class TestTailPoints:
         assert len(search_records(3, 80)) == 23
         lookups = wph.singularity._germ_class.cache_info()
         assert len(walks) == 356 and lookups.hits + lookups.misses <= 600
+
+    @pytest.mark.parametrize("length,max_sum", [(5, 80), (6, 60), (7, 40), (12, 59)])
+    @pytest.mark.parametrize("amplitude", [1, 2, 3, 10**6])
+    def test_a_tail_with_u_above_the_head_bound_fails_at_a_tail_point(self, length, max_sum, amplitude):
+        # with b = t + amplitude, every tuple of the full range with u > b fails at
+        # P_u or P_v but (head, 2b, 3b); no generated u exceeds b at amplitude 10**6
+        # (u <= max_sum / 2) nor at length 12
+        above = 0
+        for weights in generated(length, max_sum, amplitude):
+            bound, (u, v) = sum(weights[:-2]) + amplitude, weights[-2:]
+            if u > bound:
+                above += 1
+                passes = (u, v) == (2 * bound, 3 * bound)
+                assert tail_point(weights, sum(weights) + amplitude) or passes, weights
+        assert above > 0 or amplitude == 10**6 or length == 12
+
+    @pytest.mark.parametrize("member_dim,max_sum,vanishing", [(3, 80, 0), (4, 60, 0), (5, 40, 0), (10, 59, 2)])
+    @pytest.mark.parametrize("amplitude", [1, 2, 3, 10**6])
+    def test_the_search_walks_what_the_full_range_walks(
+        self, member_dim, max_sum, vanishing, amplitude, monkeypatch
+    ):
+        # the reference runs every u of the full range, then the tail points; no
+        # walk's verdict changes which tuples are walked, so each records and fails
+        walks = []
+
+        def recorded(counts):
+            head = tuple(sorted(Counter(counts).elements()))
+            return lambda degree, cap, u, v: walks.append((head, degree, u, v))
+
+        leads = _leading_weights(member_dim, max_sum, amplitude, vanishing)
+        expected = [
+            (head, sum(t) + amplitude, *t[-2:])
+            for head in _heads(leads, member_dim + 2, max_sum)
+            for t in _degree_tuples(head, max_sum, amplitude)
+            if not tail_point(t, sum(t) + amplitude)
+        ]
+        monkeypatch.setattr(wph.search, "member_walk", recorded)
+        search_records(member_dim, max_sum, amplitude, vanishing=vanishing)
+        assert walks == expected
+        if (member_dim, max_sum, amplitude) == (3, 80, 1):
+            bounds = [(u, sum(head) + 1) for head, _, u, _ in walks]  # (u, t + amplitude)
+            assert len(walks) == 356
+            assert sum(u == b for u, b in bounds) == 89 and sum(u == 2 * b for u, b in bounds) == 15
 
     @pytest.mark.parametrize("cap", [4, 6])
     @pytest.mark.parametrize("max_sum,vanishing", [(45, 0), (80, 5)])
@@ -611,8 +661,11 @@ class TestDeterminismAndParallelism:
                 seen.append(t)
                 yield t
 
+        def searched(head):  # the tuples at the u values the search runs (`searched_us`)
+            return degree_tuples(head, max_sum, 1, searched_us(head, max_sum, 1))
+
         monkeypatch.setattr(wph.search, "_degree_tuples", recorded)
-        every = [t for head in heads for t in degree_tuples(head, max_sum, 1)]
+        every = [t for head in heads for t in searched(head)]
         records = sorted(r.weights for r in search_records(member_dim, max_sum, vanishing=vanishing))
         assert records
         order_cap = wph.config.DEFAULTS["WPH_ORDER_CAP"]
@@ -621,7 +674,7 @@ class TestDeterminismAndParallelism:
             for k in range(workers):
                 seen.clear()
                 stripe = _stripe(k, workers, leads, length, max_sum, 1, vanishing, order_cap)
-                assert seen == [t for head in heads[k::workers] for t in degree_tuples(head, max_sum, 1)]
+                assert seen == [t for head in heads[k::workers] for t in searched(head)]
                 parts += seen
                 kept += [r.weights for r in stripe if r.vanishing_at_least(vanishing)]
             assert sorted(parts) == every and sorted(kept) == records, workers
