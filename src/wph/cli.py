@@ -386,9 +386,9 @@ COMMANDS = {
         "--plurigenera": dict(type=int, default=None, metavar="M", count=True),
         "--jobs": dict(
             type=int, default=1, metavar="N",
-            help="processes to search on, this one included; process k of N takes heads k, "
-            "k + N, ..., a head being a weight tuple without its two largest weights; serial "
-            "where os.fork is missing; an error is that of the first failing head (default: 1)",
+            help="processes to search on, this one included; each claims runs of heads in order, "
+            "a head being a weight tuple without its two largest weights; serial where "
+            "os.fork is missing; an error is that of the first failing head (default: 1)",
         ),
         "--csv": dict(action="store_true", default=False),
     }),

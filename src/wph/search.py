@@ -48,7 +48,7 @@ T(1) or h * moved - T(1) below h is the walk's own NOT_CANONICAL there, so no
 record changes (1,545 of its 1,878 rejections).  It builds no per-head table of
 germs (one was a loss); its rejects never meet `WPH_ORDER_CAP`.
 
-So `_stripe` asks the generator only for u <= t + amplitude and u = 2(t +
+So `_share` asks the generator only for u <= t + amplitude and u = 2(t +
 amplitude), as every other tail fails (amplitude >= 1): if u > t + amplitude,
 e = d - v = t + u + amplitude < 2v, so d % v is e or e - v and T(1) at P_v is
 -amplitude or v - amplitude, passing only v = u and v = e; at P_u, d % u is
@@ -56,23 +56,24 @@ t + amplitude at v = u, T(1) = -c * u - amplitude, and 2(t + amplitude) % u at
 v = e, zero only at u = 2(t + amplitude), T(1) <= u - amplitude.  Over every
 u, as the K3 and Fano anchors (amplitudes 0, -1) run it, it yields 2,377 here.
 
-The heads are counted once over the whole search, across its leading weights,
-and with jobs = N process k of N runs heads k, k + N, k + 2N, ... (`_stripe`):
-this process is k = 0 and the others are forked children (`_fork_map`), so
-`jobs` counts the caller, and a leading weight holding most of the tuples is
-shared too; where `os.fork` is missing the search is serial.  Each process
-stops at its first failing head, and the search raises the failure of the
-least head index: that of the serial search, as its tuples come in order.
+With jobs = N > 1 the H heads are counted, and one write before any fork puts
+the numbers of ceil(H / C) chunks of C heads on a pipe, C = ceil(H / (PIPE_BUF
+/ 4)).  This process and N - 1 forked children (`_fork_map`) claim them in
+order, each walking the heads forward once (`_claims`, `_share`), so a share
+moves to the faster process; children send rows of ints back by `marshal`.  A
+process stops claiming at its first failing head, and the search raises that
+of the least head index, the serial search's: every chunk below was claimed.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import config
 from .core import Weights, _tally
@@ -199,33 +200,42 @@ def _tail_fails(head: tuple[int, ...], t: int, d: int, u: int, v: int) -> int:
     return u if r and (total < u or u * moved - total < u) else 0
 
 
-def _stripe(
-    k: int, workers: int, leads: list[int], length: int, max_sum: int, amplitude: int,
-    up_to: int, order_cap: int,
-) -> list[SearchRecord] | tuple[int, Exception]:
-    """Heads k, k + workers, k + 2 * workers, ... of the search, counted once
-    over all its leading weights: their records, or (head index, exception) of
-    the first failing head."""
-    records = []
+def _share(
+    spans: Iterable[tuple[int, int | None]], leads: list[int], length: int, max_sum: int,
+    amplitude: int, up_to: int, order_cap: int,
+) -> list[tuple] | tuple[int, Exception]:
+    """The heads in the ascending spans [first, stop) of head indices: their records
+    as rows (weights, degree, amplitude, volume numerator, denominator, plurigenera),
+    or (head index, exception) of the first failing head; no span is read after it."""
+    rows, heads, at = [], enumerate(_heads(leads, length, max_sum)), 0
     try:
-        for index, head in islice(enumerate(_heads(leads, length, max_sum)), k, None, workers):
-            t, walk = sum(head), None  # the walk's head part, built at the head's first walk
-            top, bound = (max_sum - t) // 2, t + amplitude  # every u in (bound, top] but 2 * bound fails
-            us = list(range(head[-1], min(top, bound) + 1)) + [2 * bound] * (2 * bound <= top)
-            for weights in _degree_tuples(head, max_sum, amplitude, us):
-                degree = sum(weights) + amplitude
-                if _tail_fails(head, t, degree, *weights[-2:]):
-                    continue  # the walk fails at that point too
-                walk = walk or member_walk(_tally(zip(head, repeat(1)), {}))
-                # both are required; member canonicity rejects far more, and far cheaper
-                if walk(degree, order_cap, *weights[-2:]):
-                    x = WeightedHypersurface(Weights(weights), degree)
-                    if x.quasi_smooth():
-                        genera = plurigenera_table(x, up_to)
-                        records.append(SearchRecord(weights, degree, amplitude, x.volume(), genera))
+        for first, stop in spans:
+            for index, head in islice(heads, first - at, stop and stop - at):
+                t, walk = sum(head), None  # the walk's head part, built at the head's first walk
+                top, bound = (max_sum - t) // 2, t + amplitude  # every u in (bound, top] but 2 * bound fails
+                us = list(range(head[-1], min(top, bound) + 1)) + [2 * bound] * (2 * bound <= top)
+                for weights in _degree_tuples(head, max_sum, amplitude, us):
+                    degree = sum(weights) + amplitude
+                    if _tail_fails(head, t, degree, *weights[-2:]):
+                        continue  # the walk fails at that point too
+                    walk = walk or member_walk(_tally(zip(head, repeat(1)), {}))
+                    # both are required; member canonicity rejects far more, and far cheaper
+                    if walk(degree, order_cap, *weights[-2:]):
+                        x = WeightedHypersurface(Weights(weights), degree)
+                        if x.quasi_smooth():
+                            ratio = x.volume().as_integer_ratio()  # ints, for `marshal`
+                            rows.append((weights, degree, amplitude, *ratio, plurigenera_table(x, up_to)))
+            at = stop
     except Exception as exc:
         return index, exc
-    return records
+    return rows
+
+
+def _claims(tasks: BinaryIO, run: int) -> Iterator[tuple[int, int]]:
+    """The spans of `run` heads this process claims, a 4-byte chunk number at a time."""
+    while token := tasks.read(4):  # unbuffered: one read of the shared pipe
+        first = int.from_bytes(token, "little") * run
+        yield first, first + run
 
 
 def _leading_weights(
@@ -249,13 +259,10 @@ def _leading_weights(
 
 def _fork_map(fn, workers: int) -> list:
     """[fn(k) for k in range(workers)], fn(k) run on process k: this one is 0,
-    the others are forked children.  A child pickles its value back on its own
-    pipe and leaves through `os._exit`.  Raises a RuntimeError naming the exit
-    status of a child that died unreported; every child is killed if still
-    running and reaped, whatever happens."""
-    import pickle  # only pooled searches pay for it
-    import signal
-
+    the others are forked children.  A child sends its value back on its own
+    pipe through `marshal` (`pickle` if it will not: an exception) and leaves
+    through `os._exit`.  Raises a RuntimeError naming the exit status of a child
+    that died unreported; every child is killed if still running and reaped."""
     children: dict[int, int] = {}  # unreaped pid -> read end of its result pipe
     open_fds = []
     try:
@@ -266,8 +273,13 @@ def _fork_map(fn, workers: int) -> list:
             if pid == 0:
                 status = 1
                 try:
+                    value = fn(k)
                     with open(w, "wb") as out:
-                        out.write(pickle.dumps(fn(k)))
+                        try:
+                            out.write(b"m" + marshal.dumps(value))
+                        except ValueError:  # only a value that will not marshal pays for pickle
+                            import pickle
+                            out.write(b"p" + pickle.dumps(value))
                     status = 0
                 finally:
                     os._exit(status)  # never unwind into the caller's stack
@@ -281,10 +293,12 @@ def _fork_map(fn, workers: int) -> list:
             del children[pid]
             if status:
                 raise RuntimeError(f"pool worker {pid} exited without reporting (status {status})")
-            values.append(pickle.loads(data))
+            codec = __import__("pickle") if data[:1] == b"p" else marshal  # "p": it would not marshal
+            values.append(codec.loads(data[1:]))
         return values
     finally:
         for pid in children:
+            import signal  # only a pool left with a running child pays for it
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for fd in open_fds:
@@ -301,12 +315,12 @@ def search_records(
 ) -> list[SearchRecord]:
     """All surviving records sorted by (volume, weights); optionally those whose
     first `vanishing` plurigenera are zero.  The result is independent of the
-    worker count: the stripes of heads merge into one sorted list.  `jobs`
-    counts the calling process, which runs stripe 0: min(jobs, usable CPUs)
-    processes run, so jobs - 1 children at most are forked, and none where
-    `os.fork` is missing (the search is then serial).  A failing search raises
-    the error of its first failing head, as the serial search does.  jobs or
-    vanishing below their least values is a ValueError."""
+    worker count: the shares of heads merge into one sorted list.  `jobs`
+    counts the calling process, which claims chunks of heads too: min(jobs,
+    usable CPUs) processes run, so jobs - 1 children at most are forked, and
+    none where `os.fork` is missing (the search is then serial).  A failing
+    search raises the error of its first failing head, as the serial search
+    does.  jobs or vanishing below their least values is a ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if vanishing < 0:
@@ -319,12 +333,22 @@ def search_records(
     if jobs > 1 and hasattr(os, "fork"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         workers = min(jobs, cpus or 1)
-    search = (workers, leads, member_dim + 2, max_weight_sum, amplitude, up_to, order_cap)
-    stripes = _fork_map(lambda k: _stripe(k, *search), workers) if workers > 1 else [_stripe(0, *search)]
-    failures = [stripe for stripe in stripes if isinstance(stripe, tuple)]
+    search = (leads, member_dim + 2, max_weight_sum, amplitude, up_to, order_cap)
+    if workers == 1:
+        shares = [_share([(0, None)], *search)]
+    else:  # H heads (lead, *p, c), c from the weight before it to a third of the sum left
+        heads = sum((max_weight_sum - lead - sum(p)) // 3 - (p or (lead,))[-1] + 1 for lead in leads
+                    for p in _nondecreasing_tuples(member_dim - 2, max_weight_sum - lead, lead, 3))
+        tasks, fill = os.pipe()
+        run = -(-heads // (os.fpathconf(fill, "PC_PIPE_BUF") // 4)) or 1  # ceil(H / run) chunks of run heads
+        with open(fill, "wb", buffering=0) as out:  # an empty pipe takes PIPE_BUF bytes at once
+            out.write(b"".join(c.to_bytes(4, "little") for c in range(-(-heads // run))))
+        with open(tasks, "rb", buffering=0) as claims:
+            shares = _fork_map(lambda k: _share(_claims(claims, run), *search), workers)
+    failures = [share for share in shares if isinstance(share, tuple)]
     if failures:
         raise min(failures)[1]  # (head index, exception); the indices differ
-    records = [r for stripe in stripes for r in stripe]
+    records = [SearchRecord(w, d, a, Fraction(p, q), g) for share in shares for w, d, a, p, q, g in share]
     if vanishing:
         records = [r for r in records if r.vanishing_at_least(vanishing)]
     records.sort(key=lambda r: r.sort_key)

@@ -173,10 +173,34 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "stripe-takes-every-head",
+        "claimed-chunk-ends-one-head-early",
         "src/wph/search.py",
-        "islice(enumerate(_heads(leads, length, max_sum)), k, None, workers)",
-        "islice(enumerate(_heads(leads, length, max_sum)), 0, None, 1)",
+        "yield first, first + run",
+        "yield first, first + run - 1",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "claim-token-decoded-one-chunk-late",
+        "src/wph/search.py",
+        'first = int.from_bytes(token, "little") * run',
+        'first = (int.from_bytes(token, "little") + 1) * run',
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "head-count-one-short-per-run-of-last-weights",
+        "src/wph/search.py",
+        "- (p or (lead,))[-1] + 1 for lead in leads",
+        "- (p or (lead,))[-1] for lead in leads",
+        ("tests/test_search.py",),
+        "killed",
+    ),
+    Mutant(
+        "record-row-swaps-numerator-and-denominator",
+        "src/wph/search.py",
+        "amplitude, *ratio, plurigenera_table",
+        "amplitude, *ratio[::-1], plurigenera_table",
         ("tests/test_search.py",),
         "killed",
     ),

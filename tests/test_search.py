@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import math
@@ -8,7 +9,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from wph.search import (
     _leading_weights,
     _nondecreasing_tuples,
     _search_tables,
-    _stripe,
+    _share,
     _tail_fails,
     search_records,
 )
@@ -533,24 +534,29 @@ class TestDeterminismAndParallelism:
         assert len(cold) == 23
 
     def test_serial_search_leaves_the_pool_unimported(self):
-        # concurrent.futures and multiprocessing cost an import 20-40 ms, and
-        # only a pooled search needs pickle
+        # concurrent.futures and multiprocessing cost an import 20-40 ms; a
+        # successful pooled search sends its records through marshal, so only
+        # a value that will not marshal (a child's exception) imports pickle,
+        # and only a child left running imports signal
         code = (
-            "import sys, wph.cli\n"
+            "import sys, wph.cli, wph.search\n"
             "def loaded(*names):\n"
             "    print(sorted(m for m in sys.modules if m.startswith(names)), file=sys.stderr)\n"
-            "loaded('concurrent', 'multiprocessing', 'pickle')\n"
+            "pool = ('concurrent', 'multiprocessing', 'pickle', 'signal')\n"
+            "loaded(*pool)\n"
             "wph.cli.run(['search', '--dim', '2', '--max-sum', '9'])\n"
-            "loaded('concurrent', 'multiprocessing', 'pickle')\n"
+            "loaded(*pool)\n"
             "wph.cli.run(['search', '--dim', '2', '--max-sum', '9', '--jobs', '2'])\n"
-            "loaded('concurrent', 'multiprocessing')\n"
+            "loaded(*pool)\n"
+            "print(wph.search._fork_map(lambda k: (k, ValueError(k)) if k else [k], 2), file=sys.stderr)\n"
+            "loaded(*pool)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(wph.search.__file__).parents[1]))
         env.pop("PYTHONUNBUFFERED", None)  # stdout is then block-buffered, and
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         # a forked child never flushes the output it inherits
         assert done.returncode == 0 and done.stdout.count("(1,1,1,2) d=6 vol=3") == 2
-        assert done.stderr == "[]\n[]\n[]\n"
+        assert done.stderr == "[]\n[]\n[]\n[[0], (1, ValueError(1))]\n['pickle']\n"
 
     def test_worker_count_is_clamped(self, monkeypatch):
         forks = []
@@ -647,43 +653,44 @@ class TestDeterminismAndParallelism:
         assert all(values[k] == [k] * 100_000 for k in range(workers) if k != 2)
 
     @pytest.mark.parametrize("member_dim, max_sum, vanishing", [(3, 45, 0), (4, 40, 0), (10, 59, 2)])
-    def test_the_stripes_partition_the_generated_tuples(
-        self, member_dim, max_sum, vanishing, monkeypatch
+    def test_the_claims_partition_the_generated_tuples(
+        self, member_dim, max_sum, vanishing, tmp_path, monkeypatch
     ):
-        # process k of N takes the heads whose index, counted once over every
-        # leading weight of the search, is k mod N
+        # each process, the caller and the forked children alike, logs the heads it
+        # runs to a file of its own: every head is run once (so the chunks that the
+        # head count gives cover them all), each process walks them forward, and the
+        # tuples of all of them are those of the serial generator
         length, leads = member_dim + 2, _leading_weights(member_dim, max_sum, 1, vanishing)
-        heads = list(_heads(leads, length, max_sum))
-        seen, degree_tuples = [], _degree_tuples
+        heads = {head: i for i, head in enumerate(_heads(leads, length, max_sum))}
+        every = sorted(
+            t for head in heads for t in _degree_tuples(head, max_sum, 1, searched_us(head, max_sum, 1))
+        )
+        serial = search_records(member_dim, max_sum, vanishing=vanishing)
+        assert serial
+        degree_tuples = _degree_tuples
 
-        def recorded(head, *args):
-            for t in degree_tuples(head, *args):
-                seen.append(t)
-                yield t
+        def logged(head, *args):
+            tuples = list(degree_tuples(head, *args))
+            with open(log / str(os.getpid()), "a") as out:
+                out.write(repr((heads[head], tuples)) + "\n")
+            return iter(tuples)
 
-        def searched(head):  # the tuples at the u values the search runs (`searched_us`)
-            return degree_tuples(head, max_sum, 1, searched_us(head, max_sum, 1))
-
-        monkeypatch.setattr(wph.search, "_degree_tuples", recorded)
-        every = [t for head in heads for t in searched(head)]
-        records = sorted(r.weights for r in search_records(member_dim, max_sum, vanishing=vanishing))
-        assert records
-        order_cap = wph.config.DEFAULTS["WPH_ORDER_CAP"]
-        for workers in (1, 2, 3, 4):
-            parts, kept = [], []
-            for k in range(workers):
-                seen.clear()
-                stripe = _stripe(k, workers, leads, length, max_sum, 1, vanishing, order_cap)
-                assert seen == [t for head in heads[k::workers] for t in searched(head)]
-                parts += seen
-                kept += [r.weights for r in stripe if r.vanishing_at_least(vanishing)]
-            assert sorted(parts) == every and sorted(kept) == records, workers
+        monkeypatch.setattr(wph.search, "_degree_tuples", logged)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        for jobs in (1, 2, 3, 4):
+            log = tmp_path / str(jobs)
+            log.mkdir()
+            with deadline(60):
+                assert search_records(member_dim, max_sum, vanishing=vanishing, jobs=jobs) == serial
+            runs = [[*map(ast.literal_eval, path.read_text().splitlines())] for path in log.iterdir()]
+            assert 1 <= len(runs) <= jobs
+            assert all([i for i, _ in run] == sorted(i for i, _ in run) for run in runs), jobs
+            assert sorted(i for run in runs for i, _ in run) == list(range(len(heads))), jobs
+            assert sorted(t for run in runs for _, tuples in run for t in tuples) == every, jobs
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("planted", [(7, 12), (6, 13)])
-    def test_failures_in_two_stripes_raise_the_earlier(self, jobs, planted, monkeypatch):
-        # heads 6 and 12 are on stripe 0, the caller's, and 7 and 13 on stripe 1,
-        # at 2 and at 3 processes: the earlier failure is the child's, then the caller's
+    def test_failures_in_two_chunks_raise_the_earlier(self, jobs, planted, monkeypatch):
         leads = _leading_weights(3, 45, 1)
         heads = list(_heads(leads, 5, 45))
         failing, degree_tuples = {heads[i]: i for i in planted}, _degree_tuples
@@ -698,10 +705,41 @@ class TestDeterminismAndParallelism:
             search_records(3, 45, jobs=jobs)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # each stripe stops at its own failure, whatever the usable CPUs
-        stripes = [_stripe(k, jobs, leads, 5, 45, 1, 0, 10**6) for k in range(jobs)]
-        failures = sorted(s[0] for s in stripes if isinstance(s, tuple))
-        assert failures == sorted(planted)
+        # whichever process claims which chunk: the chunks are dealt in turn but
+        # for the two planted ones, given to every pair of processes; each process
+        # stops claiming at its own first failure, and the least is the earlier head
+        for run in (1, 2, 3):
+            chunks = range(-(-len(heads) // run))
+            low, high = (i // run for i in planted)
+            for owners in product(range(jobs), repeat=2):
+                dealt = {low: owners[0], high: owners[1]}
+                claims = [[c for c in chunks if dealt.get(c, c % jobs) == k] for k in range(jobs)]
+                failures = []
+                for claimed in claims:
+                    spans = iter([(c * run, c * run + run) for c in claimed])
+                    share = _share(spans, leads, 5, 45, 1, 0, 10**6)
+                    if isinstance(share, tuple):
+                        failures.append(share[0])
+                        stop = share[0] // run
+                        assert [first // run for first, _ in spans] == claimed[claimed.index(stop) + 1:]
+                expected = [min(planted)] if owners[0] == owners[1] else sorted(planted)
+                assert sorted(failures) == expected, (run, owners)
+
+    @pytest.mark.parametrize("member_dim, max_sum, amplitude", [(3, 80, 1), (4, 60, 1), (3, 40, 10**6)])
+    def test_records_cross_the_pool_byte_for_byte(self, member_dim, max_sum, amplitude, monkeypatch):
+        # each child's records come back as rows of ints through marshal; at
+        # amplitude 10**6 the volume numerators pass 2**64
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+        up_to = 2 if amplitude == 1 else 0
+        digests = set()
+        for jobs in (1, 2, 3):
+            with deadline(60):
+                records = search_records(member_dim, max_sum, amplitude, plurigenera_up_to=up_to, jobs=jobs)
+            assert all(type(r.volume) is Fraction and type(r.weights) is tuple for r in records)
+            digests.add(hashlib.sha256("\n".join(map(str, records)).encode()).hexdigest())
+        assert len(digests) == 1 and len(records) == {80: 23, 60: 465, 40: 228}[max_sum]
+        if amplitude > 1:
+            assert max(r.volume.numerator for r in records) > 2**64
 
 
 class TestSearchTables:
